@@ -18,7 +18,16 @@ from typing import Callable, Optional, Sequence
 
 from .integrals import fermionic_exact as _ferm
 from .integrals import volkenborn_exact as _volk
-from .polynomials import Polynomial, binom_int, binom_poly, falling_poly, rising_poly
+from .polynomials import (
+    Polynomial,
+    binom_int,
+    binom_poly,
+    falling_poly,
+    int_poly,
+    linear_product,
+    rising_poly,
+    taylor_rows,
+)
 from . import sequences as seq
 
 __all__ = [
@@ -154,36 +163,31 @@ def _negate_var(f: Polynomial) -> Polynomial:
 
 
 def _binom_shift_poly(n: int, a: Fraction | int) -> Polynomial:
-    """C(x + a, n) as a polynomial in x (a may be any rational)."""
-    out = Polynomial.one()
+    """C(x + a, n) as a polynomial in x (a may be any rational).
+
+    With a = p/q each factor x + a - j is ((p - q j) + q x)/q, so the
+    product is taken in ints and scaled once by 1/(q^n n!).
+    """
     av = Fraction(a)
-    for j in range(n):
-        out = out * Polynomial([av - j, 1])
-    return out * Fraction(1, factorial(n))
+    p, q = av.numerator, av.denominator
+    return int_poly(
+        linear_product((p - q * j, q) for j in range(n)), Fraction(1, q**n * factorial(n))
+    )
 
 
 def _binom_reflected_poly(n: int) -> Polynomial:
     """C(n - x, n) as a polynomial in x."""
-    out = Polynomial.one()
-    for j in range(1, n + 1):
-        out = out * Polynomial([j, -1])
-    return out * Fraction(1, factorial(n))
+    return int_poly(linear_product((j, -1) for j in range(1, n + 1)), Fraction(1, factorial(n)))
 
 
 def _binom_scaled_poly(m: int, n: int) -> Polynomial:
     """C(m x, n) as a polynomial in x."""
-    out = Polynomial.one()
-    for j in range(n):
-        out = out * Polynomial([-j, m])
-    return out * Fraction(1, factorial(n))
+    return int_poly(linear_product((-j, m) for j in range(n)), Fraction(1, factorial(n)))
 
 
 def _falling_over_x(n: int) -> Polynomial:
     """(x-1)(x-2)...(x-n): the degree-(n+1) falling factorial divided by x."""
-    out = Polynomial.one()
-    for j in range(1, n + 1):
-        out = out * Polynomial([-j, 1])
-    return out
+    return int_poly(linear_product((-j, 1) for j in range(1, n + 1)))
 
 
 def _gbinom(a: int, b: int) -> Fraction:
@@ -216,20 +220,9 @@ class _BiPoly:
 
     @classmethod
     def binom_of_sum(cls, n: int) -> "_BiPoly":
-        """C(x + y, n)."""
-        rows = [Polynomial.one()]
-        for j in range(n):
-            # multiply by (y + (x - j))
-            shift = Polynomial([-j, 1])
-            new = []
-            for i in range(len(rows) + 1):
-                term = rows[i - 1] if i >= 1 else Polynomial.zero()
-                if i < len(rows):
-                    term = term + rows[i] * shift
-                new.append(term)
-            rows = new
-        scale = Fraction(1, factorial(n))
-        return cls([r * scale for r in rows])
+        """C(x + y, n), the falling factorial at x + y over n!."""
+        falling = linear_product((-j, 1) for j in range(n))
+        return cls(taylor_rows(falling, Fraction(1, factorial(n))))
 
     @classmethod
     def product_falling(cls, k: int) -> "_BiPoly":
@@ -1502,6 +1495,10 @@ def verify(record: IdentityRecord | str, n_max: Optional[int] = None) -> RecordR
         if len(matches) != 1:
             raise KeyError(f"{record} names {len(matches)} records; verify takes one")
         record = matches[0]
+    if record.status == CORRECTED and (record.literal is None or record.counterexample is None):
+        raise ValueError(
+            f"corrected record {record.id} needs both a literal form and a counterexample"
+        )
 
     points = 0
     mismatches: list[Mismatch] = []
@@ -1514,7 +1511,6 @@ def verify(record: IdentityRecord | str, n_max: Optional[int] = None) -> RecordR
 
     literal_confirmed: Optional[bool] = None
     if record.status == CORRECTED:
-        assert record.literal is not None and record.counterexample is not None
         lv, rv = record.literal(*record.counterexample)
         literal_confirmed = lv != rv
 

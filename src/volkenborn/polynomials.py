@@ -4,6 +4,11 @@ A polynomial is stored as a tuple of ``Fraction`` coefficients, index i
 holding the coefficient of x**i, with no trailing zeros (the zero
 polynomial is the empty tuple).  Every operation is exact; nothing here
 ever touches floating point.
+
+Products of linear factors (falling, rising and binomial-type
+polynomials) are built in plain ints by ``linear_product`` and turned
+into Fractions once, with a single rational scale, by ``int_poly``;
+``taylor_rows`` expands such a product at a shifted argument.
 """
 from __future__ import annotations
 
@@ -16,7 +21,10 @@ __all__ = [
     "binom_int",
     "binom_poly",
     "falling_poly",
+    "int_poly",
+    "linear_product",
     "rising_poly",
+    "taylor_rows",
 ]
 
 Scalar = Union[Fraction, int]
@@ -130,6 +138,18 @@ class Polynomial:
         if isinstance(other, Polynomial):
             if not self._coeffs or not other._coeffs:
                 return Polynomial()
+            if all(c.denominator == 1 for c in self._coeffs) and all(
+                c.denominator == 1 for c in other._coeffs
+            ):
+                # integer operands: convolve the numerators as plain ints
+                bs = [c.numerator for c in other._coeffs]
+                out = [0] * (len(self._coeffs) + len(bs) - 1)
+                for i, c in enumerate(self._coeffs):
+                    a = c.numerator
+                    if a:
+                        for j, b in enumerate(bs, i):
+                            out[j] += a * b
+                return Polynomial(out)
             out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
             for i, a in enumerate(self._coeffs):
                 if a == 0:
@@ -197,28 +217,58 @@ class Polynomial:
         return cls(Fraction(s) for s in items)
 
 
-def falling_poly(n: int) -> Polynomial:
-    """The degree-n falling factorial x(x-1)...(x-n+1); 1 for n = 0."""
+def linear_product(factors: Iterable[tuple[int, int]]) -> list[int]:
+    """Integer coefficients, index = power, of the product of (a + b x) over (a, b) in factors.
+
+    The empty product is [1].  Only ints are made; callers apply any
+    rational scale once, through ``int_poly``.
+    """
+    out = [1]
+    for a, b in factors:
+        out = [a * out[0]] + [a * c + b * d for c, d in zip(out[1:], out)] + [b * out[-1]]
+    return out
+
+
+def int_poly(ints: Iterable[int], scale: Scalar = 1) -> Polynomial:
+    """The polynomial with coefficients c * scale for c in ints (index = power)."""
+    if scale == 1:
+        return Polynomial(ints)
+    s = _as_fraction(scale)
+    num, den = s.numerator, s.denominator
+    return Polynomial([Fraction(c * num, den) for c in ints])
+
+
+def taylor_rows(ints: Sequence[int], scale: Scalar = 1) -> list[Polynomial]:
+    """Expand P(x + t) for P = sum_m ints[m] x^m, times scale, in powers of t.
+
+    Row i is the coefficient of t^i, a polynomial in x: by the binomial
+    theorem its x^k coefficient is C(k + i, i) * ints[k + i] * scale.
+    """
+    d = len(ints) - 1
+    return [
+        int_poly([comb(k + i, i) * ints[k + i] for k in range(d - i + 1)], scale)
+        for i in range(d + 1)
+    ]
+
+
+def _falling_ints(n: int) -> list[int]:
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = Polynomial.one()
-    for j in range(n):
-        out = out * Polynomial([-j, 1])
-    return out
+    return linear_product((-j, 1) for j in range(n))
+
+
+def falling_poly(n: int) -> Polynomial:
+    """The degree-n falling factorial x(x-1)...(x-n+1); 1 for n = 0."""
+    return int_poly(_falling_ints(n))
 
 
 def rising_poly(n: int) -> Polynomial:
     """The degree-n rising factorial x(x+1)...(x+n-1); 1 for n = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    out = Polynomial.one()
-    for j in range(n):
-        out = out * Polynomial([j, 1])
-    return out
+    return int_poly(linear_product((j, 1) for j in range(n)))
 
 
 def binom_poly(n: int) -> Polynomial:
     """The polynomial C(x, n) = x(x-1)...(x-n+1)/n!."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return falling_poly(n) * Fraction(1, factorial(n))
+    return int_poly(_falling_ints(n), Fraction(1, factorial(n)))

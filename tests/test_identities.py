@@ -58,6 +58,14 @@ def test_verify_unknown_id():
         resolve_ids(["I2"])  # bare prefixes must name a whole group
 
 
+@pytest.mark.parametrize("missing", ["literal", "counterexample"])
+def test_corrected_record_without_its_evidence_is_rejected(missing):
+    corrected = next(r for r in catalog() if r.status == identities.CORRECTED)
+    broken = dataclasses.replace(corrected, **{missing: None})
+    with pytest.raises(ValueError, match=f"corrected record {corrected.id} "):
+        verify(broken)
+
+
 def test_group_prefix_resolution():
     group = resolve_ids(["I26"])
     assert {r.id for r in group} == {
