@@ -15,7 +15,7 @@ from typing import Optional
 import click
 
 from . import identities, sequences
-from .integrals import Measure, convergence_report, exact_integral, level_integral
+from .integrals import Measure, _err_text, convergence_report, exact_integral, level_integral
 from .padic import valuation
 from .polynomials import Polynomial
 
@@ -114,6 +114,13 @@ _TRIANGLE_FAMILIES = {
 ALL_FAMILIES = sorted(_SINGLE_FAMILIES) + sorted(_TRIANGLE_FAMILIES) + ["array-poly"]
 
 
+def _triangle(family: str, n_max: int) -> tuple[list[list[str]], list[dict]]:
+    """Rows [n, k, value] of a two-index family for n <= n_max, and the same rows as json entries."""
+    fn = _TRIANGLE_FAMILIES[family]
+    rows = [[str(n), str(k), str(fn(n, k))] for n in range(n_max + 1) for k in range(n + 1)]
+    return rows, [{"n": int(r[0]), "k": int(r[1]), "value": r[2]} for r in rows]
+
+
 @cli.command("seq")
 @click.argument("family", type=click.Choice(ALL_FAMILIES))
 @click.option("--n", "n_max", type=int, required=True, help="Largest index to emit.")
@@ -145,15 +152,8 @@ def cmd_seq(family: str, n_max: int, param: Optional[str], order_v: Optional[int
         return
 
     if family in _TRIANGLE_FAMILIES:
-        fn = _TRIANGLE_FAMILIES[family]
-        rows = [
-            [str(n), str(k), str(fn(n, k))] for n in range(n_max + 1) for k in range(n + 1)
-        ]
-        obj = {
-            "family": family,
-            "values": [{"n": int(r[0]), "k": int(r[1]), "value": r[2]} for r in rows],
-        }
-        click.echo(_render(fmt, ["n", "k", "value"], rows, obj), nl=False)
+        rows, entries = _triangle(family, n_max)
+        click.echo(_render(fmt, ["n", "k", "value"], rows, {"family": family, "values": entries}), nl=False)
         return
 
     # array-poly: one polynomial per n at fixed order v and parameter lambda
@@ -232,11 +232,7 @@ def cmd_integral(
     except ValueError as exc:
         raise click.UsageError(str(exc))
     reference = exact_integral(f, m)
-    if reference is None:
-        err = None
-    else:
-        v = valuation(value - reference, prime)
-        err = "inf" if v == float("inf") else str(v)
+    err = None if reference is None else _err_text(valuation(value - reference, prime))
     rows = [[str(value), "" if err is None else err]]
     obj = {
         "measure": m.kind,
@@ -272,15 +268,7 @@ def cmd_converge(poly: str, measure: str, prime: int, n_max: int, q: Optional[st
     elif fmt == "csv":
         click.echo(report.to_csv(), nl=False)
     else:
-        rows = []
-        for row in report.rows:
-            if row.err_valuation is None:
-                err = ""
-            elif row.err_valuation == float("inf"):
-                err = "inf"
-            else:
-                err = str(row.err_valuation)
-            rows.append([str(row.N), str(row.value), err])
+        rows = [[str(row.N), str(row.value), _err_text(row.err_valuation)] for row in report.rows]
         click.echo(_dump_table(["N", "value", "err_valuation"], rows), nl=False)
 
 
@@ -290,7 +278,8 @@ def cmd_converge(poly: str, measure: str, prime: int, n_max: int, q: Optional[st
 @cli.command("verify")
 @click.option("--ids", default=None, help="Comma-separated record ids or group prefixes.")
 @click.option("--n-max", type=int, default=None, help="Override the n-like grid caps.")
-@click.option("--jobs", type=int, default=1, show_default=True, help="Concurrent record evaluation.")
+# Accepted for compatibility and ignored: records run serially in catalog order.
+@click.option("--jobs", type=int, default=1, hidden=True)
 @_format_option
 def cmd_verify(ids: Optional[str], n_max: Optional[int], jobs: int, fmt: str) -> None:
     """Run the identity suite; exit 1 on any unadjudicated mismatch."""
@@ -300,7 +289,7 @@ def cmd_verify(ids: Optional[str], n_max: Optional[int], jobs: int, fmt: str) ->
     if ids:
         wanted = [s.strip() for s in ids.split(",") if s.strip()]
     try:
-        report = identities.verify_all(n_max=n_max, ids=wanted, jobs=jobs)
+        report = identities.verify_all(n_max=n_max, ids=wanted)
     except KeyError as exc:
         raise click.UsageError(str(exc.args[0]))
     if fmt == "json":
@@ -328,18 +317,8 @@ def cmd_table_dump(family: str, n_max: int, fmt: str) -> None:
     """Dump a triangular table as rows n,k,value."""
     if n_max < 0:
         raise click.UsageError("--n-max must be >= 0")
-    fn = _TRIANGLE_FAMILIES[family]
-    rows = [[str(n), str(k), str(fn(n, k))] for n in range(n_max + 1) for k in range(n + 1)]
-    if fmt == "json":
-        obj = {
-            "family": family,
-            "rows": [{"n": int(r[0]), "k": int(r[1]), "value": r[2]} for r in rows],
-        }
-        click.echo(_dump_json(obj), nl=False)
-    elif fmt == "table":
-        click.echo(_dump_table(["n", "k", "value"], rows), nl=False)
-    else:
-        click.echo(_dump_csv(["n", "k", "value"], rows), nl=False)
+    rows, entries = _triangle(family, n_max)
+    click.echo(_render(fmt, ["n", "k", "value"], rows, {"family": family, "rows": entries}), nl=False)
 
 
 def main() -> None:

@@ -10,7 +10,6 @@ evaluates both sides exactly on every grid point.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -1528,17 +1527,7 @@ def verify(record: IdentityRecord | str, n_max: Optional[int] = None) -> RecordR
 def verify_all(
     n_max: Optional[int] = None,
     ids: Optional[Sequence[str]] = None,
-    jobs: int = 1,
 ) -> IdentityReport:
-    """Run the whole catalog (or a selection) and assemble a deterministic report.
-
-    Records may be evaluated concurrently; results are reported in catalog
-    order regardless of completion order.
-    """
+    """Run the whole catalog (or a selection) in catalog order and assemble a deterministic report."""
     records = resolve_ids(ids) if ids else list(catalog())
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda r: verify(r, n_max), records))
-    else:
-        results = [verify(r, n_max) for r in records]
-    return IdentityReport(n_max=n_max, results=tuple(results))
+    return IdentityReport(n_max=n_max, results=tuple(verify(r, n_max) for r in records))

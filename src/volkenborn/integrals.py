@@ -119,7 +119,6 @@ def _check_level_args(measure: Measure, p: int, N: int) -> None:
         raise ValueError(f"{measure.kind} level sums require an odd prime")
     if measure.kind == "q":
         q = measure.q
-        assert q is not None
         if q != 1 and padic.valuation(1 - q, p) < 1:
             raise ValueError("q-weighted measure requires v_p(1 - q) >= 1")
         if p**N > Q_LEVEL_GUARD:
@@ -141,7 +140,6 @@ def level_integral(f: Polynomial, measure: Measure, p: int, N: int) -> Fraction:
     if measure.kind == "fermionic":
         return sum((c * alternating_power_sum(i, m) for i, c in enumerate(f) if c), Fraction(0))
     q = measure.q
-    assert q is not None
     if q == 1:
         return level_integral(f, Measure.bosonic(), p, N)
     total = Fraction(0)
@@ -151,6 +149,13 @@ def level_integral(f: Polynomial, measure: Measure, p: int, N: int) -> Fraction:
         qx *= q
     bracket = (1 - q**m) / (1 - q)
     return total / bracket
+
+
+def _err_text(v: Union[int, float, None]) -> str:
+    """Text form of an error valuation: empty without a reference, "inf" for an exact value."""
+    if v is None:
+        return ""
+    return "inf" if v == math.inf else str(v)
 
 
 @dataclass(frozen=True)
@@ -172,13 +177,7 @@ class ConvergenceReport:
     def to_csv(self) -> str:
         lines = ["N,value,err_valuation"]
         for row in self.rows:
-            if row.err_valuation is None:
-                err = ""
-            elif row.err_valuation == math.inf:
-                err = "inf"
-            else:
-                err = str(row.err_valuation)
-            lines.append(f"{row.N},{row.value},{err}")
+            lines.append(f"{row.N},{row.value},{_err_text(row.err_valuation)}")
         return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:

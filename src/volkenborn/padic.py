@@ -23,17 +23,43 @@ __all__ = [
 Rational = Union[Fraction, int]
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the bases _SMALL_PRIMES has no strong pseudoprime below
+# this bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+# bases", 2017), so the test is exact there.
+_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic primality by trial division (intended for p < 10**4)."""
+    """Deterministic primality: division by the primes up to 41, then
+    Miller-Rabin with those 13 bases.
+
+    Raises ValueError for p >= 3317044064679887385961981 (about 3.3 * 10**24)
+    without a factor among those primes, where the test is no longer exact.
+    """
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _SMALL_PRIMES:
+        if p % b == 0:
+            return p == b
+    if p < 43 * 43:
+        return True
+    if p >= _MILLER_RABIN_LIMIT:
+        raise ValueError(f"primality is only decided below {_MILLER_RABIN_LIMIT}: got {p}")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -66,7 +92,6 @@ def padic_distance(x: Rational, y: Rational, p: int) -> Fraction:
     if d == 0:
         return Fraction(0)
     v = valuation(d, p)
-    assert isinstance(v, int)
     if v >= 0:
         return Fraction(1, p**v)
     return Fraction(p ** (-v))

@@ -2,23 +2,27 @@
 Changhee, Fubini, Cauchy, Eulerian, harmonic, and rational-parameter
 Apostol/Frobenius variants.
 
-Every family is generated by its defining recurrence or closed form and
-memoized.  Tables grow whole rows at a time under a lock and are safe to
-query concurrently once published; all returned values are immutable
-``Fraction``s or ``Polynomial``s.
+Every family is generated by its defining recurrence or closed form.
+The memoized ones keep their values in a ``_Memo``: one list per key
+(the family's parameter, or ``None``), grown under the single module
+lock by one of two rules.  A recurrence appends one entry at a time; an
+exponential generating function is rebuilt at twice the stored order,
+so reaching index n takes O(log n) series builds.  Lists are only
+appended to or replaced whole, so a stored value is read without the
+lock and the library is safe to query from several threads.  All
+returned values are immutable ``Fraction``s or ``Polynomial``s.
 """
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
 from math import factorial
-from typing import Callable
+from typing import Callable, Hashable, Optional
 
 from .polynomials import Polynomial, binom_int, falling_poly, linear_product, taylor_rows
 from .series import PowerSeries
 
 __all__ = [
-    "TriangularTable",
     "apostol_bernoulli",
     "apostol_euler",
     "array_poly",
@@ -59,73 +63,56 @@ def _check_index(n: int, name: str = "n") -> None:
         raise ValueError(f"{name} must be >= 0")
 
 
-class TriangularTable:
-    """Lazily grown (n, k)-indexed table of exact rationals.
+_LOCK = threading.RLock()
+_TABLES: list["_Memo"] = []
 
-    Rows are produced by ``row_fn(n, previous_row)`` starting from
-    ``row_fn(0, None)``.  A whole row is computed before it is published,
-    so concurrent readers never observe a partial row; queries outside
-    the triangle return 0.
+
+class _Memo:
+    """Memoized values of one family, one list per key.
+
+    Give exactly one growth rule: ``step(values, key)`` returns the entry
+    at index ``len(values)``; ``series(order, key)`` returns a
+    ``PowerSeries`` whose EGF coefficients below ``order`` are the
+    entries, and is rebuilt at order max(n + 1, 2 * len, 8).
     """
 
-    def __init__(self, name: str, row_fn: Callable[[int, list[Fraction] | None], list[Fraction]]):
-        self.name = name
-        self._row_fn = row_fn
-        self._rows: list[list[Fraction]] = []
-        self._lock = threading.RLock()
+    def __init__(
+        self,
+        step: Optional[Callable[[list, Hashable], object]] = None,
+        series: Optional[Callable[[int, Hashable], PowerSeries]] = None,
+    ):
+        self._step = step
+        self._series = series
+        self._lists: dict[Hashable, list] = {}
+        _TABLES.append(self)
 
-    def row(self, n: int) -> list[Fraction]:
+    def get(self, key: Hashable, n: int):
         _check_index(n)
-        rows = self._rows
-        if n < len(rows):
-            return list(rows[n])
-        with self._lock:
-            while len(self._rows) <= n:
-                m = len(self._rows)
-                prev = self._rows[m - 1] if m else None
-                self._rows.append(self._row_fn(m, prev))
-            return list(self._rows[n])
-
-    def value(self, n: int, k: int) -> Fraction:
-        _check_index(n)
-        _check_index(k, "k")
-        if k > n:
-            return Fraction(0)
-        return self.row(n)[k]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._rows.clear()
-
-
-class _SequenceCache:
-    """Lock-guarded list cache for one-index families defined by a recurrence."""
-
-    def __init__(self, extend_fn: Callable[[list[Fraction]], Fraction]):
-        self._extend_fn = extend_fn
-        self._values: list[Fraction] = []
-        self._lock = threading.RLock()
-
-    def value(self, n: int) -> Fraction:
-        _check_index(n)
-        vals = self._values
-        if n < len(vals):
+        vals = self._lists.get(key)
+        if vals is not None and n < len(vals):
             return vals[n]
-        with self._lock:
-            while len(self._values) <= n:
-                self._values.append(self._extend_fn(self._values))
-            return self._values[n]
+        with _LOCK:
+            vals = self._lists.setdefault(key, [])
+            if self._series is None:
+                while len(vals) <= n:
+                    vals.append(self._step(vals, key))
+            elif len(vals) <= n:
+                order = max(n + 1, 2 * len(vals), 8)
+                series = self._series(order, key)
+                vals = [series.egf_coeff(m) for m in range(order)]
+                self._lists[key] = vals
+            return vals[n]
 
     def clear(self) -> None:
-        with self._lock:
-            self._values.clear()
+        with _LOCK:
+            self._lists = {}
 
 
 # ---------------------------------------------------------------------------
 # Bernoulli and Euler numbers and polynomials
 
 
-def _next_bernoulli(vals: list[Fraction]) -> Fraction:
+def _next_bernoulli(vals: list[Fraction], _key: None) -> Fraction:
     n = len(vals)
     if n == 0:
         return Fraction(1)
@@ -134,7 +121,7 @@ def _next_bernoulli(vals: list[Fraction]) -> Fraction:
     return -s / (n + 1)
 
 
-def _next_euler(vals: list[Fraction]) -> Fraction:
+def _next_euler(vals: list[Fraction], _key: None) -> Fraction:
     n = len(vals)
     if n == 0:
         return Fraction(1)
@@ -143,18 +130,18 @@ def _next_euler(vals: list[Fraction]) -> Fraction:
     return -s / 2
 
 
-_BERNOULLI = _SequenceCache(_next_bernoulli)
-_EULER = _SequenceCache(_next_euler)
+_BERNOULLI = _Memo(_next_bernoulli)
+_EULER = _Memo(_next_euler)
 
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n, first kind (B_1 = -1/2)."""
-    return _BERNOULLI.value(n)
+    return _BERNOULLI.get(None, n)
 
 
 def euler(n: int) -> Fraction:
     """Euler number E_n = E_n(0), the value of the Euler polynomial at 0."""
-    return _EULER.value(n)
+    return _EULER.get(None, n)
 
 
 def bernoulli_poly(n: int) -> Polynomial:
@@ -184,18 +171,31 @@ def euler_second(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Apostol / Frobenius variants with rational parameters
 
-_PARAMETRIC_LOCK = threading.RLock()
-_APOSTOL_BERNOULLI: dict[Fraction, list[Fraction]] = {}
-_APOSTOL_EULER: dict[Fraction, list[Fraction]] = {}
-_FROBENIUS_EULER: dict[Fraction, list[Fraction]] = {}
+def _next_apostol_bernoulli(vals: list[Fraction], lam: Fraction) -> Fraction:
+    m = len(vals)
+    rhs = Fraction(1 if m == 1 else 0)
+    s = sum(binom_int(m, k) * vals[k] for k in range(m))
+    return (rhs - lam * s) / (lam - 1)
 
 
-def _grow_parametric(cache: dict, key: Fraction, n: int, step: Callable[[list[Fraction], int], Fraction]) -> Fraction:
-    with _PARAMETRIC_LOCK:
-        vals = cache.setdefault(key, [])
-        while len(vals) <= n:
-            vals.append(step(vals, len(vals)))
-        return vals[n]
+def _next_apostol_euler(vals: list[Fraction], lam: Fraction) -> Fraction:
+    m = len(vals)
+    rhs = Fraction(2 if m == 0 else 0)
+    s = sum(binom_int(m, k) * vals[k] for k in range(m))
+    return (rhs - lam * s) / (lam + 1)
+
+
+def _next_frobenius_euler(vals: list[Fraction], u: Fraction) -> Fraction:
+    m = len(vals)
+    if m == 0:
+        return Fraction(1)
+    s = sum(binom_int(m, k) * vals[k] for k in range(m))
+    return s / (u - 1)
+
+
+_APOSTOL_BERNOULLI = _Memo(_next_apostol_bernoulli)
+_APOSTOL_EULER = _Memo(_next_apostol_euler)
+_FROBENIUS_EULER = _Memo(_next_frobenius_euler)
 
 
 def apostol_bernoulli(n: int, lam: Fraction | int) -> Fraction:
@@ -208,13 +208,7 @@ def apostol_bernoulli(n: int, lam: Fraction | int) -> Fraction:
     lam = Fraction(lam)
     if lam == 1:
         raise ValueError("lambda = 1 is excluded (denominator series has zero constant term)")
-
-    def step(vals: list[Fraction], m: int) -> Fraction:
-        rhs = Fraction(1 if m == 1 else 0)
-        s = sum(binom_int(m, k) * vals[k] for k in range(m))
-        return (rhs - lam * s) / (lam - 1)
-
-    return _grow_parametric(_APOSTOL_BERNOULLI, lam, n, step)
+    return _APOSTOL_BERNOULLI.get(lam, n)
 
 
 def apostol_euler(n: int, lam: Fraction | int) -> Fraction:
@@ -227,13 +221,7 @@ def apostol_euler(n: int, lam: Fraction | int) -> Fraction:
     lam = Fraction(lam)
     if lam == -1:
         raise ValueError("lambda = -1 is excluded (function undefined at t = 0)")
-
-    def step(vals: list[Fraction], m: int) -> Fraction:
-        rhs = Fraction(2 if m == 0 else 0)
-        s = sum(binom_int(m, k) * vals[k] for k in range(m))
-        return (rhs - lam * s) / (lam + 1)
-
-    return _grow_parametric(_APOSTOL_EULER, lam, n, step)
+    return _APOSTOL_EULER.get(lam, n)
 
 
 def frobenius_euler(n: int, u: Fraction | int) -> Fraction:
@@ -246,23 +234,18 @@ def frobenius_euler(n: int, u: Fraction | int) -> Fraction:
     u = Fraction(u)
     if u == 1:
         raise ValueError("u = 1 is excluded (function undefined)")
-
-    def step(vals: list[Fraction], m: int) -> Fraction:
-        if m == 0:
-            return Fraction(1)
-        s = sum(binom_int(m, k) * vals[k] for k in range(m))
-        return s / (u - 1)
-
-    return _grow_parametric(_FROBENIUS_EULER, u, n, step)
+    return _FROBENIUS_EULER.get(u, n)
 
 
 # ---------------------------------------------------------------------------
 # Stirling numbers, both kinds, plus lambda and associated variants
 
 
-def _stirling1_row(n: int, prev: list[Fraction] | None) -> list[Fraction]:
-    if prev is None:
+def _stirling1_row(rows: list[list[Fraction]], _key: None) -> list[Fraction]:
+    n = len(rows)
+    if n == 0:
         return [Fraction(1)]
+    prev = rows[-1]
     # S1(n+1, k) = -n S1(n, k) + S1(n, k-1)
     m = n - 1
     return [
@@ -271,9 +254,11 @@ def _stirling1_row(n: int, prev: list[Fraction] | None) -> list[Fraction]:
     ]
 
 
-def _stirling2_row(n: int, prev: list[Fraction] | None) -> list[Fraction]:
-    if prev is None:
+def _stirling2_row(rows: list[list[Fraction]], _key: None) -> list[Fraction]:
+    n = len(rows)
+    if n == 0:
         return [Fraction(1)]
+    prev = rows[-1]
     # S2(n+1, k) = k S2(n, k) + S2(n, k-1)
     m = n - 1
     return [
@@ -282,9 +267,11 @@ def _stirling2_row(n: int, prev: list[Fraction] | None) -> list[Fraction]:
     ]
 
 
-def _eulerian_row(n: int, prev: list[Fraction] | None) -> list[Fraction]:
-    if prev is None:
+def _eulerian_row(rows: list[list[Fraction]], _key: None) -> list[Fraction]:
+    n = len(rows)
+    if n == 0:
         return [Fraction(1)]
+    prev = rows[-1]
     m = n - 1
     row = []
     for k in range(n + 1):
@@ -294,32 +281,49 @@ def _eulerian_row(n: int, prev: list[Fraction] | None) -> list[Fraction]:
     return row
 
 
-_STIRLING1 = TriangularTable("stirling1", _stirling1_row)
-_STIRLING2 = TriangularTable("stirling2", _stirling2_row)
-_EULERIAN = TriangularTable("eulerian", _eulerian_row)
+_STIRLING1 = _Memo(_stirling1_row)
+_STIRLING2 = _Memo(_stirling2_row)
+_EULERIAN = _Memo(_eulerian_row)
+
+
+def _entry(rows: _Memo, n: int, k: int) -> Fraction:
+    """Entry (n, k) of a triangle stored row by row; 0 outside it."""
+    _check_index(n)
+    _check_index(k, "k")
+    if k > n:
+        return Fraction(0)
+    return rows.get(None, n)[k]
 
 
 def stirling1(n: int, k: int) -> Fraction:
     """Signed Stirling number of the first kind; row n expands x(x-1)...(x-n+1)."""
-    return _STIRLING1.value(n, k)
+    return _entry(_STIRLING1, n, k)
 
 
 def stirling1_unsigned(n: int, k: int) -> Fraction:
-    return abs(_STIRLING1.value(n, k))
+    return abs(_entry(_STIRLING1, n, k))
 
 
 def stirling2(n: int, k: int) -> Fraction:
     """Stirling number of the second kind: partitions of an n-set into k blocks."""
-    return _STIRLING2.value(n, k)
+    return _entry(_STIRLING2, n, k)
 
 
 def eulerian(n: int, k: int) -> Fraction:
     """Eulerian number: permutations of n letters with exactly k ascending runs."""
-    return _EULERIAN.value(n, k)
+    return _entry(_EULERIAN, n, k)
 
 
-_LAMBDA_STIRLING_LOCK = threading.RLock()
-_LAMBDA_STIRLING: dict[tuple[Fraction, int], list[Fraction]] = {}
+def _divided_power(base: PowerSeries, k: int) -> PowerSeries:
+    return (base**k) * Fraction(1, factorial(k))
+
+
+def _lambda_stirling_series(order: int, key: tuple[Fraction, int]) -> PowerSeries:
+    lam, k = key
+    return _divided_power(PowerSeries.exp(order) * lam - PowerSeries.one(order), k)
+
+
+_LAMBDA_STIRLING = _Memo(series=_lambda_stirling_series)
 
 
 def stirling2_lambda(n: int, k: int, lam: Fraction | int) -> Fraction:
@@ -327,19 +331,8 @@ def stirling2_lambda(n: int, k: int, lam: Fraction | int) -> Fraction:
 
     At lambda = 1 this reduces to the classical second kind.
     """
-    _check_index(n)
     _check_index(k, "k")
-    lam = Fraction(lam)
-    key = (lam, k)
-    with _LAMBDA_STIRLING_LOCK:
-        vals = _LAMBDA_STIRLING.get(key)
-        if vals is None or len(vals) <= n:
-            order = max(n + 1, 8)
-            base = PowerSeries.exp(order) * lam - PowerSeries.one(order)
-            series = (base**k) * Fraction(1, factorial(k))
-            vals = [series.egf_coeff(m) for m in range(order)]
-            _LAMBDA_STIRLING[key] = vals
-        return vals[n]
+    return _LAMBDA_STIRLING.get((Fraction(lam), k), n)
 
 
 def array_poly(n: int, v: int, lam: Fraction | int) -> Polynomial:
@@ -354,20 +347,16 @@ def array_poly(n: int, v: int, lam: Fraction | int) -> Polynomial:
     return out
 
 
-_ASSOC_LOCK = threading.RLock()
-_ASSOC1: dict[int, list[Fraction]] = {}
-_ASSOC2: dict[int, list[Fraction]] = {}
+def _assoc1_series(order: int, k: int) -> PowerSeries:
+    return _divided_power(PowerSeries.log1p(order) - PowerSeries.identity(order), k)
 
 
-def _assoc_values(cache: dict[int, list[Fraction]], k: int, n: int, base_fn) -> Fraction:
-    with _ASSOC_LOCK:
-        vals = cache.get(k)
-        if vals is None or len(vals) <= n:
-            order = max(n + 1, 8)
-            series = (base_fn(order) ** k) * Fraction(1, factorial(k))
-            vals = [series.egf_coeff(m) for m in range(order)]
-            cache[k] = vals
-        return vals[n]
+def _assoc2_series(order: int, k: int) -> PowerSeries:
+    return _divided_power(PowerSeries.exp(order) - PowerSeries.one(order) - PowerSeries.identity(order), k)
+
+
+_ASSOC1 = _Memo(series=_assoc1_series)
+_ASSOC2 = _Memo(series=_assoc2_series)
 
 
 def assoc_stirling1(n: int, k: int) -> Fraction:
@@ -379,7 +368,7 @@ def assoc_stirling1(n: int, k: int) -> Fraction:
     _check_index(k, "k")
     if 2 * k > n and not (n == 0 and k == 0):
         return Fraction(0)
-    return _assoc_values(_ASSOC1, k, n, lambda T: PowerSeries.log1p(T) - PowerSeries.identity(T))
+    return _ASSOC1.get(k, n)
 
 
 def assoc_stirling2(n: int, k: int) -> Fraction:
@@ -392,12 +381,7 @@ def assoc_stirling2(n: int, k: int) -> Fraction:
     _check_index(k, "k")
     if 2 * k > n and not (n == 0 and k == 0):
         return Fraction(0)
-    return _assoc_values(
-        _ASSOC2,
-        k,
-        n,
-        lambda T: PowerSeries.exp(T) - PowerSeries.one(T) - PowerSeries.identity(T),
-    )
+    return _ASSOC2.get(k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -492,22 +476,25 @@ def changhee_poly(n: int) -> Polynomial:
 # Fubini, Cauchy, harmonic
 
 
-def _next_fubini(vals: list[Fraction]) -> Fraction:
+def _next_fubini(vals: list[Fraction], _key: None) -> Fraction:
     n = len(vals)
     if n == 0:
         return Fraction(1)
     return sum(binom_int(n, j) * vals[n - j] for j in range(1, n + 1))
 
 
-_FUBINI = _SequenceCache(_next_fubini)
+def _fubini_order_series(order: int, k: int) -> PowerSeries:
+    two = PowerSeries.one(order) * 2
+    return (two - PowerSeries.exp(order)).inverse() ** k
 
-_FUBINI_ORDER_LOCK = threading.RLock()
-_FUBINI_ORDER: dict[int, list[Fraction]] = {}
+
+_FUBINI = _Memo(_next_fubini)
+_FUBINI_ORDER = _Memo(series=_fubini_order_series)
 
 
 def fubini(n: int) -> Fraction:
     """Fubini number: ordered set partitions of an n-set."""
-    return _FUBINI.value(n)
+    return _FUBINI.get(None, n)
 
 
 def fubini_order(n: int, k: int) -> Fraction:
@@ -515,15 +502,7 @@ def fubini_order(n: int, k: int) -> Fraction:
     _check_index(n)
     if k <= 0:
         raise ValueError("k must be >= 1")
-    with _FUBINI_ORDER_LOCK:
-        vals = _FUBINI_ORDER.get(k)
-        if vals is None or len(vals) <= n:
-            order = max(n + 1, 8)
-            two = PowerSeries.one(order) * 2
-            series = (two - PowerSeries.exp(order)).inverse() ** k
-            vals = [series.egf_coeff(m) for m in range(order)]
-            _FUBINI_ORDER[k] = vals
-        return vals[n]
+    return _FUBINI_ORDER.get(k, n)
 
 
 def cauchy(n: int) -> Fraction:
@@ -532,19 +511,13 @@ def cauchy(n: int) -> Fraction:
     return sum((c / (i + 1) for i, c in enumerate(falling_poly(n))), Fraction(0))
 
 
-_CAUCHY_SERIES_LOCK = threading.RLock()
-_CAUCHY_SERIES: list[Fraction] = []
-
-
-def _cauchy_from_series(n: int) -> Fraction:
+def _cauchy_series(order: int, _key: None) -> PowerSeries:
     # t/log(1+t) read as an exponential generating function
-    with _CAUCHY_SERIES_LOCK:
-        if len(_CAUCHY_SERIES) <= n:
-            order = max(n + 1, 8)
-            log_over_t = PowerSeries(PowerSeries.log1p(order + 1).coeffs[1:], order)
-            series = log_over_t.inverse()
-            _CAUCHY_SERIES[:] = [series.egf_coeff(m) for m in range(order)]
-        return _CAUCHY_SERIES[n]
+    log_over_t = PowerSeries(PowerSeries.log1p(order + 1).coeffs[1:], order)
+    return log_over_t.inverse()
+
+
+_CAUCHY_SERIES = _Memo(series=_cauchy_series)
 
 
 def bernoulli_second_poly(n: int) -> Polynomial:
@@ -552,7 +525,7 @@ def bernoulli_second_poly(n: int) -> Polynomial:
     _check_index(n)
     out = Polynomial.zero()
     for k in range(n + 1):
-        c = binom_int(n, k) * _cauchy_from_series(n - k)
+        c = binom_int(n, k) * _CAUCHY_SERIES.get(None, n - k)
         if c:
             out = out + falling_poly(k) * c
     return out
@@ -567,8 +540,12 @@ def harmonic(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Osgood-Wu connection coefficients
 
-_OSGOOD_LOCK = threading.RLock()
-_OSGOOD: dict[tuple[int, int, int], Fraction] = {}
+def _osgood_wu_sum(_vals: list[Fraction], key: tuple[int, int, int]) -> Fraction:
+    k, lo, hi = key
+    return sum(stirling1(k, j) * stirling2(j, lo) * stirling2(j, hi) for j in range(1, k + 1))
+
+
+_OSGOOD = _Memo(_osgood_wu_sum)  # one entry per key (k, min(l, m), max(l, m))
 
 
 def osgood_wu(k: int, l: int, m: int) -> Fraction:
@@ -581,37 +558,10 @@ def osgood_wu(k: int, l: int, m: int) -> Fraction:
         raise ValueError("k must be >= 1")
     if not (1 <= l <= k and 1 <= m <= k):
         raise ValueError("l and m must lie in 1..k")
-    lo, hi = min(l, m), max(l, m)
-    key = (k, lo, hi)
-    cached = _OSGOOD.get(key)
-    if cached is not None:
-        return cached
-    s = sum(stirling1(k, j) * stirling2(j, lo) * stirling2(j, hi) for j in range(1, k + 1))
-    with _OSGOOD_LOCK:
-        _OSGOOD[key] = s
-    return s
+    return _OSGOOD.get((k, min(l, m), max(l, m)), 0)
 
 
 def clear_caches() -> None:
     """Drop every memoized table; families regrow on demand (for determinism tests)."""
-    _BERNOULLI.clear()
-    _EULER.clear()
-    _FUBINI.clear()
-    _STIRLING1.clear()
-    _STIRLING2.clear()
-    _EULERIAN.clear()
-    with _PARAMETRIC_LOCK:
-        _APOSTOL_BERNOULLI.clear()
-        _APOSTOL_EULER.clear()
-        _FROBENIUS_EULER.clear()
-    with _LAMBDA_STIRLING_LOCK:
-        _LAMBDA_STIRLING.clear()
-    with _ASSOC_LOCK:
-        _ASSOC1.clear()
-        _ASSOC2.clear()
-    with _FUBINI_ORDER_LOCK:
-        _FUBINI_ORDER.clear()
-    with _CAUCHY_SERIES_LOCK:
-        _CAUCHY_SERIES.clear()
-    with _OSGOOD_LOCK:
-        _OSGOOD.clear()
+    for table in _TABLES:
+        table.clear()

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,26 @@ def test_verify_jobs_do_not_change_output(runner):
     b = runner.invoke(cli, ["verify", "--ids", "I23", "--n-max", "8", "--jobs", "4", "--format", "json"])
     assert a.exit_code == b.exit_code == 0
     assert a.output == b.output
+    # --jobs is accepted for compatibility, ignored, and hidden from help
+    assert runner.invoke(cli, ["verify", "--ids", "I01", "--jobs", "0"]).exit_code == 2
+    assert "--jobs" not in runner.invoke(cli, ["verify", "--help"]).output
+
+
+def test_converge_at_a_large_prime_is_fast(runner):
+    t0 = time.perf_counter()
+    result = runner.invoke(
+        cli, ["converge", "--poly", "0,1", "--measure", "b", "--p", "1000000000000000003", "--N-max", "2"]
+    )
+    assert result.exit_code == 0
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_converge_at_a_large_composite_is_usage_error(runner):
+    result = runner.invoke(
+        cli, ["converge", "--poly", "0,1", "--measure", "b", "--p", "1000000000000000001", "--N-max", "2"]
+    )
+    assert result.exit_code == 2
+    assert "is not prime" in result.output
 
 
 def test_json_round_trip_matches_in_memory_values(runner):

@@ -30,6 +30,26 @@ def test_is_prime_small():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
+def test_is_prime_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert [p for p in range(10**4 + 1) if padic.is_prime(p)] == list(sympy.primerange(10**4 + 1))
+    rng = random.Random(64)
+    samples = [rng.getrandbits(64) for _ in range(2000)]
+    samples += [sympy.prevprime(2**64), 2**61 - 1, 1000000000000000003]
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    samples += [3215031751, 3825123056546413051, 318665857834031151167461]
+    for n in samples:
+        assert padic.is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_rejects_sizes_it_cannot_decide():
+    assert not padic.is_prime(2**100)  # a small factor still decides it
+    with pytest.raises(ValueError):
+        padic.is_prime(2**89 - 1)
+    with pytest.raises(ValueError):
+        valuation(Fraction(1), 2**89 - 1)
+
+
 def test_reduce_examples():
     v = reduce(Fraction(1, 2), PAdicContext(3, 2))
     assert (v.valuation, v.unit_residue, v.is_zero) == (0, 5, False)

@@ -5,6 +5,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from volkenborn import sequences as seq
 from volkenborn.polynomials import Polynomial, binom_int, falling_poly, rising_poly
 from volkenborn.series import PowerSeries
@@ -605,3 +608,69 @@ def test_concurrent_table_growth_is_consistent():
     seq.clear_caches()
     expected = [seq.stirling2(n, n // 2) for n in range(0, 40)]
     assert results[0] == expected
+
+
+def _fill_every_table():
+    seq.bernoulli(6)
+    seq.euler(6)
+    seq.fubini(6)
+    seq.apostol_bernoulli(4, 2)
+    seq.apostol_euler(4, 2)
+    seq.frobenius_euler(4, 3)
+    seq.stirling1(5, 2)
+    seq.stirling2(5, 2)
+    seq.eulerian(5, 2)
+    seq.stirling2_lambda(5, 2, 3)
+    seq.assoc_stirling1(6, 2)
+    seq.assoc_stirling2(6, 2)
+    seq.fubini_order(5, 2)
+    seq.bernoulli_second_poly(4)
+    seq.osgood_wu(3, 2, 2)
+
+
+def test_clear_caches_empties_every_registered_table():
+    _fill_every_table()
+    assert len(seq._TABLES) == 15
+    assert all(table._lists for table in seq._TABLES)
+    seq.clear_caches()
+    assert not any(table._lists for table in seq._TABLES)
+
+
+def test_egf_tables_grow_by_doubling(monkeypatch):
+    seq.clear_caches()
+    orders = []
+    build = seq._ASSOC2._series
+    monkeypatch.setattr(seq._ASSOC2, "_series", lambda order, k: orders.append(order) or build(order, k))
+    for n in range(41):
+        seq.assoc_stirling2(n, 2)
+    assert orders == [8, 16, 32, 64]
+    seq.clear_caches()
+
+
+_EGF_FAMILIES = {
+    "assoc_stirling1": lambda n, key: seq.assoc_stirling1(n, key % 5),
+    "assoc_stirling2": lambda n, key: seq.assoc_stirling2(n, key % 5),
+    "stirling2_lambda": lambda n, key: seq.stirling2_lambda(n, key % 4, Fraction(key - 3, 2)),
+    "fubini_order": lambda n, key: seq.fubini_order(n, 1 + key % 3),
+    "bernoulli_second_poly": lambda n, key: seq.bernoulli_second_poly(n),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_EGF_FAMILIES)),
+    key=st.integers(0, 7),
+    ns=st.lists(st.integers(0, 22), min_size=1, max_size=8),
+    clear_at=st.integers(0, 8),
+)
+def test_egf_values_do_not_depend_on_request_order(family, key, ns, clear_at):
+    fn = _EGF_FAMILIES[family]
+    seq.clear_caches()
+    got = []
+    for i, n in enumerate(ns):
+        if i == clear_at:
+            seq.clear_caches()
+        got.append(fn(n, key))
+    seq.clear_caches()
+    fn(max(ns), key)  # one build at the final order; the reads below hit it
+    assert got == [fn(n, key) for n in ns]
