@@ -7,7 +7,7 @@ no operation ever rounds.  The main pieces:
   substrate (dense polynomials, truncated formal power series).
 * :mod:`volkenborn.sequences` -- Bernoulli, Euler, Stirling, Lah, Daehee,
   Changhee, Fubini, Cauchy, Eulerian and friends, with memoized tables.
-* :mod:`volkenborn.padic` -- valuations, norms, reduction mod p**M.
+* :mod:`volkenborn.padic` -- valuations, norms and primality.
 * :mod:`volkenborn.integrals` -- exact bosonic/fermionic integrals of
   polynomials and their level-N Riemann sums.
 * :mod:`volkenborn.identities` -- an executable catalog of integral and
@@ -16,7 +16,7 @@ no operation ever rounds.  The main pieces:
 
 from .polynomials import Polynomial, binom_int, binom_poly, falling_poly, rising_poly
 from .series import PowerSeries
-from .padic import PAdicContext, PAdicValue, padic_distance, valuation
+from .padic import padic_distance, valuation
 from .integrals import (
     ConvergenceReport,
     Measure,
@@ -39,8 +39,6 @@ __all__ = [
     "IdentityRecord",
     "IdentityReport",
     "Measure",
-    "PAdicContext",
-    "PAdicValue",
     "Polynomial",
     "PowerSeries",
     "alternating_power_sum",

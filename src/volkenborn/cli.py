@@ -41,9 +41,11 @@ def _parse_rational(text: str, what: str) -> Fraction:
 
 
 def _parse_poly(text: str) -> Polynomial:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
+    parts = text.split(",")
+    if not any(p.strip() for p in parts):
         raise click.UsageError("polynomial needs at least one coefficient")
+    if not all(p.strip() for p in parts):
+        raise click.UsageError(f"empty polynomial coefficient in {text!r}")
     return Polynomial(_parse_rational(p, "coefficient") for p in parts)
 
 

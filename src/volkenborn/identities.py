@@ -42,7 +42,6 @@ __all__ = [
 
 VERIFIED = "verified"
 CORRECTED = "corrected"
-REJECTED = "rejected"
 
 Evaluator = Callable[..., Fraction]
 LiteralPair = Callable[..., tuple[Fraction, Fraction]]
@@ -150,10 +149,6 @@ class IdentityReport:
 
 # ---------------------------------------------------------------------------
 # polynomial builders and small numeric helpers
-
-
-def _x() -> Polynomial:
-    return Polynomial.x()
 
 
 def _negate_var(f: Polynomial) -> Polynomial:
@@ -349,9 +344,9 @@ def _sum_1i(m: int, n: int) -> Fraction:
 
 def _gould_square_poly(n: int) -> Polynomial:
     """x C(x-2, n-1) + x(x-1) C(x-3, n-2), the expansion of sum (-1)^k C(x,k) k^2."""
-    p = _x() * _binom_shift_poly(n - 1, -2)
+    p = Polynomial.x() * _binom_shift_poly(n - 1, -2)
     if n >= 2:
-        p = p + _x() * Polynomial([-1, 1]) * _binom_shift_poly(n - 2, -3)
+        p = p + Polynomial.x() * Polynomial([-1, 1]) * _binom_shift_poly(n - 2, -3)
     return p
 
 
@@ -541,7 +536,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Integral of x times the rising factorial, binomial form",
         params=("n",),
         grid=_grid_n(1, 15),
-        lhs=lambda n: _volk(_x() * rising_poly(n)),
+        lhs=lambda n: _volk(Polynomial.x() * rising_poly(n)),
         rhs=lambda n: sum(
             (-1) ** (k + 1) * binom_int(n - 1, k - 1) * F(factorial(n), k * k + 3 * k + 2)
             for k in range(1, n + 1)
@@ -552,7 +547,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Integral of x times the rising factorial, Bernoulli form",
         params=("n",),
         grid=_grid_n(1, 15),
-        lhs=lambda n: _volk(_x() * rising_poly(n)),
+        lhs=lambda n: _volk(Polynomial.x() * rising_poly(n)),
         rhs=lambda n: sum(
             seq.stirling1_unsigned(n, k) * seq.bernoulli(k + 1) for k in range(1, n + 1)
         ),
@@ -575,7 +570,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Integral of x times the falling factorial, closed form",
         params=("n",),
         grid=_grid_n(0, 15),
-        lhs=lambda n: _volk(_x() * falling_poly(n)),
+        lhs=lambda n: _volk(Polynomial.x() * falling_poly(n)),
         rhs=lambda n: F((-1) ** (n + 1) * factorial(n), n * n + 3 * n + 2),
     ))
     add(IdentityRecord(
@@ -583,7 +578,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Integral of x times the falling factorial, Stirling form",
         params=("n",),
         grid=_grid_n(0, 15),
-        lhs=lambda n: _volk(_x() * falling_poly(n)),
+        lhs=lambda n: _volk(Polynomial.x() * falling_poly(n)),
         rhs=lambda n: sum(seq.stirling1(n, k - 1) * seq.bernoulli(k) for k in range(1, n + 1))
         + seq.bernoulli(n + 1),
     ))
@@ -716,7 +711,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Integral of x times a doubly shifted binomial coefficient",
         params=("n",),
         grid=_grid_n(1, 15),
-        lhs=lambda n: _volk(_x() * _binom_shift_poly(n - 1, -2)),
+        lhs=lambda n: _volk(Polynomial.x() * _binom_shift_poly(n - 1, -2)),
         rhs=lambda n: (-1) ** n * sum(F(k, k + 1) for k in range(1, n + 1)),
     ))
 
@@ -781,8 +776,8 @@ def _build_catalog() -> list[IdentityRecord]:
         "polynomial C(x-3, n-2); with the constant the statement fails at n = 3",
         literal=lambda n: (
             _volk(
-                _x() * _binom_shift_poly(n - 1, -2)
-                + _x() * Polynomial([-1, 1]) * _gbinom(n - 3, n - 2)
+                Polynomial.x() * _binom_shift_poly(n - 1, -2)
+                + Polynomial.x() * Polynomial([-1, 1]) * _gbinom(n - 3, n - 2)
             ),
             (-1) ** n * sum(F(k * k, k + 1) for k in range(n + 1)),
         ),
@@ -1112,7 +1107,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Fermionic integral of x times a doubly shifted binomial",
         params=("n",),
         grid=_grid_n(1, 15),
-        lhs=lambda n: _ferm(_x() * _binom_shift_poly(n - 1, -2)),
+        lhs=lambda n: _ferm(Polynomial.x() * _binom_shift_poly(n - 1, -2)),
         rhs=lambda n: (-1) ** n * sum(F(k, 2**k) for k in range(1, n + 1)),
     ))
     add(IdentityRecord(
@@ -1141,8 +1136,8 @@ def _build_catalog() -> list[IdentityRecord]:
         note="same constant-binomial typo as the bosonic version",
         literal=lambda n: (
             _ferm(
-                _x() * _binom_shift_poly(n - 1, -2)
-                + _x() * Polynomial([-1, 1]) * _gbinom(n - 3, n - 2)
+                Polynomial.x() * _binom_shift_poly(n - 1, -2)
+                + Polynomial.x() * Polynomial([-1, 1]) * _gbinom(n - 3, n - 2)
             ),
             (-1) ** n * sum(F(k * k, 2**k) for k in range(n + 1)),
         ),

@@ -207,6 +207,8 @@ def convergence_report(f: Polynomial, measure: Measure, p: int, N_max: int) -> C
     """
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
+    # the largest level is the strictest, so a bad request fails before any work
+    _check_level_args(measure, p, N_max)
     reference = exact_integral(f, measure)
     rows = []
     for N in range(1, N_max + 1):

@@ -1,4 +1,4 @@
-"""p-adic valuations, norms, and reduction of rationals mod p**M.
+"""p-adic valuations, norms and primality.
 
 This is the metric side of the library: level sums of p-adic integrals
 converge in the norm |x|_p = p**(-v_p(x)), and the convergence reports
@@ -7,16 +7,12 @@ measure error sizes through ``valuation``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 __all__ = [
-    "PAdicContext",
-    "PAdicValue",
     "is_prime",
     "padic_distance",
-    "reduce",
     "valuation",
 ]
 
@@ -95,118 +91,3 @@ def padic_distance(x: Rational, y: Rational, p: int) -> Fraction:
     if v >= 0:
         return Fraction(1, p**v)
     return Fraction(p ** (-v))
-
-
-@dataclass(frozen=True)
-class PAdicContext:
-    """A prime together with a working precision M (residues live in Z/p**M)."""
-
-    p: int
-    precision: int
-
-    def __post_init__(self) -> None:
-        _check_prime(self.p)
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.precision
-
-
-@dataclass(frozen=True)
-class PAdicValue:
-    """A rational seen p-adically: p**valuation * unit, unit known mod p**M.
-
-    ``unit_residue`` is coprime to p and lives in [0, p**M).  The zero
-    flag marks an exact zero (or a value indistinguishable from zero at
-    the working precision after arithmetic).
-    """
-
-    context: PAdicContext
-    valuation: int
-    unit_residue: int
-    is_zero: bool = False
-
-    def __post_init__(self) -> None:
-        if self.is_zero:
-            return
-        m = self.context.modulus
-        if not (0 <= self.unit_residue < m):
-            raise ValueError("unit residue out of range")
-        if self.unit_residue % self.context.p == 0:
-            raise ValueError("unit residue must be coprime to p")
-
-    def residue(self) -> int:
-        """The image of the value in Z/p**M; requires valuation >= 0."""
-        if self.is_zero:
-            return 0
-        if self.valuation < 0:
-            raise ValueError("value with negative valuation has no residue mod p**M")
-        return (self.unit_residue * self.context.p**self.valuation) % self.context.modulus
-
-    def __add__(self, other: "PAdicValue") -> "PAdicValue":
-        self._check_same_context(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        ctx = self.context
-        v = min(self.valuation, other.valuation)
-        u = (
-            self.unit_residue * ctx.p ** (self.valuation - v)
-            + other.unit_residue * ctx.p ** (other.valuation - v)
-        ) % ctx.modulus
-        return _from_scaled_unit(ctx, v, u)
-
-    def __mul__(self, other: "PAdicValue") -> "PAdicValue":
-        self._check_same_context(other)
-        if self.is_zero or other.is_zero:
-            return PAdicValue(self.context, 0, 0, is_zero=True)
-        u = (self.unit_residue * other.unit_residue) % self.context.modulus
-        return PAdicValue(self.context, self.valuation + other.valuation, u)
-
-    def _check_same_context(self, other: "PAdicValue") -> None:
-        if self.context != other.context:
-            raise ValueError("mixed p-adic contexts")
-
-    def __str__(self) -> str:
-        ctx = self.context
-        if self.is_zero:
-            return f"0 (mod {ctx.p}^{ctx.precision})"
-        return f"{ctx.p}^{self.valuation} * {self.unit_residue} (mod {ctx.p}^{ctx.precision})"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "prime": self.context.p,
-            "precision": self.context.precision,
-            "valuation": None if self.is_zero else self.valuation,
-            "residue": None if self.is_zero else self.unit_residue,
-        }
-
-
-def _from_scaled_unit(ctx: PAdicContext, v: int, u: int) -> PAdicValue:
-    """Normalize p**v * u (u taken mod p**M, possibly divisible by p)."""
-    if u % ctx.modulus == 0:
-        # indistinguishable from zero at precision M
-        return PAdicValue(ctx, 0, 0, is_zero=True)
-    e = _int_valuation(u, ctx.p)
-    return PAdicValue(ctx, v + e, (u // ctx.p**e) % ctx.modulus)
-
-
-def reduce(x: Rational, ctx: PAdicContext) -> PAdicValue:
-    """Exact image of a rational in p-adic form at the context's precision.
-
-    Negative valuations are first class: 1/p reduces to p**-1 times a unit.
-    """
-    xf = Fraction(x)
-    if xf == 0:
-        return PAdicValue(ctx, 0, 0, is_zero=True)
-    p = ctx.p
-    vn = _int_valuation(xf.numerator, p)
-    vd = _int_valuation(xf.denominator, p)
-    num_unit = xf.numerator // p**vn
-    den_unit = xf.denominator // p**vd
-    m = ctx.modulus
-    residue = (num_unit * pow(den_unit, -1, m)) % m
-    return PAdicValue(ctx, vn - vd, residue)

@@ -3,6 +3,9 @@ Changhee, Fubini, Cauchy, Eulerian, harmonic, and rational-parameter
 Apostol/Frobenius variants.
 
 Every family is generated by its defining recurrence or closed form.
+Euler numbers are read off the Bernoulli numbers through
+E_n(0) = -2 (2^(n+1) - 1) B_(n+1) / (n + 1), and the Stirling and
+Eulerian triangles share one two-term row rule.
 The memoized ones keep their values in a ``_Memo``: one list per key
 (the family's parameter, or ``None``), grown under the single module
 lock by one of two rules.  A recurrence appends one entry at a time; an
@@ -123,11 +126,8 @@ def _next_bernoulli(vals: list[Fraction], _key: None) -> Fraction:
 
 def _next_euler(vals: list[Fraction], _key: None) -> Fraction:
     n = len(vals)
-    if n == 0:
-        return Fraction(1)
-    # from 2 = (e^t + 1) sum E_n t^n/n!:  2 E_n = -sum_{k<n} C(n, k) E_k
-    s = sum(binom_int(n, k) * vals[k] for k in range(n))
-    return -s / 2
+    # E_n(0) = -2 (2^(n+1) - 1) B_(n+1) / (n + 1)
+    return -2 * (2 ** (n + 1) - 1) * bernoulli(n + 1) / (n + 1)
 
 
 _BERNOULLI = _Memo(_next_bernoulli)
@@ -144,22 +144,23 @@ def euler(n: int) -> Fraction:
     return _EULER.get(None, n)
 
 
-def bernoulli_poly(n: int) -> Polynomial:
-    """Bernoulli polynomial B_n(x) = sum C(n, k) B_k x^(n-k)."""
+def _appell(n: int, numbers: Callable[[int], Fraction]) -> Polynomial:
+    """The Appell polynomial sum C(n, k) a_k x^(n-k) of the numbers a_k."""
     _check_index(n)
     out = [Fraction(0)] * (n + 1)
     for k in range(n + 1):
-        out[n - k] = binom_int(n, k) * bernoulli(k)
+        out[n - k] = binom_int(n, k) * numbers(k)
     return Polynomial(out)
+
+
+def bernoulli_poly(n: int) -> Polynomial:
+    """Bernoulli polynomial B_n(x) = sum C(n, k) B_k x^(n-k)."""
+    return _appell(n, bernoulli)
 
 
 def euler_poly(n: int) -> Polynomial:
     """Euler polynomial E_n(x) = sum C(n, k) E_k x^(n-k)."""
-    _check_index(n)
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        out[n - k] = binom_int(n, k) * euler(k)
-    return Polynomial(out)
+    return _appell(n, euler)
 
 
 def euler_second(n: int) -> Fraction:
@@ -241,49 +242,25 @@ def frobenius_euler(n: int, u: Fraction | int) -> Fraction:
 # Stirling numbers, both kinds, plus lambda and associated variants
 
 
-def _stirling1_row(rows: list[list[Fraction]], _key: None) -> list[Fraction]:
-    n = len(rows)
-    if n == 0:
-        return [Fraction(1)]
-    prev = rows[-1]
-    # S1(n+1, k) = -n S1(n, k) + S1(n, k-1)
-    m = n - 1
-    return [
-        -m * (prev[k] if k <= m else Fraction(0)) + (prev[k - 1] if 1 <= k <= m + 1 else Fraction(0))
-        for k in range(n + 1)
-    ]
+def _triangle(a: Callable[[int, int], int], b: Callable[[int, int], int]) -> _Memo:
+    """Rows of T(n, k) = a(n, k) T(n-1, k-1) + b(n, k) T(n-1, k), T(0, 0) = 1.
+
+    Entries outside 0 <= k <= n are 0.
+    """
+
+    def row(rows: list[list[Fraction]], _key: None) -> list[Fraction]:
+        n = len(rows)
+        if n == 0:
+            return [Fraction(1)]
+        prev = [Fraction(0), *rows[-1], Fraction(0)]  # prev[k] = T(n-1, k-1)
+        return [a(n, k) * prev[k] + b(n, k) * prev[k + 1] for k in range(n + 1)]
+
+    return _Memo(row)
 
 
-def _stirling2_row(rows: list[list[Fraction]], _key: None) -> list[Fraction]:
-    n = len(rows)
-    if n == 0:
-        return [Fraction(1)]
-    prev = rows[-1]
-    # S2(n+1, k) = k S2(n, k) + S2(n, k-1)
-    m = n - 1
-    return [
-        k * (prev[k] if k <= m else Fraction(0)) + (prev[k - 1] if 1 <= k <= m + 1 else Fraction(0))
-        for k in range(n + 1)
-    ]
-
-
-def _eulerian_row(rows: list[list[Fraction]], _key: None) -> list[Fraction]:
-    n = len(rows)
-    if n == 0:
-        return [Fraction(1)]
-    prev = rows[-1]
-    m = n - 1
-    row = []
-    for k in range(n + 1):
-        a = prev[k - 1] if 1 <= k <= m + 1 else Fraction(0)
-        b = prev[k] if k <= m else Fraction(0)
-        row.append((n - k + 1) * a + k * b)
-    return row
-
-
-_STIRLING1 = _Memo(_stirling1_row)
-_STIRLING2 = _Memo(_stirling2_row)
-_EULERIAN = _Memo(_eulerian_row)
+_STIRLING1 = _triangle(lambda n, k: 1, lambda n, k: 1 - n)
+_STIRLING2 = _triangle(lambda n, k: 1, lambda n, k: k)
+_EULERIAN = _triangle(lambda n, k: n - k + 1, lambda n, k: k)
 
 
 def _entry(rows: _Memo, n: int, k: int) -> Fraction:

@@ -1,0 +1,58 @@
+"""Differential tests of the number families against sympy.
+
+sympy computes each family by code of its own, so agreement here is an
+oracle that shares nothing with the library's recurrences.  The installed
+sympy gives B_1 = +1/2 (second-kind sign convention); the library uses
+B_1 = -1/2, so that one value is compared with its sign flipped.
+"""
+from fractions import Fraction
+
+import pytest
+
+from volkenborn import sequences as seq
+
+sympy = pytest.importorskip("sympy")
+stirling = sympy.functions.combinatorial.numbers.stirling
+X = sympy.Symbol("x")
+
+
+def frac(r) -> Fraction:
+    r = sympy.Rational(r)
+    return Fraction(int(r.p), int(r.q))
+
+
+def coeffs(expr) -> list[Fraction]:
+    """Coefficients of a polynomial in X, constant term first."""
+    return [frac(c) for c in reversed(sympy.Poly(expr, X).all_coeffs())]
+
+
+def test_bernoulli_numbers():
+    for n in range(101):
+        want = frac(sympy.bernoulli(n))
+        assert seq.bernoulli(n) == (-want if n == 1 else want), n
+
+
+def test_euler_numbers_are_euler_polynomials_at_zero():
+    for n in range(61):
+        assert seq.euler(n) == frac(sympy.euler(n, 0)), n
+
+
+def test_bernoulli_and_euler_polynomials():
+    for n in range(26):
+        assert list(seq.bernoulli_poly(n)) == coeffs(sympy.bernoulli(n, X)), n
+        assert list(seq.euler_poly(n)) == coeffs(sympy.euler(n, X)), n
+
+
+def test_stirling_numbers_both_kinds():
+    for n in range(31):
+        for k in range(n + 1):
+            signed1 = frac(stirling(n, k, kind=1, signed=True))
+            assert seq.stirling1(n, k) == signed1, (n, k)
+            assert seq.stirling1_unsigned(n, k) == frac(stirling(n, k, kind=1)), (n, k)
+            assert seq.stirling2(n, k) == frac(stirling(n, k)), (n, k)
+
+
+def test_fubini_numbers_from_sympy_stirling():
+    for n in range(31):
+        want = sum(sympy.factorial(k) * stirling(n, k) for k in range(n + 1))
+        assert seq.fubini(n) == frac(want), n

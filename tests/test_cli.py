@@ -170,6 +170,24 @@ def test_converge_at_a_large_composite_is_usage_error(runner):
     assert "is not prime" in result.output
 
 
+def test_converge_past_the_q_guard_fails_before_any_level(runner):
+    # levels 1..12 of this request are inside the guard and would take minutes
+    t0 = time.perf_counter()
+    result = runner.invoke(
+        cli, ["converge", "--poly", "0,1", "--measure", "q", "--q", "4", "--p", "3", "--N-max", "13"]
+    )
+    assert result.exit_code == 2
+    assert "q-weighted level sum limited to p^N <= 1000000" in result.output
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_empty_polynomial_coefficient_is_usage_error(runner):
+    for poly in ["0,,1", "0,1,"]:
+        result = runner.invoke(cli, ["integral", "b", "--poly", poly, "--exact"])
+        assert result.exit_code == 2, poly
+        assert "empty polynomial coefficient" in result.output
+
+
 def test_json_round_trip_matches_in_memory_values(runner):
     from volkenborn.sequences import bernoulli
 
