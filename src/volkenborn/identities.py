@@ -19,6 +19,7 @@ from .integrals import fermionic_exact as _ferm
 from .integrals import volkenborn_exact as _volk
 from .polynomials import (
     Polynomial,
+    _row_sum,
     binom_int,
     binom_poly,
     falling_poly,
@@ -203,46 +204,36 @@ def _ff_int(n: int, j: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# bivariate expansion: coefficient of y^i is a Polynomial in x
+# bivariate expansions: row i is the coefficient of y^i, a Polynomial in x
 
 
-class _BiPoly:
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Sequence[Polynomial]):
-        self.rows = list(rows)
-
-    @classmethod
-    def binom_of_sum(cls, n: int) -> "_BiPoly":
-        """C(x + y, n), the falling factorial at x + y over n!."""
-        falling = linear_product((-j, 1) for j in range(n))
-        return cls(taylor_rows(falling, Fraction(1, factorial(n))))
-
-    @classmethod
-    def product_falling(cls, k: int) -> "_BiPoly":
-        """(xy)(xy - 1)...(xy - k + 1)."""
-        rows = [Polynomial.one()]
-        xp = Polynomial.x()
-        for j in range(k):
-            # multiply by (x*y - j)
-            new = []
-            for i in range(len(rows) + 1):
-                term = rows[i - 1] * xp if i >= 1 else Polynomial.zero()
-                if i < len(rows):
-                    term = term + rows[i] * (-j)
-                new.append(term)
-            rows = new
-        return cls(rows)
+def _binom_of_sum_rows(n: int) -> list[Polynomial]:
+    """C(x + y, n), the falling factorial at x + y over n!."""
+    falling = linear_product((-j, 1) for j in range(n))
+    return taylor_rows(falling, Fraction(1, factorial(n)))
 
 
-def _double_integral(bp: _BiPoly, weight_y: Callable[[int], Fraction], outer: Evaluator) -> Fraction:
+def _product_falling_rows(k: int) -> list[Polynomial]:
+    """(xy)(xy - 1)...(xy - k + 1)."""
+    rows = [Polynomial.one()]
+    xp = Polynomial.x()
+    for j in range(k):
+        # multiply by (x*y - j)
+        new = []
+        for i in range(len(rows) + 1):
+            term = rows[i - 1] * xp if i >= 1 else Polynomial.zero()
+            if i < len(rows):
+                term = term + rows[i] * (-j)
+            new.append(term)
+        rows = new
+    return rows
+
+
+def _double_integral(
+    rows: Sequence[Polynomial], weight_y: Callable[[int], Fraction], outer: Evaluator
+) -> Fraction:
     """Integrate in y monomial-by-monomial, then apply the outer integral in x."""
-    acc = Polynomial.zero()
-    for i, row in enumerate(bp.rows):
-        w = weight_y(i)
-        if w and not row.is_zero():
-            acc = acc + row * w
-    return outer(acc)
+    return outer(_row_sum(rows, weight_y))
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +264,10 @@ def _grid_tensor(hi: int = 8) -> Grid:
     return g
 
 
-def _grid_scaled(m_hi: int = 5, n_hi: int = 15) -> Grid:
+def _grid_pairs(m_hi: int = 5, n_hi: int = 15) -> Grid:
     def g(cap: Optional[int]) -> tuple[tuple[int, ...], ...]:
         top = n_hi if cap is None else max(0, cap)
         return tuple((m, n) for m in range(1, m_hi + 1) for n in range(0, top + 1))
-
-    return g
-
-
-def _grid_power(r_hi: int = 3, n_hi: int = 15) -> Grid:
-    def g(cap: Optional[int]) -> tuple[tuple[int, ...], ...]:
-        top = n_hi if cap is None else max(0, cap)
-        return tuple((r, n) for r in range(1, r_hi + 1) for n in range(0, top + 1))
 
     return g
 
@@ -627,7 +610,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Double integral of the binomial of a sum (Chu-Vandermonde route)",
         params=("n",),
         grid=_grid_n(0, 15),
-        lhs=lambda n: _double_integral(_BiPoly.binom_of_sum(n), seq.bernoulli, _volk),
+        lhs=lambda n: _double_integral(_binom_of_sum_rows(n), seq.bernoulli, _volk),
         rhs=lambda n: (-1) ** n
         * sum(F(1, (k + 1) * (n - k + 1)) for k in range(n + 1)),
     ))
@@ -636,7 +619,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Double integral of the binomial of a sum, Bernoulli-product form",
         params=("n",),
         grid=_grid_n(0, 15),
-        lhs=lambda n: _double_integral(_BiPoly.binom_of_sum(n), seq.bernoulli, _volk),
+        lhs=lambda n: _double_integral(_binom_of_sum_rows(n), seq.bernoulli, _volk),
         rhs=lambda n: sum(
             binom_int(k, j) * seq.stirling1(n, k) * seq.bernoulli(j) * seq.bernoulli(k - j)
             for k in range(n + 1)
@@ -676,7 +659,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Double integral of the falling factorial of a product, tensor form",
         params=("k",),
         grid=_grid_tensor(8),
-        lhs=lambda k: _double_integral(_BiPoly.product_falling(k), seq.bernoulli, _volk),
+        lhs=lambda k: _double_integral(_product_falling_rows(k), seq.bernoulli, _volk),
         rhs=lambda k: sum(
             (-1) ** (l + m)
             * F(factorial(l) * factorial(m), (l + 1) * (m + 1))
@@ -690,7 +673,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Double integral of the falling factorial of a product, Stirling form",
         params=("k",),
         grid=_grid_tensor(8),
-        lhs=lambda k: _double_integral(_BiPoly.product_falling(k), seq.bernoulli, _volk),
+        lhs=lambda k: _double_integral(_product_falling_rows(k), seq.bernoulli, _volk),
         rhs=lambda k: sum(
             seq.stirling1(k, m) * seq.bernoulli(m) ** 2 for m in range(k + 1)
         ),
@@ -698,7 +681,7 @@ def _build_catalog() -> list[IdentityRecord]:
         note="the uncorrected form squares a Bernoulli number with an unbound index; "
         "the summation index must also drive the squared factor",
         literal=lambda k: (
-            _double_integral(_BiPoly.product_falling(k), seq.bernoulli, _volk),
+            _double_integral(_product_falling_rows(k), seq.bernoulli, _volk),
             sum(seq.stirling1(k, m) * seq.bernoulli(k) ** 2 for m in range(k + 1)),
         ),
         counterexample=(2,),
@@ -736,7 +719,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I17",
         title="Integral of a binomial with scaled argument",
         params=("m", "n"),
-        grid=_grid_scaled(5, 15),
+        grid=_grid_pairs(5, 15),
         lhs=lambda m, n: _volk(_binom_scaled_poly(m, n)),
         rhs=lambda m, n: sum(
             F((-1) ** k, k + 1)
@@ -752,7 +735,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I18",
         title="Integral of an integer power of the binomial coefficient",
         params=("r", "n"),
-        grid=_grid_power(3, 15),
+        grid=_grid_pairs(3, 15),
         lhs=lambda r, n: _volk(binom_poly(n) ** r),
         rhs=lambda r, n: sum(
             F((-1) ** k, k + 1)
@@ -1006,7 +989,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Fermionic double integral of the product falling factorial, tensor form",
         params=("k",),
         grid=_grid_tensor(8),
-        lhs=lambda k: _double_integral(_BiPoly.product_falling(k), seq.euler, _ferm),
+        lhs=lambda k: _double_integral(_product_falling_rows(k), seq.euler, _ferm),
         rhs=lambda k: sum(
             (-1) ** (l + m)
             * F(factorial(l) * factorial(m), 2 ** (l + m))
@@ -1018,7 +1001,7 @@ def _build_catalog() -> list[IdentityRecord]:
         note="the uncorrected form omits the factorials carried by the two "
         "falling-factorial integrals",
         literal=lambda k: (
-            _double_integral(_BiPoly.product_falling(k), seq.euler, _ferm),
+            _double_integral(_product_falling_rows(k), seq.euler, _ferm),
             sum(
                 (-1) ** (l + m) * F(1, 2 ** (l + m)) * seq.osgood_wu(k, l, m)
                 for l in range(1, k + 1)
@@ -1032,12 +1015,12 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Fermionic double integral of the product falling factorial, Stirling form",
         params=("k",),
         grid=_grid_tensor(8),
-        lhs=lambda k: _double_integral(_BiPoly.product_falling(k), seq.euler, _ferm),
+        lhs=lambda k: _double_integral(_product_falling_rows(k), seq.euler, _ferm),
         rhs=lambda k: sum(seq.stirling1(k, m) * seq.euler(m) ** 2 for m in range(k + 1)),
         status=CORRECTED,
         note="same unbound squared index as the bosonic version",
         literal=lambda k: (
-            _double_integral(_BiPoly.product_falling(k), seq.euler, _ferm),
+            _double_integral(_product_falling_rows(k), seq.euler, _ferm),
             sum(seq.stirling1(k, m) * seq.euler(k) ** 2 for m in range(k + 1)),
         ),
         counterexample=(2,),
@@ -1076,7 +1059,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I26i",
         title="Fermionic integral of a binomial with scaled argument",
         params=("m", "n"),
-        grid=_grid_scaled(5, 15),
+        grid=_grid_pairs(5, 15),
         lhs=lambda m, n: _ferm(_binom_scaled_poly(m, n)),
         rhs=lambda m, n: sum(
             F((-1) ** k, 2**k)
@@ -1091,7 +1074,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I26j",
         title="Fermionic integral of an integer power of the binomial coefficient",
         params=("r", "n"),
-        grid=_grid_power(3, 15),
+        grid=_grid_pairs(3, 15),
         lhs=lambda r, n: _ferm(binom_poly(n) ** r),
         rhs=lambda r, n: sum(
             F((-1) ** k, 2**k)

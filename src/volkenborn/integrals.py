@@ -3,8 +3,11 @@
 The bosonic integral over the p-adic integers sends x^n to the Bernoulli
 number B_n and the fermionic integral sends x^n to the Euler number E_n;
 both extend to polynomials by linearity, which makes them exactly
-computable.  Level-N Riemann sums are evaluated in closed form (no p^N
-term loops) so convergence can be observed p-adically at useful depths.
+computable.  Bosonic and fermionic level-N Riemann sums are evaluated in
+closed form through power sums (no p^N term loops), so their convergence
+can be observed p-adically at useful depths.  The q-weighted level sum
+still loops over all p^N terms, so it is refused past
+p^N = ``Q_LEVEL_GUARD``.
 """
 from __future__ import annotations
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 __all__ = [
     "Polynomial",
@@ -249,6 +249,16 @@ def taylor_rows(ints: Sequence[int], scale: Scalar = 1) -> list[Polynomial]:
         int_poly([comb(k + i, i) * ints[k + i] for k in range(d - i + 1)], scale)
         for i in range(d + 1)
     ]
+
+
+def _row_sum(rows: Sequence[Polynomial], weights: Callable[[int], Scalar]) -> Polynomial:
+    """sum_i weights(i) * rows[i]: integrates rows in t, such as ``taylor_rows``, term by term."""
+    out = Polynomial.zero()
+    for i, row in enumerate(rows):
+        w = weights(i)
+        if w and not row.is_zero():
+            out = out + row * w
+    return out
 
 
 def _falling_ints(n: int) -> list[int]:

@@ -4,26 +4,27 @@ Apostol/Frobenius variants.
 
 Every family is generated by its defining recurrence or closed form.
 Euler numbers are read off the Bernoulli numbers through
-E_n(0) = -2 (2^(n+1) - 1) B_(n+1) / (n + 1), and the Stirling and
-Eulerian triangles share one two-term row rule.
-The memoized ones keep their values in a ``_Memo``: one list per key
-(the family's parameter, or ``None``), grown under the single module
-lock by one of two rules.  A recurrence appends one entry at a time; an
-exponential generating function is rebuilt at twice the stored order,
-so reaching index n takes O(log n) series builds.  Lists are only
-appended to or replaced whole, so a stored value is read without the
-lock and the library is safe to query from several threads.  All
-returned values are immutable ``Fraction``s or ``Polynomial``s.
+E_n(0) = -2 (2^(n+1) - 1) B_(n+1) / (n + 1); the Stirling and Eulerian
+triangles share one two-term row rule; the Apostol, Frobenius and
+Fubini numbers share one recurrence for the coefficients of
+r t^j / (c e^t + d).  The associated and lambda-Stirling numbers, the
+order-k Fubini numbers and the second-kind Bernoulli polynomials are
+finite sums over the Stirling triangles and Cauchy numbers.
+The memoized families keep their values in a ``_Memo``: one list per
+key (the family's parameter, or ``None``), grown under the single
+module lock by appending one entry at a time.  A list is only ever
+appended to (clearing drops whole lists), so a stored value is read
+without the lock and the library is safe to query from several threads.
+All returned values are immutable ``Fraction``s or ``Polynomial``s.
 """
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable
 
-from .polynomials import Polynomial, binom_int, falling_poly, linear_product, taylor_rows
-from .series import PowerSeries
+from .polynomials import Polynomial, _row_sum, binom_int, falling_poly, linear_product, taylor_rows
 
 __all__ = [
     "apostol_bernoulli",
@@ -73,19 +74,11 @@ _TABLES: list["_Memo"] = []
 class _Memo:
     """Memoized values of one family, one list per key.
 
-    Give exactly one growth rule: ``step(values, key)`` returns the entry
-    at index ``len(values)``; ``series(order, key)`` returns a
-    ``PowerSeries`` whose EGF coefficients below ``order`` are the
-    entries, and is rebuilt at order max(n + 1, 2 * len, 8).
+    ``step(values, key)`` returns the entry at index ``len(values)``.
     """
 
-    def __init__(
-        self,
-        step: Optional[Callable[[list, Hashable], object]] = None,
-        series: Optional[Callable[[int, Hashable], PowerSeries]] = None,
-    ):
+    def __init__(self, step: Callable[[list, Hashable], object]):
         self._step = step
-        self._series = series
         self._lists: dict[Hashable, list] = {}
         _TABLES.append(self)
 
@@ -96,14 +89,8 @@ class _Memo:
             return vals[n]
         with _LOCK:
             vals = self._lists.setdefault(key, [])
-            if self._series is None:
-                while len(vals) <= n:
-                    vals.append(self._step(vals, key))
-            elif len(vals) <= n:
-                order = max(n + 1, 2 * len(vals), 8)
-                series = self._series(order, key)
-                vals = [series.egf_coeff(m) for m in range(order)]
-                self._lists[key] = vals
+            while len(vals) <= n:
+                vals.append(self._step(vals, key))
             return vals[n]
 
     def clear(self) -> None:
@@ -172,31 +159,25 @@ def euler_second(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Apostol / Frobenius variants with rational parameters
 
-def _next_apostol_bernoulli(vals: list[Fraction], lam: Fraction) -> Fraction:
-    m = len(vals)
-    rhs = Fraction(1 if m == 1 else 0)
-    s = sum(binom_int(m, k) * vals[k] for k in range(m))
-    return (rhs - lam * s) / (lam - 1)
+def _egf_quotient(params: Callable[[Hashable], tuple[Fraction | int, ...]]) -> _Memo:
+    """EGF coefficients a_m of r t^j / (c e^t + d), with (c, d, r, j) = params(key).
+
+    Matching coefficients of t^m/m! in (c e^t + d) A(t) = r t^j (j <= 1) gives
+    (c + d) a_m = r [m = j] - c sum_{k<m} C(m, k) a_k.
+    """
+
+    def step(vals: list[Fraction], key: Hashable) -> Fraction:
+        c, d, r, j = params(key)
+        m = len(vals)
+        s = sum(binom_int(m, k) * vals[k] for k in range(m))
+        return (Fraction(r if m == j else 0) - c * s) / (c + d)
+
+    return _Memo(step)
 
 
-def _next_apostol_euler(vals: list[Fraction], lam: Fraction) -> Fraction:
-    m = len(vals)
-    rhs = Fraction(2 if m == 0 else 0)
-    s = sum(binom_int(m, k) * vals[k] for k in range(m))
-    return (rhs - lam * s) / (lam + 1)
-
-
-def _next_frobenius_euler(vals: list[Fraction], u: Fraction) -> Fraction:
-    m = len(vals)
-    if m == 0:
-        return Fraction(1)
-    s = sum(binom_int(m, k) * vals[k] for k in range(m))
-    return s / (u - 1)
-
-
-_APOSTOL_BERNOULLI = _Memo(_next_apostol_bernoulli)
-_APOSTOL_EULER = _Memo(_next_apostol_euler)
-_FROBENIUS_EULER = _Memo(_next_frobenius_euler)
+_APOSTOL_BERNOULLI = _egf_quotient(lambda lam: (lam, -1, 1, 1))
+_APOSTOL_EULER = _egf_quotient(lambda lam: (lam, 1, 2, 0))
+_FROBENIUS_EULER = _egf_quotient(lambda u: (1, -u, 1 - u, 0))
 
 
 def apostol_bernoulli(n: int, lam: Fraction | int) -> Fraction:
@@ -291,25 +272,18 @@ def eulerian(n: int, k: int) -> Fraction:
     return _entry(_EULERIAN, n, k)
 
 
-def _divided_power(base: PowerSeries, k: int) -> PowerSeries:
-    return (base**k) * Fraction(1, factorial(k))
-
-
-def _lambda_stirling_series(order: int, key: tuple[Fraction, int]) -> PowerSeries:
-    lam, k = key
-    return _divided_power(PowerSeries.exp(order) * lam - PowerSeries.one(order), k)
-
-
-_LAMBDA_STIRLING = _Memo(series=_lambda_stirling_series)
-
-
 def stirling2_lambda(n: int, k: int, lam: Fraction | int) -> Fraction:
     """Generalized second-kind Stirling number, read off (lambda e^t - 1)^k / k!.
 
-    At lambda = 1 this reduces to the classical second kind.
+    Expanding the power binomially gives
+    sum_{j=0..k} (-1)^(k-j) C(k, j) lambda^j j^n / k!.  At lambda = 1 this
+    reduces to the classical second kind.
     """
     _check_index(k, "k")
-    return _LAMBDA_STIRLING.get((Fraction(lam), k), n)
+    _check_index(n)
+    lam = Fraction(lam)
+    s = sum((-1) ** (k - j) * binom_int(k, j) * lam**j * j**n for j in range(k + 1))
+    return s / factorial(k)
 
 
 def array_poly(n: int, v: int, lam: Fraction | int) -> Polynomial:
@@ -324,28 +298,35 @@ def array_poly(n: int, v: int, lam: Fraction | int) -> Polynomial:
     return out
 
 
-def _assoc1_series(order: int, k: int) -> PowerSeries:
-    return _divided_power(PowerSeries.log1p(order) - PowerSeries.identity(order), k)
+def _associated_entry(vals: list[Fraction], key: tuple) -> Fraction:
+    """EGF coefficient n = len(vals) of (B(t) - t)^k / k!, for key = (k, stirling).
+
+    B^m / m! has EGF coefficients stirling(., m).  Expanding the power
+    binomially gives sum_{j=0..k} (-1)^j C(n, j) stirling(n - j, k - j).
+    The base series starts at t^2, so the value vanishes for 2k > n.
+    """
+    k, stirling = key
+    n = len(vals)
+    if 2 * k > n:
+        return Fraction(0)
+    return sum((-1) ** j * binom_int(n, j) * stirling(n - j, k - j) for j in range(k + 1))
 
 
-def _assoc2_series(order: int, k: int) -> PowerSeries:
-    return _divided_power(PowerSeries.exp(order) - PowerSeries.one(order) - PowerSeries.identity(order), k)
+_ASSOCIATED = _Memo(_associated_entry)
 
 
-_ASSOC1 = _Memo(series=_assoc1_series)
-_ASSOC2 = _Memo(series=_assoc2_series)
+def _associated(n: int, k: int, stirling: Callable[[int, int], Fraction]) -> Fraction:
+    _check_index(n)
+    _check_index(k, "k")
+    return _ASSOCIATED.get((k, stirling), n)
 
 
 def assoc_stirling1(n: int, k: int) -> Fraction:
     """Associated Stirling number of the first kind, from (log(1+t) - t)^k / k!.
 
-    Vanishes for k > n/2: the base series starts at t^2.
+    Vanishes for k > n/2.
     """
-    _check_index(n)
-    _check_index(k, "k")
-    if 2 * k > n and not (n == 0 and k == 0):
-        return Fraction(0)
-    return _ASSOC1.get(k, n)
+    return _associated(n, k, stirling1)
 
 
 def assoc_stirling2(n: int, k: int) -> Fraction:
@@ -354,11 +335,7 @@ def assoc_stirling2(n: int, k: int) -> Fraction:
     Counts partitions of an n-set into k blocks all of size >= 2, hence
     vanishes for k > n/2.
     """
-    _check_index(n)
-    _check_index(k, "k")
-    if 2 * k > n and not (n == 0 and k == 0):
-        return Fraction(0)
-    return _ASSOC2.get(k, n)
+    return _associated(n, k, stirling2)
 
 
 # ---------------------------------------------------------------------------
@@ -422,51 +399,29 @@ def _shifted_factorial_in_t(n: int, rising: bool) -> list[Polynomial]:
     return taylor_rows(linear_product((j if rising else -j, 1) for j in range(n)))
 
 
-def _integrate_shifted(n: int, rising: bool, weights: Callable[[int], Fraction]) -> Polynomial:
-    out = Polynomial.zero()
-    for i, c in enumerate(_shifted_factorial_in_t(n, rising)):
-        w = weights(i)
-        if w and not c.is_zero():
-            out = out + c * w
-    return out
-
-
 def daehee_poly(n: int) -> Polynomial:
     """Daehee polynomial: bosonic integral of (x+t)(x+t-1)...(x+t-n+1) in t."""
     _check_index(n)
-    return _integrate_shifted(n, rising=False, weights=bernoulli)
+    return _row_sum(_shifted_factorial_in_t(n, rising=False), bernoulli)
 
 
 def daehee_hat_poly(n: int) -> Polynomial:
     """Second-kind Daehee polynomial: bosonic integral of the shifted rising factorial."""
     _check_index(n)
-    return _integrate_shifted(n, rising=True, weights=bernoulli)
+    return _row_sum(_shifted_factorial_in_t(n, rising=True), bernoulli)
 
 
 def changhee_poly(n: int) -> Polynomial:
     """Changhee polynomial: fermionic integral of the shifted falling factorial."""
     _check_index(n)
-    return _integrate_shifted(n, rising=False, weights=euler)
+    return _row_sum(_shifted_factorial_in_t(n, rising=False), euler)
 
 
 # ---------------------------------------------------------------------------
 # Fubini, Cauchy, harmonic
 
 
-def _next_fubini(vals: list[Fraction], _key: None) -> Fraction:
-    n = len(vals)
-    if n == 0:
-        return Fraction(1)
-    return sum(binom_int(n, j) * vals[n - j] for j in range(1, n + 1))
-
-
-def _fubini_order_series(order: int, k: int) -> PowerSeries:
-    two = PowerSeries.one(order) * 2
-    return (two - PowerSeries.exp(order)).inverse() ** k
-
-
-_FUBINI = _Memo(_next_fubini)
-_FUBINI_ORDER = _Memo(series=_fubini_order_series)
+_FUBINI = _egf_quotient(lambda _key: (-1, 2, 1, 0))
 
 
 def fubini(n: int) -> Fraction:
@@ -475,11 +430,15 @@ def fubini(n: int) -> Fraction:
 
 
 def fubini_order(n: int, k: int) -> Fraction:
-    """Order-k Fubini number, read off 1/(2 - e^t)^k; k = 1 is the plain family."""
+    """Order-k Fubini number, read off 1/(2 - e^t)^k; k = 1 is the plain family.
+
+    With u = e^t - 1, 1/(1 - u)^k = sum_j C(k+j-1, j) u^j and u^j / j! has
+    coefficients S2(., j), which gives sum_{j=0..n} C(k+j-1, j) j! S2(n, j).
+    """
     _check_index(n)
     if k <= 0:
         raise ValueError("k must be >= 1")
-    return _FUBINI_ORDER.get(k, n)
+    return sum(binom_int(k + j - 1, j) * factorial(j) * stirling2(n, j) for j in range(n + 1))
 
 
 def cauchy(n: int) -> Fraction:
@@ -488,21 +447,16 @@ def cauchy(n: int) -> Fraction:
     return sum((c / (i + 1) for i, c in enumerate(falling_poly(n))), Fraction(0))
 
 
-def _cauchy_series(order: int, _key: None) -> PowerSeries:
-    # t/log(1+t) read as an exponential generating function
-    log_over_t = PowerSeries(PowerSeries.log1p(order + 1).coeffs[1:], order)
-    return log_over_t.inverse()
-
-
-_CAUCHY_SERIES = _Memo(series=_cauchy_series)
-
-
 def bernoulli_second_poly(n: int) -> Polynomial:
-    """Second-kind Bernoulli polynomial, assembled from t/log(1+t) and (1+t)^x."""
+    """Second-kind Bernoulli polynomial, assembled from t/log(1+t) and (1+t)^x.
+
+    t/log(1+t) is the EGF of the Cauchy numbers: it is the integral over
+    [0, 1] of (1+t)^x, whose EGF coefficients are the falling factorials.
+    """
     _check_index(n)
     out = Polynomial.zero()
     for k in range(n + 1):
-        c = binom_int(n, k) * _CAUCHY_SERIES.get(None, n - k)
+        c = binom_int(n, k) * cauchy(n - k)
         if c:
             out = out + falling_poly(k) * c
     return out
@@ -517,14 +471,6 @@ def harmonic(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Osgood-Wu connection coefficients
 
-def _osgood_wu_sum(_vals: list[Fraction], key: tuple[int, int, int]) -> Fraction:
-    k, lo, hi = key
-    return sum(stirling1(k, j) * stirling2(j, lo) * stirling2(j, hi) for j in range(1, k + 1))
-
-
-_OSGOOD = _Memo(_osgood_wu_sum)  # one entry per key (k, min(l, m), max(l, m))
-
-
 def osgood_wu(k: int, l: int, m: int) -> Fraction:
     """Connection coefficient expanding (xy) falling k in products of falling factorials.
 
@@ -535,7 +481,7 @@ def osgood_wu(k: int, l: int, m: int) -> Fraction:
         raise ValueError("k must be >= 1")
     if not (1 <= l <= k and 1 <= m <= k):
         raise ValueError("l and m must lie in 1..k")
-    return _OSGOOD.get((k, min(l, m), max(l, m)), 0)
+    return sum(stirling1(k, j) * stirling2(j, l) * stirling2(j, m) for j in range(1, k + 1))
 
 
 def clear_caches() -> None:

@@ -116,7 +116,7 @@ def test_shifted_factorial_rows_match_t_by_t_loop(n, rising):
 def test_binom_of_sum_rows_match_t_by_t_loop(n):
     scale = Fraction(1, factorial(n))
     expected = [row * scale for row in shifted_rows(n, lambda j: -j)]
-    assert identities._BiPoly.binom_of_sum(n).rows == expected
+    assert identities._binom_of_sum_rows(n) == expected
 
 
 @settings(max_examples=60, deadline=None)

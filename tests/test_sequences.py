@@ -630,21 +630,10 @@ def _fill_every_table():
 
 def test_clear_caches_empties_every_registered_table():
     _fill_every_table()
-    assert len(seq._TABLES) == 15
+    assert len(seq._TABLES) == 10
     assert all(table._lists for table in seq._TABLES)
     seq.clear_caches()
     assert not any(table._lists for table in seq._TABLES)
-
-
-def test_egf_tables_grow_by_doubling(monkeypatch):
-    seq.clear_caches()
-    orders = []
-    build = seq._ASSOC2._series
-    monkeypatch.setattr(seq._ASSOC2, "_series", lambda order, k: orders.append(order) or build(order, k))
-    for n in range(41):
-        seq.assoc_stirling2(n, 2)
-    assert orders == [8, 16, 32, 64]
-    seq.clear_caches()
 
 
 _EGF_FAMILIES = {
