@@ -287,12 +287,12 @@ def cmd_verify(ids: Optional[str], n_max: Optional[int], jobs: int, fmt: str) ->
     """Run the identity suite; exit 1 on any unadjudicated mismatch."""
     if jobs < 1:
         raise click.UsageError("--jobs must be >= 1")
-    wanted = None
-    if ids:
-        wanted = [s.strip() for s in ids.split(",") if s.strip()]
+    wanted = None if ids is None else [s.strip() for s in ids.split(",")]
+    if wanted is not None and not all(wanted):
+        raise click.UsageError(f"empty record id in --ids {ids!r}")
     try:
         report = identities.verify_all(n_max=n_max, ids=wanted)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise click.UsageError(str(exc.args[0]))
     if fmt == "json":
         click.echo(_dump_json(report.to_json_obj()), nl=False)

@@ -6,11 +6,13 @@ in its commonly stated form, and ``corrected`` when brute-force
 expansion pinned down an amended statement; corrected records keep a
 literal evaluator plus a stored counterexample so the original mismatch
 stays reproducible.  The runner adjudicates nothing on its own: it just
-evaluates both sides exactly on every grid point.
+evaluates both sides exactly on every grid point.  A statement that holds
+for both the bosonic and the fermionic measure is written once, from the
+measure's exact integral, moments and falling-factorial integrals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Optional, Sequence
@@ -229,11 +231,38 @@ def _product_falling_rows(k: int) -> list[Polynomial]:
     return rows
 
 
-def _double_integral(
-    rows: Sequence[Polynomial], weight_y: Callable[[int], Fraction], outer: Evaluator
-) -> Fraction:
-    """Integrate in y monomial-by-monomial, then apply the outer integral in x."""
-    return outer(_row_sum(rows, weight_y))
+# ---------------------------------------------------------------------------
+# the two measures
+
+
+@dataclass(frozen=True)
+class _Integral:
+    """What the bosonic or the fermionic integral contributes to a statement:
+    ``exact`` integrates a polynomial, ``moment(n)`` is the integral of x^n
+    (B_n or E_n), ``falling(n)`` that of the falling factorial (the Daehee
+    or Changhee number), and ``weight(k)`` is |integral of C(x, k)| written
+    in closed form (1/(k + 1) or 1/2^k)."""
+
+    exact: Evaluator
+    moment: Callable[[int], Fraction]
+    falling: Callable[[int], Fraction]
+    weight: Callable[[int], Fraction]
+
+    def rising(self, n: int) -> Fraction:
+        """Integral of the rising factorial: a second-kind Daehee or Changhee number."""
+        return self.exact(rising_poly(n))
+
+    def double(self, rows: Sequence[Polynomial]) -> Fraction:
+        """Integrate in y monomial-by-monomial, then apply the same integral in x."""
+        return self.exact(_row_sum(rows, self.moment))
+
+
+def _integrals() -> tuple[_Integral, _Integral]:
+    """The bosonic and the fermionic integral, from the names bound at the call."""
+    return (
+        _Integral(_volk, seq.bernoulli, seq.daehee, lambda k: Fraction(1, k + 1)),
+        _Integral(_ferm, seq.euler, seq.changhee, lambda k: Fraction(1, 2**k)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +313,6 @@ def _grid_order(n_hi: int = 15, k_hi: int = 6) -> Grid:
 # shared right-hand sides
 
 
-def _daehee_sum_stirling(n: int) -> Fraction:
-    return sum(seq.stirling1(n, l) * seq.bernoulli(l) for l in range(n + 1))
-
-
-def _changhee_sum_stirling(n: int) -> Fraction:
-    return sum(seq.stirling1(n, k) * seq.euler(k) for k in range(n + 1))
-
-
-def _rising_integral(n: int) -> Fraction:
-    return _volk(rising_poly(n))
-
-
 def _sum_1f(m: int, n: int) -> Fraction:
     return sum(
         (-1) ** (m + n - k)
@@ -333,7 +350,19 @@ def _gould_square_poly(n: int) -> Polynomial:
     return p
 
 
-def _eulerian_moment(n: int, weight: Callable[[int], Fraction]) -> Fraction:
+def _newton(mu: _Integral, f: Callable[[int], int], top: int) -> Fraction:
+    """The integral of f (degree <= top) through its Newton series: the sum over k of
+    the integral of C(x, k), which is (-1)^k weight(k), times the k-th difference of f at 0."""
+    return sum(
+        (-1) ** k
+        * sum((-1) ** j * binom_int(k, j) * f(k - j) for j in range(k + 1))
+        * mu.weight(k)
+        for k in range(top + 1)
+    )
+
+
+def _eulerian_moment(n: int, moment: Callable[[int], Fraction], paired: bool = True) -> Fraction:
+    # paired=False is the uncorrected variant: the binomial C(j, l) degenerated to 1
     total = Fraction(0)
     for k in range(n + 1):
         a = seq.eulerian(n, k)
@@ -345,25 +374,9 @@ def _eulerian_moment(n: int, weight: Callable[[int], Fraction]) -> Fraction:
             if not s1:
                 continue
             inner += s1 * sum(
-                binom_int(j, l) * (n - k) ** (j - l) * weight(l) for l in range(j + 1)
+                (binom_int(j, l) if paired else 1) * (n - k) ** (j - l) * moment(l)
+                for l in range(j + 1)
             )
-        total += a * inner
-    return total / factorial(n)
-
-
-def _eulerian_moment_literal(n: int, weight: Callable[[int], Fraction]) -> Fraction:
-    # uncorrected variant: binomial weight degenerated to 1
-    total = Fraction(0)
-    for k in range(n + 1):
-        a = seq.eulerian(n, k)
-        if not a:
-            continue
-        inner = Fraction(0)
-        for j in range(n + 1):
-            s1 = seq.stirling1(n, j)
-            if not s1:
-                continue
-            inner += s1 * sum((n - k) ** (j - l) * weight(l) for l in range(j + 1))
         total += a * inner
     return total / factorial(n)
 
@@ -371,12 +384,6 @@ def _eulerian_moment_literal(n: int, weight: Callable[[int], Fraction]) -> Fract
 def _worpitzky_coeff(n: int, j: int) -> Fraction:
     """The Eulerian number as the alternating binomial sum sum_k (-1)^(j+k) C(n+1, j-k) k^n."""
     return Fraction(sum((-1) ** (j + k) * comb(n + 1, j - k) * k**n for k in range(j + 1)))
-
-
-def _worpitzky_integral(n: int, exact: Evaluator) -> Fraction:
-    return sum(
-        _worpitzky_coeff(n, j) * exact(_binom_shift_poly(n, j - 1)) for j in range(n + 1)
-    )
 
 
 def _worpitzky_literal(n: int, denom: Callable[[int], Fraction]) -> Fraction:
@@ -395,6 +402,239 @@ def _worpitzky_literal(n: int, denom: Callable[[int], Fraction]) -> Fraction:
     return total
 
 
+def _assoc_weighted(n: int, moment: Callable[[int], Fraction]) -> Fraction:
+    """The falling factorial through associated Stirling numbers, integrated by its moments."""
+    return sum(
+        binom_int(n, j) * seq.assoc_stirling1(n - j, k) * moment(k + j)
+        for j in range(n + 1)
+        for k in range((n - j) // 2 + 1)
+    )
+
+
+# ---------------------------------------------------------------------------
+# statements that hold for both measures: one builder each, called once per
+# measure at its record's place in the catalog; the first six record fields
+# are passed in order (id, title, params, grid, lhs, rhs)
+
+
+def _falling_by_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+    def lhs(n: int) -> Fraction:
+        return sum(seq.stirling1(n, k) * mu.moment(k) for k in range(n + 1))
+
+    return IdentityRecord(rid, title, ("n",), _grid_n(0, 20), lhs, mu.falling)
+
+
+def _rising_unsigned_stirling(rid: str, title: str, mu: _Integral, lo: int) -> IdentityRecord:
+    def rhs(n: int) -> Fraction:
+        return sum(seq.stirling1_unsigned(n, k) * mu.moment(k) for k in range(lo, n + 1))
+
+    return IdentityRecord(rid, title, ("n",), _grid_n(lo, 15), mu.rising, rhs)
+
+
+def _rising_lah(rid: str, title: str, mu: _Integral, lo: int) -> IdentityRecord:
+    def rhs(n: int) -> Fraction:
+        return sum(seq.lah_unsigned(n, k) * mu.falling(k) for k in range(lo, n + 1))
+
+    return IdentityRecord(rid, title, ("n",), _grid_n(lo, 15), mu.rising, rhs)
+
+
+def _rising_lah_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+    def rhs(n: int) -> Fraction:
+        return sum(
+            seq.lah_unsigned(n, k) * seq.stirling1(k, j) * mu.moment(j)
+            for k in range(n + 1)
+            for j in range(k + 1)
+        )
+
+    return IdentityRecord(rid, title, ("n",), _grid_n(0, 15), mu.rising, rhs)
+
+
+def _falling_over_x_integral(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+    def rhs(n: int) -> Fraction:
+        return (-1) ** n * sum(
+            _ff_int(n, n - k) * factorial(k) * mu.weight(k) for k in range(n + 1)
+        )
+
+    return IdentityRecord(
+        rid, title, ("n",), _grid_n(0, 15), lambda n: mu.exact(_falling_over_x(n)), rhs
+    )
+
+
+def _product_falling_tensor(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+    def rhs(k: int) -> Fraction:
+        return sum(
+            mu.falling(l) * mu.falling(m) * seq.osgood_wu(k, l, m)
+            for l in range(1, k + 1)
+            for m in range(1, k + 1)
+        )
+
+    return IdentityRecord(
+        rid, title, ("k",), _grid_tensor(8), lambda k: mu.double(_product_falling_rows(k)), rhs
+    )
+
+
+def _product_falling_stirling(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
+    return IdentityRecord(
+        id=rid,
+        title=title,
+        params=("k",),
+        grid=_grid_tensor(8),
+        lhs=lambda k: mu.double(_product_falling_rows(k)),
+        rhs=lambda k: sum(seq.stirling1(k, m) * mu.moment(m) ** 2 for m in range(k + 1)),
+        status=CORRECTED,
+        note=note,
+        literal=lambda k: (
+            mu.double(_product_falling_rows(k)),
+            sum(seq.stirling1(k, m) * mu.moment(k) ** 2 for m in range(k + 1)),
+        ),
+        counterexample=(2,),
+    )
+
+
+def _shifted_binomial_times_x(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+    def lhs(n: int) -> Fraction:
+        return mu.exact(Polynomial.x() * _binom_shift_poly(n - 1, -2))
+
+    def rhs(n: int) -> Fraction:
+        return (-1) ** n * sum(k * mu.weight(k) for k in range(1, n + 1))
+
+    return IdentityRecord(rid, title, ("n",), _grid_n(1, 15), lhs, rhs)
+
+
+def _scaled_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+    def lhs(m: int, n: int) -> Fraction:
+        return mu.exact(_binom_scaled_poly(m, n))
+
+    def rhs(m: int, n: int) -> Fraction:
+        return _newton(mu, lambda i: binom_int(m * i, n), n)
+
+    return IdentityRecord(rid, title, ("m", "n"), _grid_pairs(5, 15), lhs, rhs)
+
+
+def _binomial_power(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+    def lhs(r: int, n: int) -> Fraction:
+        return mu.exact(binom_poly(n) ** r)
+
+    def rhs(r: int, n: int) -> Fraction:
+        return _newton(mu, lambda i: binom_int(i, n) ** r, n * r)
+
+    return IdentityRecord(rid, title, ("r", "n"), _grid_pairs(3, 15), lhs, rhs)
+
+
+def _gould_square(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
+    return IdentityRecord(
+        id=rid,
+        title=title,
+        params=("n",),
+        grid=_grid_n(2, 15),
+        lhs=lambda n: mu.exact(_gould_square_poly(n)),
+        rhs=lambda n: (-1) ** n * sum(k * k * mu.weight(k) for k in range(n + 1)),
+        status=CORRECTED,
+        note=note,
+        literal=lambda n: (
+            mu.exact(
+                Polynomial.x() * _binom_shift_poly(n - 1, -2)
+                + Polynomial.x() * Polynomial([-1, 1]) * _gbinom(n - 3, n - 2)
+            ),
+            (-1) ** n * sum(k * k * mu.weight(k) for k in range(n + 1)),
+        ),
+        counterexample=(3,),
+    )
+
+
+def _degree_shifted_newton(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+    def rhs(n: int) -> Fraction:
+        return _newton(mu, lambda i: binom_int(i + n, n), n)
+
+    return IdentityRecord(
+        rid, title, ("n",), _grid_n(0, 15), lambda n: mu.exact(_binom_shift_poly(n, n)), rhs
+    )
+
+
+def _degree_shifted_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+    def rhs(n: int) -> Fraction:
+        return sum(
+            mu.moment(k)
+            * sum(binom_int(n, j) * seq.stirling1(j, k) / factorial(j) for j in range(n + 1))
+            for k in range(n + 1)
+        )
+
+    return IdentityRecord(
+        rid, title, ("n",), _grid_n(0, 15), lambda n: mu.exact(_binom_shift_poly(n, n)), rhs
+    )
+
+
+def _half_integer_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+    def lhs(n: int) -> Fraction:
+        return mu.exact(_binom_shift_poly(n, Fraction(2 * n + 1, 2)))
+
+    def rhs(n: int) -> Fraction:
+        return (2 * n + 1) * binom_int(2 * n, n) * sum(
+            (-1) ** k
+            * binom_int(n, k)
+            * Fraction(4**k, 4**n * (2 * k + 1))
+            * mu.weight(k)
+            / binom_int(2 * k, k)
+            for k in range(n + 1)
+        )
+
+    return IdentityRecord(rid, title, ("n",), _grid_n(0, 15), lhs, rhs)
+
+
+def _rising_signed_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+    def rhs(n: int) -> Fraction:
+        return sum((-1) ** (m + n) * seq.stirling1(n, m) * mu.moment(m) for m in range(n + 2))
+
+    return IdentityRecord(rid, title, ("n",), _grid_n(0, 15), mu.rising, rhs)
+
+
+def _rising_alternating(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+    def rhs(n: int) -> Fraction:
+        return factorial(n) * sum(
+            (-1) ** m * binom_int(n - 1, n - m) * mu.weight(m) for m in range(n + 1)
+        )
+
+    return IdentityRecord(rid, title, ("n",), _grid_n(1, 15), mu.rising, rhs)
+
+
+def _eulerian_expansion(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
+    return IdentityRecord(
+        id=rid,
+        title=title,
+        params=("n",),
+        grid=_grid_n(1, 15),
+        lhs=mu.moment,
+        rhs=lambda n: _eulerian_moment(n, mu.moment),
+        status=CORRECTED,
+        note=note,
+        literal=lambda n: (mu.moment(n), _eulerian_moment(n, mu.moment, paired=False)),
+        counterexample=(2,),
+    )
+
+
+def _worpitzky(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
+    return IdentityRecord(
+        id=rid,
+        title=title,
+        params=("n",),
+        grid=_grid_n(1, 15),
+        lhs=mu.moment,
+        rhs=lambda n: sum(
+            _worpitzky_coeff(n, j) * mu.exact(_binom_shift_poly(n, j - 1)) for j in range(n + 1)
+        ),
+        status=CORRECTED,
+        note=note,
+        literal=lambda n: (mu.moment(n), _worpitzky_literal(n, mu.weight)),
+        counterexample=(2,),
+    )
+
+
+def _assoc_closed_form(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+    return IdentityRecord(
+        rid, title, ("n",), _grid_n(0, 15), lambda n: _assoc_weighted(n, mu.moment), mu.falling
+    )
+
+
 # ---------------------------------------------------------------------------
 # the catalog
 
@@ -411,18 +651,14 @@ def catalog() -> tuple[IdentityRecord, ...]:
 
 def _build_catalog() -> list[IdentityRecord]:
     F = Fraction
+    bos, fer = _integrals()
     records: list[IdentityRecord] = []
     add = records.append
 
     # --- falling-factorial integrals and the first Daehee family ----------
 
-    add(IdentityRecord(
-        id="I01",
-        title="Stirling-weighted Bernoulli sum gives the Daehee closed form",
-        params=("n",),
-        grid=_grid_n(0, 20),
-        lhs=_daehee_sum_stirling,
-        rhs=lambda n: F((-1) ** n * factorial(n), n + 1),
+    add(_falling_by_stirling(
+        "I01", "Stirling-weighted Bernoulli sum gives the Daehee closed form", bos
     ))
 
     add(IdentityRecord(
@@ -467,50 +703,22 @@ def _build_catalog() -> list[IdentityRecord]:
 
     # --- second-kind Daehee numbers: four expressions ---------------------
 
-    add(IdentityRecord(
-        id="I05a",
-        title="Rising-factorial integral equals the unsigned-Stirling Bernoulli sum",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=_rising_integral,
-        rhs=lambda n: sum(
-            seq.stirling1_unsigned(n, k) * seq.bernoulli(k) for k in range(n + 1)
-        ),
+    add(_rising_unsigned_stirling(
+        "I05a", "Rising-factorial integral equals the unsigned-Stirling Bernoulli sum", bos, 0
     ))
     add(IdentityRecord(
         id="I05b",
         title="Rising-factorial integral, alternating binomial form",
         params=("n",),
         grid=_grid_n(1, 15),
-        lhs=_rising_integral,
+        lhs=bos.rising,
         rhs=lambda n: sum(
             (-1) ** k * F(factorial(n), k + 1) * binom_int(n - 1, k - 1)
             for k in range(1, n + 1)
         ),
     ))
-    add(IdentityRecord(
-        id="I05c",
-        title="Rising-factorial integral, unsigned-Lah form",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=_rising_integral,
-        rhs=lambda n: sum(
-            (-1) ** k * seq.lah_unsigned(n, k) * F(factorial(k), k + 1)
-            for k in range(n + 1)
-        ),
-    ))
-    add(IdentityRecord(
-        id="I05d",
-        title="Rising-factorial integral, Lah-Stirling double sum",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=_rising_integral,
-        rhs=lambda n: sum(
-            seq.lah_unsigned(n, k) * seq.stirling1(k, j) * seq.bernoulli(j)
-            for k in range(n + 1)
-            for j in range(k + 1)
-        ),
-    ))
+    add(_rising_lah("I05c", "Rising-factorial integral, unsigned-Lah form", bos, 0))
+    add(_rising_lah_stirling("I05d", "Rising-factorial integral, Lah-Stirling double sum", bos))
 
     # --- products with one extra factor of x -------------------------------
 
@@ -566,14 +774,8 @@ def _build_catalog() -> list[IdentityRecord]:
         + seq.bernoulli(n + 1),
     ))
 
-    add(IdentityRecord(
-        id="I09",
-        title="Integral of the falling factorial with its linear factor removed",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: _volk(_falling_over_x(n)),
-        rhs=lambda n: (-1) ** n
-        * sum(_ff_int(n, n - k) * F(factorial(k), k + 1) for k in range(n + 1)),
+    add(_falling_over_x_integral(
+        "I09", "Integral of the falling factorial with its linear factor removed", bos
     ))
 
     add(IdentityRecord(
@@ -610,7 +812,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Double integral of the binomial of a sum (Chu-Vandermonde route)",
         params=("n",),
         grid=_grid_n(0, 15),
-        lhs=lambda n: _double_integral(_binom_of_sum_rows(n), seq.bernoulli, _volk),
+        lhs=lambda n: bos.double(_binom_of_sum_rows(n)),
         rhs=lambda n: (-1) ** n
         * sum(F(1, (k + 1) * (n - k + 1)) for k in range(n + 1)),
     ))
@@ -619,7 +821,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Double integral of the binomial of a sum, Bernoulli-product form",
         params=("n",),
         grid=_grid_n(0, 15),
-        lhs=lambda n: _double_integral(_binom_of_sum_rows(n), seq.bernoulli, _volk),
+        lhs=lambda n: bos.double(_binom_of_sum_rows(n)),
         rhs=lambda n: sum(
             binom_int(k, j) * seq.stirling1(n, k) * seq.bernoulli(j) * seq.bernoulli(k - j)
             for k in range(n + 1)
@@ -654,48 +856,21 @@ def _build_catalog() -> list[IdentityRecord]:
         rhs=lambda n: F((-1) ** n, n * n + 3 * n + 2),
     ))
 
-    add(IdentityRecord(
-        id="I14a",
-        title="Double integral of the falling factorial of a product, tensor form",
-        params=("k",),
-        grid=_grid_tensor(8),
-        lhs=lambda k: _double_integral(_product_falling_rows(k), seq.bernoulli, _volk),
-        rhs=lambda k: sum(
-            (-1) ** (l + m)
-            * F(factorial(l) * factorial(m), (l + 1) * (m + 1))
-            * seq.osgood_wu(k, l, m)
-            for l in range(1, k + 1)
-            for m in range(1, k + 1)
-        ),
+    add(_product_falling_tensor(
+        "I14a", "Double integral of the falling factorial of a product, tensor form", bos
     ))
-    add(IdentityRecord(
-        id="I14b",
-        title="Double integral of the falling factorial of a product, Stirling form",
-        params=("k",),
-        grid=_grid_tensor(8),
-        lhs=lambda k: _double_integral(_product_falling_rows(k), seq.bernoulli, _volk),
-        rhs=lambda k: sum(
-            seq.stirling1(k, m) * seq.bernoulli(m) ** 2 for m in range(k + 1)
-        ),
-        status=CORRECTED,
-        note="the uncorrected form squares a Bernoulli number with an unbound index; "
+    add(_product_falling_stirling(
+        "I14b",
+        "Double integral of the falling factorial of a product, Stirling form",
+        bos,
+        "the uncorrected form squares a Bernoulli number with an unbound index; "
         "the summation index must also drive the squared factor",
-        literal=lambda k: (
-            _double_integral(_product_falling_rows(k), seq.bernoulli, _volk),
-            sum(seq.stirling1(k, m) * seq.bernoulli(k) ** 2 for m in range(k + 1)),
-        ),
-        counterexample=(2,),
     ))
 
     # --- classical binomial-sum integrals ----------------------------------
 
-    add(IdentityRecord(
-        id="I15",
-        title="Integral of x times a doubly shifted binomial coefficient",
-        params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=lambda n: _volk(Polynomial.x() * _binom_shift_poly(n - 1, -2)),
-        rhs=lambda n: (-1) ** n * sum(F(k, k + 1) for k in range(1, n + 1)),
+    add(_shifted_binomial_times_x(
+        "I15", "Integral of x times a doubly shifted binomial coefficient", bos
     ))
 
     add(IdentityRecord(
@@ -715,104 +890,26 @@ def _build_catalog() -> list[IdentityRecord]:
         counterexample=(1,),
     ))
 
-    add(IdentityRecord(
-        id="I17",
-        title="Integral of a binomial with scaled argument",
-        params=("m", "n"),
-        grid=_grid_pairs(5, 15),
-        lhs=lambda m, n: _volk(_binom_scaled_poly(m, n)),
-        rhs=lambda m, n: sum(
-            F((-1) ** k, k + 1)
-            * sum(
-                (-1) ** j * binom_int(k, j) * binom_int(m * (k - j), n)
-                for j in range(k + 1)
-            )
-            for k in range(n + 1)
-        ),
-    ))
+    add(_scaled_binomial("I17", "Integral of a binomial with scaled argument", bos))
 
-    add(IdentityRecord(
-        id="I18",
-        title="Integral of an integer power of the binomial coefficient",
-        params=("r", "n"),
-        grid=_grid_pairs(3, 15),
-        lhs=lambda r, n: _volk(binom_poly(n) ** r),
-        rhs=lambda r, n: sum(
-            F((-1) ** k, k + 1)
-            * sum(
-                (-1) ** j * binom_int(k, j) * binom_int(k - j, n) ** r
-                for j in range(k + 1)
-            )
-            for k in range(n * r + 1)
-        ),
-    ))
+    add(_binomial_power("I18", "Integral of an integer power of the binomial coefficient", bos))
 
-    add(IdentityRecord(
-        id="I19",
-        title="Integral of the square-weighted binomial expansion",
-        params=("n",),
-        grid=_grid_n(2, 15),
-        lhs=lambda n: _volk(_gould_square_poly(n)),
-        rhs=lambda n: (-1) ** n * sum(F(k * k, k + 1) for k in range(n + 1)),
-        status=CORRECTED,
-        note="the constant binomial in the uncorrected statement must be the "
+    add(_gould_square(
+        "I19",
+        "Integral of the square-weighted binomial expansion",
+        bos,
+        "the constant binomial in the uncorrected statement must be the "
         "polynomial C(x-3, n-2); with the constant the statement fails at n = 3",
-        literal=lambda n: (
-            _volk(
-                Polynomial.x() * _binom_shift_poly(n - 1, -2)
-                + Polynomial.x() * Polynomial([-1, 1]) * _gbinom(n - 3, n - 2)
-            ),
-            (-1) ** n * sum(F(k * k, k + 1) for k in range(n + 1)),
-        ),
-        counterexample=(3,),
     ))
 
-    add(IdentityRecord(
-        id="I20a",
-        title="Integral of the binomial shifted by its own degree, alternating form",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: _volk(_binom_shift_poly(n, n)),
-        rhs=lambda n: sum(
-            F((-1) ** k, k + 1)
-            * sum(
-                (-1) ** j * binom_int(k, j) * binom_int(k - j + n, n)
-                for j in range(k + 1)
-            )
-            for k in range(n + 1)
-        ),
+    add(_degree_shifted_newton(
+        "I20a", "Integral of the binomial shifted by its own degree, alternating form", bos
     ))
-    add(IdentityRecord(
-        id="I20b",
-        title="Integral of the binomial shifted by its own degree, Bernoulli form",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: _volk(_binom_shift_poly(n, n)),
-        rhs=lambda n: sum(
-            seq.bernoulli(k)
-            * sum(
-                binom_int(n, j) * seq.stirling1(j, k) / factorial(j)
-                for j in range(n + 1)
-            )
-            for k in range(n + 1)
-        ),
+    add(_degree_shifted_stirling(
+        "I20b", "Integral of the binomial shifted by its own degree, Bernoulli form", bos
     ))
 
-    add(IdentityRecord(
-        id="I21",
-        title="Integral of the half-integer shifted binomial",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: _volk(_binom_shift_poly(n, Fraction(2 * n + 1, 2))),
-        rhs=lambda n: binom_int(2 * n, n)
-        * sum(
-            (-1) ** k
-            * binom_int(n, k)
-            * F(4**k * (2 * n + 1), 4**n * (k + 1) * (2 * k + 1))
-            / binom_int(2 * k, k)
-            for k in range(n + 1)
-        ),
-    ))
+    add(_half_integer_binomial("I21", "Integral of the half-integer shifted binomial", bos))
 
     add(IdentityRecord(
         id="I22",
@@ -895,55 +992,33 @@ def _build_catalog() -> list[IdentityRecord]:
 
     # --- rising factorial as shifted falling factorial ---------------------
 
-    add(IdentityRecord(
-        id="I24a",
-        title="Rising-factorial integral, signed Stirling-Bernoulli form",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=_rising_integral,
-        rhs=lambda n: sum(
-            (-1) ** (m + n) * seq.stirling1(n, m) * seq.bernoulli(m) for m in range(n + 2)
+    add(_rising_signed_stirling(
+        "I24a", "Rising-factorial integral, signed Stirling-Bernoulli form", bos
+    ))
+    add(_rising_alternating("I24b", "Rising-factorial integral, alternating binomial sum", bos))
+    add(replace(
+        _rising_alternating(
+            "I24c", "Second-kind Daehee numbers from the alternating binomial sum", bos
         ),
-    ))
-    add(IdentityRecord(
-        id="I24b",
-        title="Rising-factorial integral, alternating binomial sum",
-        params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=_rising_integral,
-        rhs=lambda n: factorial(n)
-        * sum(F((-1) ** m, m + 1) * binom_int(n - 1, n - m) for m in range(n + 1)),
-    ))
-    add(IdentityRecord(
-        id="I24c",
-        title="Second-kind Daehee numbers from the alternating binomial sum",
-        params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=_rising_integral,
-        rhs=lambda n: factorial(n)
-        * sum(F((-1) ** m, m + 1) * binom_int(n - 1, n - m) for m in range(n + 1)),
         status=CORRECTED,
         note="the claimed scale factor 1/n! must be n!",
         literal=lambda n: (
-            _rising_integral(n),
+            bos.rising(n),
             sum(F((-1) ** m, m + 1) * binom_int(n - 1, n - m) for m in range(n + 1))
             / factorial(n),
         ),
         counterexample=(2,),
     ))
 
-    add(IdentityRecord(
-        id="I25",
-        title="Second-kind Daehee numbers as unsigned-Lah sums of first-kind ones",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=_rising_integral,
-        rhs=lambda n: sum(seq.lah_unsigned(n, k) * seq.daehee(k) for k in range(n + 1)),
+    add(replace(
+        _rising_lah(
+            "I25", "Second-kind Daehee numbers as unsigned-Lah sums of first-kind ones", bos, 0
+        ),
         status=CORRECTED,
         note="the uncorrected sum runs over one index and evaluates the Lah factor "
         "at another; both must be the summation index",
         literal=lambda n: (
-            _rising_integral(n),
+            bos.rising(n),
             sum(seq.lah_unsigned(n, n) * seq.daehee(m) for m in range(n + 1)),
         ),
         counterexample=(2,),
@@ -975,123 +1050,44 @@ def _build_catalog() -> list[IdentityRecord]:
         lhs=lambda n: _ferm(falling_poly(n + 1)) + n * _ferm(falling_poly(n)),
         rhs=lambda n: F((-1) ** n * factorial(n) * (n - 1), 2 ** (n + 1)),
     ))
-    add(IdentityRecord(
-        id="I26d",
-        title="Fermionic integral of the falling factorial without its linear factor",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: _ferm(_falling_over_x(n)),
-        rhs=lambda n: (-1) ** n
-        * sum(_ff_int(n, n - k) * F(factorial(k), 2**k) for k in range(n + 1)),
+    add(_falling_over_x_integral(
+        "I26d", "Fermionic integral of the falling factorial without its linear factor", fer
     ))
-    add(IdentityRecord(
-        id="I26e",
-        title="Fermionic double integral of the product falling factorial, tensor form",
-        params=("k",),
-        grid=_grid_tensor(8),
-        lhs=lambda k: _double_integral(_product_falling_rows(k), seq.euler, _ferm),
-        rhs=lambda k: sum(
-            (-1) ** (l + m)
-            * F(factorial(l) * factorial(m), 2 ** (l + m))
-            * seq.osgood_wu(k, l, m)
-            for l in range(1, k + 1)
-            for m in range(1, k + 1)
+    add(replace(
+        _product_falling_tensor(
+            "I26e", "Fermionic double integral of the product falling factorial, tensor form", fer
         ),
         status=CORRECTED,
         note="the uncorrected form omits the factorials carried by the two "
         "falling-factorial integrals",
         literal=lambda k: (
-            _double_integral(_product_falling_rows(k), seq.euler, _ferm),
+            fer.double(_product_falling_rows(k)),
             sum(
-                (-1) ** (l + m) * F(1, 2 ** (l + m)) * seq.osgood_wu(k, l, m)
+                (-1) ** (l + m) * fer.weight(l + m) * seq.osgood_wu(k, l, m)
                 for l in range(1, k + 1)
                 for m in range(1, k + 1)
             ),
         ),
         counterexample=(2,),
     ))
-    add(IdentityRecord(
-        id="I26f",
-        title="Fermionic double integral of the product falling factorial, Stirling form",
-        params=("k",),
-        grid=_grid_tensor(8),
-        lhs=lambda k: _double_integral(_product_falling_rows(k), seq.euler, _ferm),
-        rhs=lambda k: sum(seq.stirling1(k, m) * seq.euler(m) ** 2 for m in range(k + 1)),
-        status=CORRECTED,
-        note="same unbound squared index as the bosonic version",
-        literal=lambda k: (
-            _double_integral(_product_falling_rows(k), seq.euler, _ferm),
-            sum(seq.stirling1(k, m) * seq.euler(k) ** 2 for m in range(k + 1)),
-        ),
-        counterexample=(2,),
+    add(_product_falling_stirling(
+        "I26f",
+        "Fermionic double integral of the product falling factorial, Stirling form",
+        fer,
+        "same unbound squared index as the bosonic version",
     ))
-    add(IdentityRecord(
-        id="I26g",
-        title="Fermionic integral of the binomial shifted by its degree, alternating form",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: _ferm(_binom_shift_poly(n, n)),
-        rhs=lambda n: sum(
-            F((-1) ** k, 2**k)
-            * sum(
-                (-1) ** j * binom_int(k, j) * binom_int(k - j + n, n)
-                for j in range(k + 1)
-            )
-            for k in range(n + 1)
-        ),
+    add(_degree_shifted_newton(
+        "I26g", "Fermionic integral of the binomial shifted by its degree, alternating form", fer
     ))
-    add(IdentityRecord(
-        id="I26h",
-        title="Fermionic integral of the binomial shifted by its degree, Euler form",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: _ferm(_binom_shift_poly(n, n)),
-        rhs=lambda n: sum(
-            seq.euler(k)
-            * sum(
-                binom_int(n, j) * seq.stirling1(j, k) / factorial(j)
-                for j in range(n + 1)
-            )
-            for k in range(n + 1)
-        ),
+    add(_degree_shifted_stirling(
+        "I26h", "Fermionic integral of the binomial shifted by its degree, Euler form", fer
     ))
-    add(IdentityRecord(
-        id="I26i",
-        title="Fermionic integral of a binomial with scaled argument",
-        params=("m", "n"),
-        grid=_grid_pairs(5, 15),
-        lhs=lambda m, n: _ferm(_binom_scaled_poly(m, n)),
-        rhs=lambda m, n: sum(
-            F((-1) ** k, 2**k)
-            * sum(
-                (-1) ** j * binom_int(k, j) * binom_int(m * (k - j), n)
-                for j in range(k + 1)
-            )
-            for k in range(n + 1)
-        ),
+    add(_scaled_binomial("I26i", "Fermionic integral of a binomial with scaled argument", fer))
+    add(_binomial_power(
+        "I26j", "Fermionic integral of an integer power of the binomial coefficient", fer
     ))
-    add(IdentityRecord(
-        id="I26j",
-        title="Fermionic integral of an integer power of the binomial coefficient",
-        params=("r", "n"),
-        grid=_grid_pairs(3, 15),
-        lhs=lambda r, n: _ferm(binom_poly(n) ** r),
-        rhs=lambda r, n: sum(
-            F((-1) ** k, 2**k)
-            * sum(
-                (-1) ** j * binom_int(k, j) * binom_int(k - j, n) ** r
-                for j in range(k + 1)
-            )
-            for k in range(n * r + 1)
-        ),
-    ))
-    add(IdentityRecord(
-        id="I26k",
-        title="Fermionic integral of x times a doubly shifted binomial",
-        params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=lambda n: _ferm(Polynomial.x() * _binom_shift_poly(n - 1, -2)),
-        rhs=lambda n: (-1) ** n * sum(F(k, 2**k) for k in range(1, n + 1)),
+    add(_shifted_binomial_times_x(
+        "I26k", "Fermionic integral of x times a doubly shifted binomial", fer
     ))
     add(IdentityRecord(
         id="I26l",
@@ -1108,160 +1104,60 @@ def _build_catalog() -> list[IdentityRecord]:
         ),
         counterexample=(1,),
     ))
-    add(IdentityRecord(
-        id="I26m",
-        title="Fermionic integral of the square-weighted binomial expansion",
-        params=("n",),
-        grid=_grid_n(2, 15),
-        lhs=lambda n: _ferm(_gould_square_poly(n)),
-        rhs=lambda n: (-1) ** n * sum(F(k * k, 2**k) for k in range(n + 1)),
-        status=CORRECTED,
-        note="same constant-binomial typo as the bosonic version",
-        literal=lambda n: (
-            _ferm(
-                Polynomial.x() * _binom_shift_poly(n - 1, -2)
-                + Polynomial.x() * Polynomial([-1, 1]) * _gbinom(n - 3, n - 2)
-            ),
-            (-1) ** n * sum(F(k * k, 2**k) for k in range(n + 1)),
-        ),
-        counterexample=(3,),
+    add(_gould_square(
+        "I26m",
+        "Fermionic integral of the square-weighted binomial expansion",
+        fer,
+        "same constant-binomial typo as the bosonic version",
     ))
-    add(IdentityRecord(
-        id="I26n",
-        title="Fermionic integral of the half-integer shifted binomial",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: _ferm(_binom_shift_poly(n, Fraction(2 * n + 1, 2))),
-        rhs=lambda n: (2 * n + 1)
-        * binom_int(2 * n, n)
-        * sum(
-            (-1) ** k
-            * binom_int(n, k)
-            * F(2**k, 4**n * (2 * k + 1))
-            / binom_int(2 * k, k)
-            for k in range(n + 1)
-        ),
+    add(_half_integer_binomial(
+        "I26n", "Fermionic integral of the half-integer shifted binomial", fer
     ))
 
     # --- second-kind Changhee numbers ---------------------------------------
 
-    add(IdentityRecord(
-        id="I27a",
-        title="Fermionic rising-factorial integral, unsigned-Lah form",
-        params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=lambda n: _ferm(rising_poly(n)),
-        rhs=lambda n: sum(
-            (-1) ** k * seq.lah_unsigned(n, k) * F(factorial(k), 2**k)
-            for k in range(1, n + 1)
-        ),
+    add(_rising_lah("I27a", "Fermionic rising-factorial integral, unsigned-Lah form", fer, 1))
+    add(_rising_unsigned_stirling(
+        "I27b", "Fermionic rising-factorial integral, unsigned-Stirling Euler sum", fer, 1
     ))
-    add(IdentityRecord(
-        id="I27b",
-        title="Fermionic rising-factorial integral, unsigned-Stirling Euler sum",
-        params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=lambda n: _ferm(rising_poly(n)),
-        rhs=lambda n: sum(
-            seq.stirling1_unsigned(n, k) * seq.euler(k) for k in range(1, n + 1)
-        ),
+    add(_rising_alternating(
+        "I27c", "Fermionic rising-factorial integral, alternating binomial sum", fer
     ))
-    add(IdentityRecord(
-        id="I27c",
-        title="Fermionic rising-factorial integral, alternating binomial sum",
-        params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=lambda n: _ferm(rising_poly(n)),
-        rhs=lambda n: factorial(n)
-        * sum(F((-1) ** m, 2**m) * binom_int(n - 1, n - m) for m in range(n + 1)),
+    add(_rising_signed_stirling(
+        "I27d", "Fermionic rising-factorial integral, signed Stirling-Euler form", fer
     ))
-    add(IdentityRecord(
-        id="I27d",
-        title="Fermionic rising-factorial integral, signed Stirling-Euler form",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: _ferm(rising_poly(n)),
-        rhs=lambda n: sum(
-            (-1) ** (m + n) * seq.stirling1(n, m) * seq.euler(m) for m in range(n + 2)
-        ),
-    ))
-    add(IdentityRecord(
-        id="I27e",
-        title="Fermionic rising-factorial integral, Lah-Stirling double sum",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: _ferm(rising_poly(n)),
-        rhs=lambda n: sum(
-            seq.lah_unsigned(n, k) * seq.stirling1(k, j) * seq.euler(j)
-            for k in range(n + 1)
-            for j in range(k + 1)
-        ),
+    add(_rising_lah_stirling(
+        "I27e", "Fermionic rising-factorial integral, Lah-Stirling double sum", fer
     ))
 
     # --- Eulerian-number expansions -----------------------------------------
 
-    add(IdentityRecord(
-        id="I28a",
-        title="Bernoulli numbers from the Eulerian expansion of the monomial",
-        params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=seq.bernoulli,
-        rhs=lambda n: _eulerian_moment(n, seq.bernoulli),
-        status=CORRECTED,
-        note="the inner binomial must pair the exponent split; the uncorrected form "
+    add(_eulerian_expansion(
+        "I28a",
+        "Bernoulli numbers from the Eulerian expansion of the monomial",
+        bos,
+        "the inner binomial must pair the exponent split; the uncorrected form "
         "collapses it to 1",
-        literal=lambda n: (
-            seq.bernoulli(n),
-            _eulerian_moment_literal(n, seq.bernoulli),
-        ),
-        counterexample=(2,),
     ))
-    add(IdentityRecord(
-        id="I28b",
-        title="Euler numbers from the Eulerian expansion of the monomial",
-        params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=seq.euler,
-        rhs=lambda n: _eulerian_moment(n, seq.euler),
-        status=CORRECTED,
-        note="same binomial collapse as the Bernoulli version",
-        literal=lambda n: (
-            seq.euler(n),
-            _eulerian_moment_literal(n, seq.euler),
-        ),
-        counterexample=(2,),
+    add(_eulerian_expansion(
+        "I28b",
+        "Euler numbers from the Eulerian expansion of the monomial",
+        fer,
+        "same binomial collapse as the Bernoulli version",
     ))
 
-    add(IdentityRecord(
-        id="I29a",
-        title="Bernoulli numbers through the shifted-binomial basis",
-        params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=seq.bernoulli,
-        rhs=lambda n: _worpitzky_integral(n, _volk),
-        status=CORRECTED,
-        note="the uncorrected closed form reuses a fixed-shift integral formula at "
+    add(_worpitzky(
+        "I29a",
+        "Bernoulli numbers through the shifted-binomial basis",
+        bos,
+        "the uncorrected closed form reuses a fixed-shift integral formula at "
         "every shift; the integrals must be taken at their own shifts",
-        literal=lambda n: (
-            seq.bernoulli(n),
-            _worpitzky_literal(n, lambda m: F(1, m + 1)),
-        ),
-        counterexample=(2,),
     ))
-    add(IdentityRecord(
-        id="I29b",
-        title="Euler numbers through the shifted-binomial basis",
-        params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=seq.euler,
-        rhs=lambda n: _worpitzky_integral(n, _ferm),
-        status=CORRECTED,
-        note="same misapplied shift formula as the Bernoulli version",
-        literal=lambda n: (
-            seq.euler(n),
-            _worpitzky_literal(n, lambda m: F(1, 2**m)),
-        ),
-        counterexample=(2,),
+    add(_worpitzky(
+        "I29b",
+        "Euler numbers through the shifted-binomial basis",
+        fer,
+        "same misapplied shift formula as the Bernoulli version",
     ))
 
     # --- functional-equation and generating-function consequences -----------
@@ -1313,20 +1209,8 @@ def _build_catalog() -> list[IdentityRecord]:
         counterexample=(1,),
     ))
 
-    def _assoc_weighted(n: int, weight: Callable[[int], Fraction]) -> Fraction:
-        return sum(
-            binom_int(n, j) * seq.assoc_stirling1(n - j, k) * weight(k + j)
-            for j in range(n + 1)
-            for k in range((n - j) // 2 + 1)
-        )
-
-    add(IdentityRecord(
-        id="I32a",
-        title="Associated-Stirling expansion integrates to the Daehee closed form",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: _assoc_weighted(n, seq.bernoulli),
-        rhs=lambda n: F((-1) ** n * factorial(n), n + 1),
+    add(_assoc_closed_form(
+        "I32a", "Associated-Stirling expansion integrates to the Daehee closed form", bos
     ))
     add(IdentityRecord(
         id="I32b",
@@ -1334,15 +1218,10 @@ def _build_catalog() -> list[IdentityRecord]:
         params=("n",),
         grid=_grid_n(0, 15),
         lhs=lambda n: _assoc_weighted(n, seq.bernoulli),
-        rhs=_daehee_sum_stirling,
+        rhs=lambda n: sum(seq.stirling1(n, l) * seq.bernoulli(l) for l in range(n + 1)),
     ))
-    add(IdentityRecord(
-        id="I32c",
-        title="Associated-Stirling expansion under the fermionic integral",
-        params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: _assoc_weighted(n, seq.euler),
-        rhs=lambda n: F((-1) ** n * factorial(n), 2**n),
+    add(_assoc_closed_form(
+        "I32c", "Associated-Stirling expansion under the fermionic integral", fer
     ))
     add(IdentityRecord(
         id="I32d",
@@ -1361,22 +1240,8 @@ def _build_catalog() -> list[IdentityRecord]:
         lhs=seq.cauchy,
         rhs=lambda n: sum(seq.stirling1(n, k) * F(1, k + 1) for k in range(n + 1)),
     ))
-    add(IdentityRecord(
-        id="I33b",
-        title="Stirling-Bernoulli sum, closed form",
-        params=("n",),
-        grid=_grid_n(0, 20),
-        lhs=_daehee_sum_stirling,
-        rhs=lambda n: F((-1) ** n * factorial(n), n + 1),
-    ))
-    add(IdentityRecord(
-        id="I33c",
-        title="Stirling-Euler sum, closed form",
-        params=("n",),
-        grid=_grid_n(0, 20),
-        lhs=_changhee_sum_stirling,
-        rhs=lambda n: F((-1) ** n * factorial(n), 2**n),
-    ))
+    add(_falling_by_stirling("I33b", "Stirling-Bernoulli sum, closed form", bos))
+    add(_falling_by_stirling("I33c", "Stirling-Euler sum, closed form", fer))
 
     add(IdentityRecord(
         id="I34a",
@@ -1467,6 +1332,8 @@ def verify(record: IdentityRecord | str, n_max: Optional[int] = None) -> RecordR
     Corrected records additionally re-run the literal form at the stored
     counterexample and report whether it still fails there.
     """
+    if n_max is not None and n_max < 0:
+        raise ValueError(f"n_max must be >= 0: got {n_max}")
     if isinstance(record, str):
         matches = resolve_ids([record])
         if len(matches) != 1:

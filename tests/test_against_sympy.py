@@ -56,3 +56,18 @@ def test_fubini_numbers_from_sympy_stirling():
     for n in range(31):
         want = sum(sympy.factorial(k) * stirling(n, k) for k in range(n + 1))
         assert seq.fubini(n) == frac(want), n
+
+
+def test_unsigned_lah_numbers_from_sympy_stirling():
+    # sympy has no Lah function: L(n, k) = sum_j |s(n, j)| S(j, k)
+    s1 = [[int(stirling(n, j, kind=1)) for j in range(n + 1)] for n in range(41)]
+    s2 = [[int(stirling(n, k)) for k in range(n + 1)] for n in range(41)]
+    for n in range(41):
+        for k in range(n + 1):
+            want = sum(s1[n][j] * s2[j][k] for j in range(k, n + 1))
+            assert seq.lah_unsigned(n, k) == want, (n, k)
+
+
+def test_bell_numbers_as_second_kind_stirling_sums():
+    for n in range(41):
+        assert sum(seq.stirling2(n, k) for k in range(n + 1)) == frac(sympy.bell(n)), n

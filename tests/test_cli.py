@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -141,6 +142,39 @@ def test_verify_full_suite_small_cap(runner):
     obj = json.loads(result.output)
     assert obj["totals"]["failing_records"] == 0
     assert obj["totals"]["records"] >= 35
+
+
+def test_verify_empty_id_is_usage_error(runner):
+    for ids in [",", "I01,,I02", "I01,", ""]:
+        result = runner.invoke(cli, ["verify", "--ids", ids])
+        assert result.exit_code == 2, ids
+        assert "empty record id" in result.output, ids
+
+
+def test_verify_negative_n_max_is_usage_error(runner):
+    result = runner.invoke(cli, ["verify", "--ids", "I01", "--n-max", "-7"])
+    assert result.exit_code == 2
+    assert "n_max must be >= 0" in result.output
+    zero = runner.invoke(cli, ["verify", "--ids", "I01", "--n-max", "0", "--format", "csv"])
+    assert zero.exit_code == 0
+    assert zero.output.splitlines()[1] == "I01,verified,1,0,ok"
+
+
+# sha256 of whole `verify` outputs: they pin every record's id, order, status,
+# grid size, note and verdict (bench/expected.json pins only some of these);
+# recompute them only for a deliberate change to the catalog
+VERIFY_DIGESTS = {
+    ("--format", "json"): "77ec53a165f102fc7954e37338a9f821ff81f8fbe4fc89547c01ffb9ff20b92b",
+    ("--n-max", "6", "--format", "csv"): "582e7ed58a25fd3c8bef816d8a7d3c6b4fb6b6515910df2e9acd23607388147e",
+    ("--format", "table"): "a7501b44f337819061d77bafb935f5583a77053a7d9286473a74c7c71def4085",
+}
+
+
+@pytest.mark.parametrize("args", list(VERIFY_DIGESTS), ids=["json", "n-max-6-csv", "table"])
+def test_verify_output_is_frozen(runner, args):
+    result = runner.invoke(cli, ["verify", *args])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == VERIFY_DIGESTS[args]
 
 
 def test_verify_jobs_do_not_change_output(runner):

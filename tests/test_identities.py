@@ -5,6 +5,7 @@ from math import comb, factorial
 import pytest
 from volkenborn import identities, sequences as seq
 from volkenborn.identities import catalog, resolve_ids, verify, verify_all
+from volkenborn.integrals import fermionic_exact, volkenborn_exact
 from volkenborn.polynomials import Polynomial, binom_poly, falling_poly
 
 
@@ -49,6 +50,46 @@ def test_verify_single_records():
     (rec,) = resolve_ids(["I13a"])
     assert rec.lhs(3) == Fraction(1, 12)
     assert rec.rhs(3) == Fraction(1, 12)
+
+
+def test_negative_n_max_is_rejected():
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        verify("I01", n_max=-1)
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        verify_all(n_max=-7, ids=["I01"])
+    assert verify("I01", n_max=0).points == 1
+
+
+@pytest.mark.parametrize(
+    "index, exact", [(0, volkenborn_exact), (1, fermionic_exact)], ids=["bosonic", "fermionic"]
+)
+def test_measure_table_behind_the_twin_statements(index, exact):
+    # each twin statement is written once over these values: they must be
+    # the measure's integrals of x^n, of (x)_n and, up to sign, of C(x, n)
+    mu = identities._integrals()[index]
+    for n in range(21):
+        assert mu.exact(Polynomial.monomial(n)) == exact(Polynomial.monomial(n)) == mu.moment(n)
+        assert mu.exact(falling_poly(n)) == mu.falling(n), n
+        assert mu.exact(binom_poly(n)) == (-1) ** n * mu.weight(n), n
+
+
+# bosonic record, fermionic record: the same statement under the two measures
+TWINS = [
+    ("I05a", "I27b"), ("I05c", "I27a"), ("I05d", "I27e"), ("I09", "I26d"), ("I14a", "I26e"),
+    ("I14b", "I26f"), ("I15", "I26k"), ("I17", "I26i"), ("I18", "I26j"), ("I19", "I26m"),
+    ("I20a", "I26g"), ("I20b", "I26h"), ("I21", "I26n"), ("I24a", "I27d"), ("I24b", "I27c"),
+    ("I28a", "I28b"), ("I29a", "I29b"), ("I32a", "I32c"), ("I33b", "I33c"),
+]
+
+
+@pytest.mark.parametrize("bosonic, fermionic", TWINS)
+def test_twin_records_use_their_own_measure(bosonic, fermionic):
+    b, f = resolve_ids([bosonic, fermionic])
+    assert b.params == f.params
+    points = sorted(set(b.grid(4)) & set(f.grid(4)))
+    # a twin built on the other measure would agree with its sibling everywhere
+    assert any(b.lhs(*p) != f.lhs(*p) for p in points)
+    assert any(b.rhs(*p) != f.rhs(*p) for p in points)
 
 
 def test_verify_unknown_id():
