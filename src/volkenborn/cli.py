@@ -2,20 +2,24 @@
 
 All numeric output is exact rational text; csv/json renderings are
 byte-for-byte deterministic.  Exit codes: 0 success, 1 identity-suite
-failure, 2 usage error.
+failure, 2 usage error.  Every subcommand is a ``_Command``, whose
+``invoke`` is the one place where a library ``ValueError`` or ``KeyError``
+(a bad request, or an exact result too long for ``str``) becomes a usage
+error; each command renders its rows through ``_render``.
 """
 from __future__ import annotations
 
 import io
 import json
+import math
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 import click
 
 from . import identities, sequences
-from .integrals import Measure, _err_text, convergence_report, exact_integral, level_integral
+from .integrals import Measure, convergence_report, exact_integral, level_integral
 from .padic import valuation
 from .polynomials import Polynomial
 
@@ -71,17 +75,40 @@ def _dump_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def _render(fmt: str, header: list[str], rows: list[list[str]], json_obj) -> str:
+def _render(
+    fmt: str, header: list[str], rows: list[list[str]], json_obj, table: Optional[str] = None
+) -> str:
+    """A command's whole output; ``table``, if given, replaces the generic table."""
     if fmt == "json":
         return _dump_json(json_obj)
     if fmt == "csv":
         return _dump_csv(header, rows)
-    return _dump_table(header, rows)
+    return _dump_table(header, rows) if table is None else table
+
+
+def _err_text(v: Union[int, float, None]) -> str:
+    """Text form of an error valuation: empty without a reference, "inf" for an exact value."""
+    if v is None:
+        return ""
+    return "inf" if v == math.inf else str(v)
+
+
+class _Command(click.Command):
+    """A subcommand whose library errors, raised while computing or rendering, exit 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (KeyError, ValueError) as exc:
+            raise click.UsageError(str(exc.args[0]) if exc.args else type(exc).__name__, ctx)
 
 
 @click.group()
 def cli() -> None:
     """Exact special-number sequences, p-adic integrals, and identity checks."""
+
+
+cli.command_class = _Command
 
 
 # ---------------------------------------------------------------------------
@@ -125,25 +152,19 @@ def _triangle(family: str, n_max: int) -> tuple[list[list[str]], list[dict]]:
 
 @cli.command("seq")
 @click.argument("family", type=click.Choice(ALL_FAMILIES))
-@click.option("--n", "n_max", type=int, required=True, help="Largest index to emit.")
+@click.option("--n", "n_max", type=click.IntRange(min=0), required=True, help="Largest index to emit.")
 @click.option("--param", default=None, help="Rational parameter (lambda or u) where required.")
-@click.option("--v", "order_v", type=int, default=None, help="Order v for array-poly.")
+@click.option("--v", "order_v", type=click.IntRange(min=0), default=None, help="Order v for array-poly.")
 @_format_option
 def cmd_seq(family: str, n_max: int, param: Optional[str], order_v: Optional[int], fmt: str) -> None:
     """Emit values 0..N of a family (triangle rows for two-index families)."""
-    if n_max < 0:
-        raise click.UsageError("--n must be >= 0")
-
     if family in _SINGLE_FAMILIES:
         pval: Optional[Fraction] = None
         if family in _PARAMETRIC:
             if param is None:
                 raise click.UsageError(f"family {family} requires --param")
             pval = _parse_rational(param, "--param")
-        try:
-            values = [_SINGLE_FAMILIES[family](n, pval) for n in range(n_max + 1)]
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        values = [_SINGLE_FAMILIES[family](n, pval) for n in range(n_max + 1)]
         rows = [[str(n), str(v)] for n, v in enumerate(values)]
         obj = {
             "family": family,
@@ -161,8 +182,6 @@ def cmd_seq(family: str, n_max: int, param: Optional[str], order_v: Optional[int
     # array-poly: one polynomial per n at fixed order v and parameter lambda
     if order_v is None:
         raise click.UsageError("family array-poly requires --v")
-    if order_v < 0:
-        raise click.UsageError("--v must be >= 0")
     if param is None:
         raise click.UsageError("family array-poly requires --param")
     lam = _parse_rational(param, "--param")
@@ -184,14 +203,7 @@ _MEASURES = {"b": "bosonic", "f": "fermionic", "q": "q"}
 
 
 def _build_measure(measure: str, q: Optional[str]) -> Measure:
-    kind = _MEASURES[measure]
-    if kind == "q":
-        if q is None:
-            raise click.UsageError("the q measure requires --q")
-        return Measure.q_weighted(_parse_rational(q, "--q"))
-    if q is not None:
-        raise click.UsageError("--q only applies to the q measure")
-    return Measure(kind)
+    return Measure(_MEASURES[measure], None if q is None else _parse_rational(q, "--q"))
 
 
 @cli.command("integral")
@@ -229,10 +241,7 @@ def cmd_integral(
 
     if prime is None or level_n is None:
         raise click.UsageError("--level requires --p and --N")
-    try:
-        value = level_integral(f, m, prime, level_n)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    value = level_integral(f, m, prime, level_n)
     reference = exact_integral(f, m)
     err = None if reference is None else _err_text(valuation(value - reference, prime))
     rows = [[str(value), "" if err is None else err]]
@@ -261,17 +270,9 @@ def cmd_converge(poly: str, measure: str, prime: int, n_max: int, q: Optional[st
     """Tabulate level values N = 1..N_MAX with p-adic error valuations."""
     f = _parse_poly(poly)
     m = _build_measure(measure, q)
-    try:
-        report = convergence_report(f, m, prime, n_max)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    if fmt == "json":
-        click.echo(_dump_json(report.to_json_obj()), nl=False)
-    elif fmt == "csv":
-        click.echo(report.to_csv(), nl=False)
-    else:
-        rows = [[str(row.N), str(row.value), _err_text(row.err_valuation)] for row in report.rows]
-        click.echo(_dump_table(["N", "value", "err_valuation"], rows), nl=False)
+    report = convergence_report(f, m, prime, n_max)
+    rows = [[str(row.N), str(row.value), _err_text(row.err_valuation)] for row in report.rows]
+    click.echo(_render(fmt, ["N", "value", "err_valuation"], rows, report.to_json_obj()), nl=False)
 
 
 # ---------------------------------------------------------------------------
@@ -281,29 +282,20 @@ def cmd_converge(poly: str, measure: str, prime: int, n_max: int, q: Optional[st
 @click.option("--ids", default=None, help="Comma-separated record ids or group prefixes.")
 @click.option("--n-max", type=int, default=None, help="Override the n-like grid caps.")
 # Accepted for compatibility and ignored: records run serially in catalog order.
-@click.option("--jobs", type=int, default=1, hidden=True)
+@click.option("--jobs", type=click.IntRange(min=1), default=1, hidden=True)
 @_format_option
 def cmd_verify(ids: Optional[str], n_max: Optional[int], jobs: int, fmt: str) -> None:
     """Run the identity suite; exit 1 on any unadjudicated mismatch."""
-    if jobs < 1:
-        raise click.UsageError("--jobs must be >= 1")
     wanted = None if ids is None else [s.strip() for s in ids.split(",")]
     if wanted is not None and not all(wanted):
         raise click.UsageError(f"empty record id in --ids {ids!r}")
-    try:
-        report = identities.verify_all(n_max=n_max, ids=wanted)
-    except (KeyError, ValueError) as exc:
-        raise click.UsageError(str(exc.args[0]))
-    if fmt == "json":
-        click.echo(_dump_json(report.to_json_obj()), nl=False)
-    elif fmt == "csv":
-        rows = [
-            [r.id, r.status, str(r.points), str(r.mismatch_count), "ok" if r.ok else "fail"]
-            for r in report.results
-        ]
-        click.echo(_dump_csv(["id", "status", "points", "mismatches", "result"], rows), nl=False)
-    else:
-        click.echo(report.to_text_table(), nl=False)
+    report = identities.verify_all(n_max=n_max, ids=wanted)
+    rows = [
+        [r.id, r.status, str(r.points), str(r.mismatch_count), "ok" if r.ok else "fail"]
+        for r in report.results
+    ]
+    header = ["id", "status", "points", "mismatches", "result"]
+    click.echo(_render(fmt, header, rows, report.to_json_obj(), report.to_text_table()), nl=False)
     if not report.ok:
         sys.exit(1)
 
@@ -313,12 +305,10 @@ def cmd_verify(ids: Optional[str], n_max: Optional[int], jobs: int, fmt: str) ->
 
 @cli.command("table-dump")
 @click.argument("family", type=click.Choice(sorted(_TRIANGLE_FAMILIES)))
-@click.option("--n-max", type=int, required=True)
+@click.option("--n-max", type=click.IntRange(min=0), required=True)
 @_format_option
 def cmd_table_dump(family: str, n_max: int, fmt: str) -> None:
     """Dump a triangular table as rows n,k,value."""
-    if n_max < 0:
-        raise click.UsageError("--n-max must be >= 0")
     rows, entries = _triangle(family, n_max)
     click.echo(_render(fmt, ["n", "k", "value"], rows, {"family": family, "rows": entries}), nl=False)
 

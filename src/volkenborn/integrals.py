@@ -154,13 +154,6 @@ def level_integral(f: Polynomial, measure: Measure, p: int, N: int) -> Fraction:
     return total / bracket
 
 
-def _err_text(v: Union[int, float, None]) -> str:
-    """Text form of an error valuation: empty without a reference, "inf" for an exact value."""
-    if v is None:
-        return ""
-    return "inf" if v == math.inf else str(v)
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     N: int
@@ -176,12 +169,6 @@ class ConvergenceReport:
     p: int
     exact: Optional[Fraction]
     rows: tuple[ConvergenceRow, ...]
-
-    def to_csv(self) -> str:
-        lines = ["N,value,err_valuation"]
-        for row in self.rows:
-            lines.append(f"{row.N},{row.value},{_err_text(row.err_valuation)}")
-        return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
         def err(v):

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import time
 from fractions import Fraction
@@ -6,7 +8,9 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from volkenborn.cli import cli
+from volkenborn import sequences as seq
+from volkenborn.cli import ALL_FAMILIES, cli
+from volkenborn.polynomials import Polynomial
 
 
 @pytest.fixture
@@ -51,6 +55,56 @@ def test_seq_unknown_family_is_usage_error(runner):
 def test_seq_excluded_parameter_is_usage_error(runner):
     result = runner.invoke(cli, ["seq", "frobenius-euler", "--n", "3", "--param", "1"])
     assert result.exit_code == 2
+
+
+# each `seq` family's library function, at the --param and --v the test passes
+ONE_INDEX = {
+    "bernoulli": seq.bernoulli,
+    "euler": seq.euler,
+    "daehee": seq.daehee,
+    "daehee2": seq.daehee_hat,
+    "changhee": seq.changhee,
+    "changhee2": seq.changhee_hat,
+    "fubini": seq.fubini,
+    "cauchy": seq.cauchy,
+    "harmonic": seq.harmonic,
+    "apostol-bernoulli": lambda n: seq.apostol_bernoulli(n, 3),
+    "apostol-euler": lambda n: seq.apostol_euler(n, 3),
+    "frobenius-euler": lambda n: seq.frobenius_euler(n, 3),
+    "array-poly": lambda n: seq.array_poly(n, 2, 3),
+}
+TWO_INDEX = {
+    "stirling1": seq.stirling1,
+    "stirling2": seq.stirling2,
+    "lah": seq.lah,
+    "eulerian": seq.eulerian,
+    "assoc-stirling1": seq.assoc_stirling1,
+    "assoc-stirling2": seq.assoc_stirling2,
+}
+REQUIRED = {
+    "apostol-bernoulli": ["--param", "3"],
+    "apostol-euler": ["--param", "3"],
+    "frobenius-euler": ["--param", "3"],
+    "array-poly": ["--param", "3", "--v", "2"],
+}
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_seq_family_matches_library(runner, family):
+    result = runner.invoke(cli, ["seq", family, "--n", "8", "--format", "csv", *REQUIRED.get(family, [])])
+    assert result.exit_code == 0, result.output
+    _, *rows = csv.reader(io.StringIO(result.output))
+    if family in TWO_INDEX:
+        assert [(int(n), int(k)) for n, k, _ in rows] == [(n, k) for n in range(9) for k in range(n + 1)]
+        for n, k, value in rows:
+            assert Fraction(value) == TWO_INDEX[family](int(n), int(k)), (n, k)
+        return
+    assert [int(n) for n, _ in rows] == list(range(9))
+    for n, value in rows:
+        if family == "array-poly":
+            assert Polynomial(Fraction(c) for c in json.loads(value)) == ONE_INDEX[family](int(n)), n
+        else:
+            assert Fraction(value) == ONE_INDEX[family](int(n)), n
 
 
 def test_seq_array_poly(runner):
@@ -118,8 +172,58 @@ def test_converge_q_measure(runner):
     assert result.exit_code == 0
     lines = result.output.splitlines()
     assert len(lines) == 4
+    assert lines[0] == "N,value,err_valuation"
     # no symbolic reference for the q measure: error column stays empty
     assert all(line.endswith(",") for line in lines[1:])
+
+
+def test_converge_csv_is_exact(runner):
+    result = runner.invoke(
+        cli, ["converge", "--poly", "0,1", "--measure", "b", "--p", "3", "--N-max", "2", "--format", "csv"]
+    )
+    assert result.exit_code == 0
+    assert result.output == "N,value,err_valuation\n1,1,1\n2,4,2\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["integral", "b", "--poly", "0,1", "--exact", "--q", "4"],
+        ["integral", "f", "--poly", "0,1", "--level", "--p", "3", "--N", "2", "--q", "4"],
+        ["integral", "q", "--poly", "0,1", "--level", "--p", "3", "--N", "2"],
+        ["converge", "--poly", "0,1", "--measure", "b", "--q", "4", "--p", "3", "--N-max", "2"],
+        ["converge", "--poly", "0,1", "--measure", "f", "--q", "4", "--p", "3", "--N-max", "2"],
+        ["converge", "--poly", "0,1", "--measure", "q", "--p", "3", "--N-max", "2"],
+        ["table-dump", "lah", "--n-max", "-1"],
+        ["seq", "array-poly", "--n", "3", "--v", "-1", "--param", "1"],
+        ["seq", "bernoulli", "--n", "-1"],
+    ],
+    ids=[
+        "integral-b-with-q",
+        "integral-f-with-q",
+        "integral-q-without-q",
+        "converge-b-with-q",
+        "converge-f-with-q",
+        "converge-q-without-q",
+        "table-dump-negative-n-max",
+        "seq-negative-v",
+        "seq-negative-n",
+    ],
+)
+def test_bad_request_is_usage_error(runner, args):
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 2
+    assert result.output.count("Error:") == 1
+
+
+def test_unprintable_exact_result_is_usage_error(runner):
+    # the level value (3^9100 - 1)/2 has more digits than CPython turns into text
+    t0 = time.perf_counter()
+    result = runner.invoke(cli, ["integral", "b", "--poly", "0,1", "--level", "--p", "3", "--N", "9100"])
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 2
+    assert result.output.count("Error:") == 1
+    assert "4300 digits" in result.output
 
 
 def test_verify_selected_ids(runner):
@@ -158,6 +262,17 @@ def test_verify_negative_n_max_is_usage_error(runner):
     zero = runner.invoke(cli, ["verify", "--ids", "I01", "--n-max", "0", "--format", "csv"])
     assert zero.exit_code == 0
     assert zero.output.splitlines()[1] == "I01,verified,1,0,ok"
+
+
+def test_verify_n_max_above_the_limit_is_usage_error(runner):
+    t0 = time.perf_counter()
+    result = runner.invoke(cli, ["verify", "--n-max", "31"])
+    assert result.exit_code == 2
+    assert "n_max must be >= 0 and <= 30: got 31" in result.output
+    assert time.perf_counter() - t0 < 1.0
+    top = runner.invoke(cli, ["verify", "--ids", "I01", "--n-max", "30", "--format", "csv"])
+    assert top.exit_code == 0
+    assert top.output.splitlines()[1] == "I01,verified,31,0,ok"
 
 
 # sha256 of whole `verify` outputs: they pin every record's id, order, status,

@@ -1,6 +1,6 @@
 import dataclasses
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 from volkenborn import identities, sequences as seq
@@ -58,6 +58,14 @@ def test_negative_n_max_is_rejected():
     with pytest.raises(ValueError, match="n_max must be >= 0"):
         verify_all(n_max=-7, ids=["I01"])
     assert verify("I01", n_max=0).points == 1
+
+
+def test_n_max_above_the_limit_is_rejected():
+    with pytest.raises(ValueError, match="<= 30: got 31"):
+        verify("I01", n_max=31)
+    with pytest.raises(ValueError, match="<= 30: got 31"):
+        verify_all(n_max=31)
+    assert verify("I01", n_max=30).points == 31
 
 
 @pytest.mark.parametrize(
@@ -194,7 +202,7 @@ def test_adjudication_falling_factorial_split():
         expected = falling_poly(n + 1)
         total = Polynomial.zero()
         for k in range(n + 1):
-            c = identities._ff_int(n, n - k) * (-1) ** (n - k)
+            c = perm(n, n - k) * (-1) ** (n - k)
             total = total + Polynomial.x() * falling_poly(k) * c
         assert total == expected, n
 
