@@ -100,7 +100,14 @@ class _Command(click.Command):
         try:
             return super().invoke(ctx)
         except (KeyError, ValueError) as exc:
-            raise click.UsageError(str(exc.args[0]) if exc.args else type(exc).__name__, ctx)
+            text = str(exc.args[0]) if exc.args else type(exc).__name__
+            if "integer string conversion" in text:
+                # CPython's own advice names a call a shell user cannot make
+                text = (
+                    f"the exact result has more than {sys.get_int_max_str_digits()} digits; "
+                    "set the environment variable PYTHONINTMAXSTRDIGITS higher to print it"
+                )
+            raise click.UsageError(text, ctx)
 
 
 @click.group()

@@ -21,6 +21,7 @@ from .integrals import fermionic_exact as _ferm
 from .integrals import volkenborn_exact as _volk
 from .polynomials import (
     Polynomial,
+    _dot,
     _row_sum,
     binom_int,
     binom_poly,
@@ -296,32 +297,38 @@ def _grid_order(n_hi: int = 15, k_hi: int = 6) -> Grid:
 
 
 def _sum_1f(m: int, n: int) -> Fraction:
-    return sum(
-        (-1) ** (m + n - k)
-        * binom_int(m, k)
-        * binom_int(n, k)
-        * Fraction(factorial(k) * factorial(m + n - k), m + n - k + 1)
+    return _dot(
+        (
+            (-1) ** (m + n - k) * comb(m, k) * comb(n, k) * factorial(k) * factorial(m + n - k),
+            Fraction(1, m + n - k + 1),
+        )
         for k in range(m + 1)
     )
 
 
 def _sum_1h(m: int, n: int) -> Fraction:
-    return sum(
-        seq.stirling1(n, j) * seq.stirling1(m, l) * seq.bernoulli(j + l)
-        for j in range(n + 1)
-        for l in range(m + 1)
+    b = [seq.bernoulli(i) for i in range(m + n + 1)]
+    return _dot(
+        (sn * sm, b[j + l])
+        for j, sn in enumerate(seq._stirling1_row(n))
+        for l, sm in enumerate(seq._stirling1_row(m))
     )
 
 
 def _sum_1i(m: int, n: int) -> Fraction:
-    total = Fraction(0)
-    for k in range(m + 1):
-        c = binom_int(m, k) * binom_int(n, k) * factorial(k)
-        if not c:
-            continue
-        inner = sum(seq.stirling1(m + n - k, l) * seq.bernoulli(l) for l in range(m + n - k + 1))
-        total += c * inner
-    return total
+    b = [seq.bernoulli(i) for i in range(m + n + 1)]
+    return _dot(
+        (comb(m, k) * comb(n, k) * factorial(k) * s, b[l])
+        for k in range(min(m, n) + 1)
+        for l, s in enumerate(seq._stirling1_row(m + n - k))
+    )
+
+
+def _lah_fubini(n: int, k: int) -> Fraction:
+    """The Lah numbers composed with e^t - 1, through the order-k Fubini numbers."""
+    return _dot(
+        (comb(n, m) * seq.stirling2(n - m, k), seq.fubini_order(m, k)) for m in range(n + 1)
+    )
 
 
 def _gould_square_poly(n: int) -> Polynomial:
@@ -335,32 +342,24 @@ def _gould_square_poly(n: int) -> Polynomial:
 def _newton(mu: _Integral, f: Callable[[int], int], top: int) -> Fraction:
     """The integral of f (degree <= top) through its Newton series: the sum over k of
     the integral of C(x, k), which is (-1)^k weight(k), times the k-th difference of f at 0."""
-    return sum(
-        (-1) ** k
-        * sum((-1) ** j * binom_int(k, j) * f(k - j) for j in range(k + 1))
-        * mu.weight(k)
+    fs = [f(i) for i in range(top + 1)]
+    return _dot(
+        ((-1) ** k * sum((-1) ** j * comb(k, j) * fs[k - j] for j in range(k + 1)), mu.weight(k))
         for k in range(top + 1)
     )
 
 
 def _eulerian_moment(n: int, moment: Callable[[int], Fraction], paired: bool = True) -> Fraction:
     # paired=False is the uncorrected variant: the binomial C(j, l) degenerated to 1
-    total = Fraction(0)
-    for k in range(n + 1):
-        a = seq.eulerian(n, k)
-        if not a:
-            continue
-        inner = Fraction(0)
-        for j in range(n + 1):
-            s1 = seq.stirling1(n, j)
-            if not s1:
-                continue
-            inner += s1 * sum(
-                (binom_int(j, l) if paired else 1) * (n - k) ** (j - l) * moment(l)
-                for l in range(j + 1)
-            )
-        total += a * inner
-    return total / factorial(n)
+    ms = [moment(l) for l in range(n + 1)]
+    return _dot(
+        (a * s1 * (comb(j, l) if paired else 1) * (n - k) ** (j - l), ms[l])
+        for k, a in enumerate(seq._eulerian_row(n))
+        if a
+        for j, s1 in enumerate(seq._stirling1_row(n))
+        if s1
+        for l in range(j + 1)
+    ) / factorial(n)
 
 
 def _worpitzky_coeff(n: int, j: int) -> Fraction:
@@ -444,10 +443,9 @@ def _falling_over_x_integral(rid: str, title: str, mu: _Integral) -> IdentityRec
 
 def _product_falling_tensor(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def rhs(k: int) -> Fraction:
-        return sum(
-            mu.falling(l) * mu.falling(m) * seq.osgood_wu(k, l, m)
+        return _dot(
+            (mu.falling(l), _dot((seq.osgood_wu(k, l, m), mu.falling(m)) for m in range(1, k + 1)))
             for l in range(1, k + 1)
-            for m in range(1, k + 1)
         )
 
     return IdentityRecord(
@@ -488,7 +486,7 @@ def _scaled_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
         return mu.exact(_binom_scaled_poly(m, n))
 
     def rhs(m: int, n: int) -> Fraction:
-        return _newton(mu, lambda i: binom_int(m * i, n), n)
+        return _newton(mu, lambda i: comb(m * i, n), n)
 
     return IdentityRecord(rid, title, ("m", "n"), _grid_pairs(5, 15), lhs, rhs)
 
@@ -498,7 +496,7 @@ def _binomial_power(rid: str, title: str, mu: _Integral) -> IdentityRecord:
         return mu.exact(binom_poly(n) ** r)
 
     def rhs(r: int, n: int) -> Fraction:
-        return _newton(mu, lambda i: binom_int(i, n) ** r, n * r)
+        return _newton(mu, lambda i: comb(i, n) ** r, n * r)
 
     return IdentityRecord(rid, title, ("r", "n"), _grid_pairs(3, 15), lhs, rhs)
 
@@ -526,7 +524,7 @@ def _gould_square(rid: str, title: str, mu: _Integral, note: str) -> IdentityRec
 
 def _degree_shifted_newton(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
-        return _newton(mu, lambda i: binom_int(i + n, n), n)
+        return _newton(mu, lambda i: comb(i + n, n), n)
 
     return IdentityRecord(
         rid, title, ("n",), _grid_n(0, 15), lambda n: mu.exact(_binom_shift_poly(n, n)), rhs
@@ -1149,22 +1147,16 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Composition of the Lah and exponential generating functions",
         params=("n", "k"),
         grid=_grid_order(15, 6),
-        lhs=lambda n, k: sum(
-            seq.stirling2(n, m) * seq.lah_unsigned(m, k) for m in range(n + 1)
+        lhs=lambda n, k: _dot(
+            (s, seq.lah_unsigned(m, k)) for m, s in enumerate(seq._stirling2_row(n))
         ),
-        rhs=lambda n, k: sum(
-            binom_int(n, m) * seq.stirling2(n - m, k) * seq.fubini_order(m, k)
-            for m in range(n + 1)
-        ),
+        rhs=_lah_fubini,
         status=CORRECTED,
         note="the Lah factor must carry the summation index and the unsigned "
         "family (the substituted series has positive coefficients)",
         literal=lambda n, k: (
             seq.lah(n, k) * sum(seq.stirling2(n, m) for m in range(n + 1)),
-            sum(
-                binom_int(n, m) * seq.stirling2(n - m, k) * seq.fubini_order(m, k)
-                for m in range(n + 1)
-            ),
+            _lah_fubini(n, k),
         ),
         counterexample=(2, 1),
     ))

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import padic
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _dot
 from .sequences import bernoulli, bernoulli_poly, euler, euler_poly
 
 __all__ = [
@@ -69,12 +69,12 @@ class Measure:
 
 def volkenborn_exact(f: Polynomial) -> Fraction:
     """Bosonic integral of a polynomial: sum of coefficient i times B_i."""
-    return sum((c * bernoulli(i) for i, c in enumerate(f) if c), Fraction(0))
+    return _dot((c, bernoulli(i)) for i, c in enumerate(f) if c)
 
 
 def fermionic_exact(f: Polynomial) -> Fraction:
     """Fermionic integral of a polynomial: sum of coefficient i times E_i."""
-    return sum((c * euler(i) for i, c in enumerate(f) if c), Fraction(0))
+    return _dot((c, euler(i)) for i, c in enumerate(f) if c)
 
 
 def exact_integral(f: Polynomial, measure: Measure) -> Optional[Fraction]:

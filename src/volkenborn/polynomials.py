@@ -9,11 +9,13 @@ Products of linear factors (falling, rising and binomial-type
 polynomials) are built in plain ints by ``linear_product`` and turned
 into Fractions once, with a single rational scale, by ``int_poly``;
 ``taylor_rows`` expands such a product at a shifted argument.
+``_dot`` sums products of rationals exactly without building a Fraction
+per term, for the hot sums of the integrals and the identity catalog.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Iterable, Sequence, Union
 
 __all__ = [
@@ -249,6 +251,22 @@ def taylor_rows(ints: Sequence[int], scale: Scalar = 1) -> list[Polynomial]:
         int_poly([comb(k + i, i) * ints[k + i] for k in range(d - i + 1)], scale)
         for i in range(d + 1)
     ]
+
+
+def _dot(pairs: Iterable[tuple[Scalar, Scalar]]) -> Fraction:
+    """The exact sum of w * v over pairs of ints or Fractions.
+
+    Numerator products are added into one bucket per product denominator and
+    reduced once over the lcm of the buckets, so no term builds a Fraction.
+    """
+    buckets: dict[int, int] = {}
+    for w, v in pairs:
+        if not (isinstance(w, (int, Fraction)) and isinstance(v, (int, Fraction))):
+            raise TypeError(f"expected exact rationals, got {type(w).__name__}, {type(v).__name__}")
+        d = w.denominator * v.denominator
+        buckets[d] = buckets.get(d, 0) + w.numerator * v.numerator
+    den = lcm(*buckets)
+    return Fraction(sum(num * (den // d) for d, num in buckets.items()), den)
 
 
 def _row_sum(rows: Sequence[Polynomial], weights: Callable[[int], Scalar]) -> Polynomial:

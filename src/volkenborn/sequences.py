@@ -10,6 +10,8 @@ Fubini numbers share one recurrence for the coefficients of
 r t^j / (c e^t + d).  The associated and lambda-Stirling numbers, the
 order-k Fubini numbers and the second-kind Bernoulli polynomials are
 finite sums over the Stirling triangles and Cauchy numbers.
+The Stirling and Eulerian rows are stored as ints, so a sum over a whole
+row reads it once; the public entry functions return ``Fraction``s.
 The memoized families keep their values in a ``_Memo``: one list per
 key (the family's parameter, or ``None``), grown under the single
 module lock by appending one entry at a time.  A list is only ever
@@ -21,10 +23,19 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial
+from functools import partial
+from math import comb, factorial
 from typing import Callable, Hashable
 
-from .polynomials import Polynomial, _row_sum, binom_int, falling_poly, linear_product, taylor_rows
+from .polynomials import (
+    Polynomial,
+    _dot,
+    _row_sum,
+    binom_int,
+    falling_poly,
+    linear_product,
+    taylor_rows,
+)
 
 __all__ = [
     "apostol_bernoulli",
@@ -229,11 +240,11 @@ def _triangle(a: Callable[[int, int], int], b: Callable[[int, int], int]) -> _Me
     Entries outside 0 <= k <= n are 0.
     """
 
-    def row(rows: list[list[Fraction]], _key: None) -> list[Fraction]:
+    def row(rows: list[list[int]], _key: None) -> list[int]:
         n = len(rows)
         if n == 0:
-            return [Fraction(1)]
-        prev = [Fraction(0), *rows[-1], Fraction(0)]  # prev[k] = T(n-1, k-1)
+            return [1]
+        prev = [0, *rows[-1], 0]  # prev[k] = T(n-1, k-1)
         return [a(n, k) * prev[k] + b(n, k) * prev[k + 1] for k in range(n + 1)]
 
     return _Memo(row)
@@ -242,6 +253,10 @@ def _triangle(a: Callable[[int, int], int], b: Callable[[int, int], int]) -> _Me
 _STIRLING1 = _triangle(lambda n, k: 1, lambda n, k: 1 - n)
 _STIRLING2 = _triangle(lambda n, k: 1, lambda n, k: k)
 _EULERIAN = _triangle(lambda n, k: n - k + 1, lambda n, k: k)
+# row n of a triangle as ints, index k: the stored list, to be read and not changed
+_stirling1_row = partial(_STIRLING1.get, None)
+_stirling2_row = partial(_STIRLING2.get, None)
+_eulerian_row = partial(_EULERIAN.get, None)
 
 
 def _entry(rows: _Memo, n: int, k: int) -> Fraction:
@@ -250,7 +265,7 @@ def _entry(rows: _Memo, n: int, k: int) -> Fraction:
     _check_index(k, "k")
     if k > n:
         return Fraction(0)
-    return rows.get(None, n)[k]
+    return Fraction(rows.get(None, n)[k])
 
 
 def stirling1(n: int, k: int) -> Fraction:
@@ -438,13 +453,15 @@ def fubini_order(n: int, k: int) -> Fraction:
     _check_index(n)
     if k <= 0:
         raise ValueError("k must be >= 1")
-    return sum(binom_int(k + j - 1, j) * factorial(j) * stirling2(n, j) for j in range(n + 1))
+    row = _stirling2_row(n)
+    return Fraction(sum(comb(k + j - 1, j) * factorial(j) * s for j, s in enumerate(row)))
 
 
 def cauchy(n: int) -> Fraction:
     """Cauchy number: the Riemann integral of the falling factorial over [0, 1]."""
     _check_index(n)
-    return sum((c / (i + 1) for i, c in enumerate(falling_poly(n))), Fraction(0))
+    falling = linear_product((-j, 1) for j in range(n))
+    return _dot((c, Fraction(1, i + 1)) for i, c in enumerate(falling))
 
 
 def bernoulli_second_poly(n: int) -> Polynomial:
@@ -481,7 +498,10 @@ def osgood_wu(k: int, l: int, m: int) -> Fraction:
         raise ValueError("k must be >= 1")
     if not (1 <= l <= k and 1 <= m <= k):
         raise ValueError("l and m must lie in 1..k")
-    return sum(stirling1(k, j) * stirling2(j, l) * stirling2(j, m) for j in range(1, k + 1))
+    s1 = _stirling1_row(k)
+    return Fraction(sum(
+        s1[j] * _stirling2_row(j)[l] * _stirling2_row(j)[m] for j in range(max(l, m), k + 1)
+    ))
 
 
 def clear_caches() -> None:

@@ -224,6 +224,8 @@ def test_unprintable_exact_result_is_usage_error(runner):
     assert result.exit_code == 2
     assert result.output.count("Error:") == 1
     assert "4300 digits" in result.output
+    assert "PYTHONINTMAXSTRDIGITS" in result.output
+    assert "set_int_max_str_digits" not in result.output
 
 
 def test_verify_selected_ids(runner):
