@@ -22,12 +22,11 @@ from .integrals import volkenborn_exact as _volk
 from .polynomials import (
     Polynomial,
     _dot,
+    _factorial_poly,
     _row_sum,
     binom_int,
     binom_poly,
     falling_poly,
-    int_poly,
-    linear_product,
     rising_poly,
     taylor_rows,
 )
@@ -155,37 +154,9 @@ class IdentityReport:
 # polynomial builders and small numeric helpers
 
 
-def _negate_var(f: Polynomial) -> Polynomial:
-    """f(-x)."""
-    return Polynomial([c if i % 2 == 0 else -c for i, c in enumerate(f)])
-
-
-def _binom_shift_poly(n: int, a: Fraction | int) -> Polynomial:
-    """C(x + a, n) as a polynomial in x (a may be any rational).
-
-    With a = p/q each factor x + a - j is ((p - q j) + q x)/q, so the
-    product is taken in ints and scaled once by 1/(q^n n!).
-    """
-    av = Fraction(a)
-    p, q = av.numerator, av.denominator
-    return int_poly(
-        linear_product((p - q * j, q) for j in range(n)), Fraction(1, q**n * factorial(n))
-    )
-
-
-def _binom_reflected_poly(n: int) -> Polynomial:
-    """C(n - x, n) as a polynomial in x."""
-    return int_poly(linear_product((j, -1) for j in range(1, n + 1)), Fraction(1, factorial(n)))
-
-
-def _binom_scaled_poly(m: int, n: int) -> Polynomial:
-    """C(m x, n) as a polynomial in x."""
-    return int_poly(linear_product((-j, m) for j in range(n)), Fraction(1, factorial(n)))
-
-
-def _falling_over_x(n: int) -> Polynomial:
-    """(x-1)(x-2)...(x-n): the degree-(n+1) falling factorial divided by x."""
-    return int_poly(linear_product((-j, 1) for j in range(1, n + 1)))
+def _binom(n: int, a: Fraction | int = 0, b: int = 1) -> Polynomial:
+    """C(a + b x, n) as a polynomial in x (a may be any rational, b any integer)."""
+    return _factorial_poly(n, a, b, Fraction(1, factorial(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,24 +165,12 @@ def _falling_over_x(n: int) -> Polynomial:
 
 def _binom_of_sum_rows(n: int) -> list[Polynomial]:
     """C(x + y, n), the falling factorial at x + y over n!."""
-    falling = linear_product((-j, 1) for j in range(n))
-    return taylor_rows(falling, Fraction(1, factorial(n)))
+    return taylor_rows(binom_poly(n))
 
 
 def _product_falling_rows(k: int) -> list[Polynomial]:
-    """(xy)(xy - 1)...(xy - k + 1)."""
-    rows = [Polynomial.one()]
-    xp = Polynomial.x()
-    for j in range(k):
-        # multiply by (x*y - j)
-        new = []
-        for i in range(len(rows) + 1):
-            term = rows[i - 1] * xp if i >= 1 else Polynomial.zero()
-            if i < len(rows):
-                term = term + rows[i] * (-j)
-            new.append(term)
-        rows = new
-    return rows
+    """(xy)(xy - 1)...(xy - k + 1): row i is c_i x^i, c_i the x^i coefficient of (x)_k."""
+    return [Polynomial.monomial(i, c) for i, c in enumerate(falling_poly(k))]
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +182,14 @@ class _Integral:
     """What the bosonic or the fermionic integral contributes to a statement:
     ``exact`` integrates a polynomial, ``moment(n)`` is the integral of x^n
     (B_n or E_n), ``falling(n)`` that of the falling factorial (the Daehee
-    or Changhee number), and ``weight(k)`` is |integral of C(x, k)| written
-    in closed form (1/(k + 1) or 1/2^k)."""
+    or Changhee number), ``hat(n)`` the closed form of that of the rising
+    factorial (the second-kind number), and ``weight(k)`` is |integral of
+    C(x, k)| written in closed form (1/(k + 1) or 1/2^k)."""
 
     exact: Evaluator
     moment: Callable[[int], Fraction]
     falling: Callable[[int], Fraction]
+    hat: Callable[[int], Fraction]
     weight: Callable[[int], Fraction]
 
     def rising(self, n: int) -> Fraction:
@@ -243,8 +204,8 @@ class _Integral:
 def _integrals() -> tuple[_Integral, _Integral]:
     """The bosonic and the fermionic integral, from the names bound at the call."""
     return (
-        _Integral(_volk, seq.bernoulli, seq.daehee, lambda k: Fraction(1, k + 1)),
-        _Integral(_ferm, seq.euler, seq.changhee, lambda k: Fraction(1, 2**k)),
+        _Integral(_volk, seq.bernoulli, seq.daehee, seq.daehee_hat, lambda k: Fraction(1, k + 1)),
+        _Integral(_ferm, seq.euler, seq.changhee, seq.changhee_hat, lambda k: Fraction(1, 2**k)),
     )
 
 
@@ -293,7 +254,12 @@ def _grid_order(n_hi: int = 15, k_hi: int = 6) -> Grid:
 
 
 # ---------------------------------------------------------------------------
-# shared right-hand sides
+# shared sides
+
+
+def _falling_pair(m: int, n: int) -> Fraction:
+    """The bosonic integral of (x)_m (x)_n: the left side of I23a-I23d."""
+    return _volk(falling_poly(m) * falling_poly(n))
 
 
 def _sum_1f(m: int, n: int) -> Fraction:
@@ -333,9 +299,9 @@ def _lah_fubini(n: int, k: int) -> Fraction:
 
 def _gould_square_poly(n: int) -> Polynomial:
     """x C(x-2, n-1) + x(x-1) C(x-3, n-2), the expansion of sum (-1)^k C(x,k) k^2."""
-    p = Polynomial.x() * _binom_shift_poly(n - 1, -2)
+    p = Polynomial.x() * _binom(n - 1, -2)
     if n >= 2:
-        p = p + Polynomial.x() * Polynomial([-1, 1]) * _binom_shift_poly(n - 2, -3)
+        p = p + Polynomial.x() * Polynomial([-1, 1]) * _binom(n - 2, -3)
     return p
 
 
@@ -437,7 +403,7 @@ def _falling_over_x_integral(rid: str, title: str, mu: _Integral) -> IdentityRec
         )
 
     return IdentityRecord(
-        rid, title, ("n",), _grid_n(0, 15), lambda n: mu.exact(_falling_over_x(n)), rhs
+        rid, title, ("n",), _grid_n(0, 15), lambda n: mu.exact(_factorial_poly(n, -1)), rhs
     )
 
 
@@ -473,7 +439,7 @@ def _product_falling_stirling(rid: str, title: str, mu: _Integral, note: str) ->
 
 def _shifted_binomial_times_x(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def lhs(n: int) -> Fraction:
-        return mu.exact(Polynomial.x() * _binom_shift_poly(n - 1, -2))
+        return mu.exact(Polynomial.x() * _binom(n - 1, -2))
 
     def rhs(n: int) -> Fraction:
         return (-1) ** n * sum(k * mu.weight(k) for k in range(1, n + 1))
@@ -483,7 +449,7 @@ def _shifted_binomial_times_x(rid: str, title: str, mu: _Integral) -> IdentityRe
 
 def _scaled_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def lhs(m: int, n: int) -> Fraction:
-        return mu.exact(_binom_scaled_poly(m, n))
+        return mu.exact(_binom(n, 0, m))
 
     def rhs(m: int, n: int) -> Fraction:
         return _newton(mu, lambda i: comb(m * i, n), n)
@@ -513,7 +479,7 @@ def _gould_square(rid: str, title: str, mu: _Integral, note: str) -> IdentityRec
         note=note,
         literal=lambda n: (
             mu.exact(
-                Polynomial.x() * _binom_shift_poly(n - 1, -2)
+                Polynomial.x() * _binom(n - 1, -2)
                 + Polynomial.x() * Polynomial([-1, 1]) * binom_poly(n - 2)(n - 3)
             ),
             (-1) ** n * sum(k * k * mu.weight(k) for k in range(n + 1)),
@@ -527,7 +493,7 @@ def _degree_shifted_newton(rid: str, title: str, mu: _Integral) -> IdentityRecor
         return _newton(mu, lambda i: comb(i + n, n), n)
 
     return IdentityRecord(
-        rid, title, ("n",), _grid_n(0, 15), lambda n: mu.exact(_binom_shift_poly(n, n)), rhs
+        rid, title, ("n",), _grid_n(0, 15), lambda n: mu.exact(_binom(n, n)), rhs
     )
 
 
@@ -540,13 +506,13 @@ def _degree_shifted_stirling(rid: str, title: str, mu: _Integral) -> IdentityRec
         )
 
     return IdentityRecord(
-        rid, title, ("n",), _grid_n(0, 15), lambda n: mu.exact(_binom_shift_poly(n, n)), rhs
+        rid, title, ("n",), _grid_n(0, 15), lambda n: mu.exact(_binom(n, n)), rhs
     )
 
 
 def _half_integer_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def lhs(n: int) -> Fraction:
-        return mu.exact(_binom_shift_poly(n, Fraction(2 * n + 1, 2)))
+        return mu.exact(_binom(n, Fraction(2 * n + 1, 2)))
 
     def rhs(n: int) -> Fraction:
         return (2 * n + 1) * binom_int(2 * n, n) * sum(
@@ -569,12 +535,7 @@ def _rising_signed_stirling(rid: str, title: str, mu: _Integral) -> IdentityReco
 
 
 def _rising_alternating(rid: str, title: str, mu: _Integral) -> IdentityRecord:
-    def rhs(n: int) -> Fraction:
-        return factorial(n) * sum(
-            (-1) ** m * binom_int(n - 1, n - m) * mu.weight(m) for m in range(n + 1)
-        )
-
-    return IdentityRecord(rid, title, ("n",), _grid_n(1, 15), mu.rising, rhs)
+    return IdentityRecord(rid, title, ("n",), _grid_n(1, 15), mu.rising, mu.hat)
 
 
 def _eulerian_expansion(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
@@ -600,7 +561,7 @@ def _worpitzky(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord
         grid=_grid_n(1, 15),
         lhs=mu.moment,
         rhs=lambda n: sum(
-            _worpitzky_coeff(n, j) * mu.exact(_binom_shift_poly(n, j - 1)) for j in range(n + 1)
+            _worpitzky_coeff(n, j) * mu.exact(_binom(n, j - 1)) for j in range(n + 1)
         ),
         status=CORRECTED,
         note=note,
@@ -664,7 +625,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Bosonic integral of the reflected falling factorial, Lah form",
         params=("n",),
         grid=_grid_n(1, 15),
-        lhs=lambda n: _volk(_negate_var(falling_poly(n))),
+        lhs=lambda n: _volk(_factorial_poly(n, 0, -1)),
         rhs=lambda n: sum(
             (-1) ** (k + n) * binom_int(n - 1, k - 1) * F(factorial(n), k + 1)
             for k in range(1, n + 1)
@@ -675,7 +636,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Bosonic integral of the reflected falling factorial, Stirling form",
         params=("n",),
         grid=_grid_n(1, 15),
-        lhs=lambda n: _volk(_negate_var(falling_poly(n))),
+        lhs=lambda n: _volk(_factorial_poly(n, 0, -1)),
         rhs=lambda n: sum(
             (-1) ** m * seq.stirling1(n, m) * seq.bernoulli(m) for m in range(n + 2)
         ),
@@ -692,10 +653,7 @@ def _build_catalog() -> list[IdentityRecord]:
         params=("n",),
         grid=_grid_n(1, 15),
         lhs=bos.rising,
-        rhs=lambda n: sum(
-            (-1) ** k * F(factorial(n), k + 1) * binom_int(n - 1, k - 1)
-            for k in range(1, n + 1)
-        ),
+        rhs=seq.daehee_hat,
     ))
     add(_rising_lah("I05c", "Rising-factorial integral, unsigned-Lah form", bos, 0))
     add(_rising_lah_stirling("I05d", "Rising-factorial integral, Lah-Stirling double sum", bos))
@@ -858,13 +816,13 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Integral of the reflected binomial gives harmonic partial sums",
         params=("n",),
         grid=_grid_n(0, 15),
-        lhs=lambda n: _volk(_binom_reflected_poly(n)),
+        lhs=lambda n: _volk(_binom(n, n, -1)),
         rhs=lambda n: seq.harmonic(n),
         status=CORRECTED,
         note="holds under the bosonic measure and without the alternating sign; "
         "the fermionic statement with (-1)^n fails already at n = 1",
         literal=lambda n: (
-            _ferm(_binom_reflected_poly(n)),
+            _ferm(_binom(n, n, -1)),
             (-1) ** n * seq.harmonic(n),
         ),
         counterexample=(1,),
@@ -909,7 +867,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Integral of a product of falling factorials, connection form",
         params=("m", "n"),
         grid=_grid_nm(0, 15),
-        lhs=lambda m, n: _volk(falling_poly(m) * falling_poly(n)),
+        lhs=_falling_pair,
         rhs=_sum_1f,
     ))
     add(IdentityRecord(
@@ -917,7 +875,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Integral of a product of falling factorials, double-Stirling form",
         params=("m", "n"),
         grid=_grid_nm(0, 15),
-        lhs=lambda m, n: _volk(falling_poly(m) * falling_poly(n)),
+        lhs=_falling_pair,
         rhs=_sum_1h,
     ))
     add(IdentityRecord(
@@ -925,7 +883,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Integral of a product of falling factorials, mixed form",
         params=("m", "n"),
         grid=_grid_nm(0, 15),
-        lhs=lambda m, n: _volk(falling_poly(m) * falling_poly(n)),
+        lhs=_falling_pair,
         rhs=_sum_1i,
     ))
     add(IdentityRecord(
@@ -933,7 +891,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Integral of a product of falling factorials, Daehee-weighted form",
         params=("m", "n"),
         grid=_grid_nm(0, 15),
-        lhs=lambda m, n: _volk(falling_poly(m) * falling_poly(n)),
+        lhs=_falling_pair,
         rhs=lambda m, n: sum(
             binom_int(m, k) * binom_int(n, k) * factorial(k) * seq.daehee(m + n - k)
             for k in range(m + 1)
@@ -942,7 +900,7 @@ def _build_catalog() -> list[IdentityRecord]:
         note="the uncorrected form drops the k! connection factor and carries a spurious "
         "alternating sign on the already signed Daehee values",
         literal=lambda m, n: (
-            _volk(falling_poly(m) * falling_poly(n)),
+            _falling_pair(m, n),
             sum(
                 (-1) ** (m + n - k)
                 * binom_int(m, k)
@@ -1074,12 +1032,12 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Fermionic integral of the reflected binomial",
         params=("n",),
         grid=_grid_n(0, 15),
-        lhs=lambda n: _ferm(_binom_reflected_poly(n)),
+        lhs=lambda n: _ferm(_binom(n, n, -1)),
         rhs=lambda n: sum(F(1, 2**k) for k in range(n + 1)),
         status=CORRECTED,
         note="the sum must start at k = 0 and the alternating prefactor must go",
         literal=lambda n: (
-            _ferm(_binom_reflected_poly(n)),
+            _ferm(_binom(n, n, -1)),
             (-1) ** n * sum(F(1, 2**k) for k in range(1, n + 1)),
         ),
         counterexample=(1,),

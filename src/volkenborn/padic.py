@@ -84,6 +84,7 @@ def valuation(x: Rational, p: int) -> int | float:
 
 def padic_distance(x: Rational, y: Rational, p: int) -> Fraction:
     """The p-adic norm p**(-v_p(x - y)) as an exact rational; 0 when x = y."""
+    _check_prime(p)
     d = Fraction(x) - Fraction(y)
     if d == 0:
         return Fraction(0)

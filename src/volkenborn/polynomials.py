@@ -5,10 +5,14 @@ holding the coefficient of x**i, with no trailing zeros (the zero
 polynomial is the empty tuple).  Every operation is exact; nothing here
 ever touches floating point.
 
-Products of linear factors (falling, rising and binomial-type
-polynomials) are built in plain ints by ``linear_product`` and turned
-into Fractions once, with a single rational scale, by ``int_poly``;
-``taylor_rows`` expands such a product at a shifted argument.
+Every falling-factorial-type polynomial, scale * (a + b x)(a + b x - 1)
+...(a + b x - n + 1) with rational a and integer b, comes from one
+builder, ``_factorial_poly``: the falling and rising factorials, C(x, n)
+and the shifted, reflected and scaled binomials of the identity catalog.
+It multiplies the linear factors in plain ints (``linear_product``) and
+turns them into Fractions once, with a single rational scale
+(``int_poly``); no other module touches that integer format.
+``taylor_rows`` expands a polynomial at a shifted argument.
 ``_dot`` sums products of rationals exactly without building a Fraction
 per term, for the hot sums of the integrals and the identity catalog.
 """
@@ -240,16 +244,16 @@ def int_poly(ints: Iterable[int], scale: Scalar = 1) -> Polynomial:
     return Polynomial([Fraction(c * num, den) for c in ints])
 
 
-def taylor_rows(ints: Sequence[int], scale: Scalar = 1) -> list[Polynomial]:
-    """Expand P(x + t) for P = sum_m ints[m] x^m, times scale, in powers of t.
+def taylor_rows(f: Polynomial) -> list[Polynomial]:
+    """Expand f(x + t) in powers of t.
 
     Row i is the coefficient of t^i, a polynomial in x: by the binomial
-    theorem its x^k coefficient is C(k + i, i) * ints[k + i] * scale.
+    theorem its x^k coefficient is C(k + i, i) * f[k + i].
     """
-    d = len(ints) - 1
+    cs = f.coeffs
     return [
-        int_poly([comb(k + i, i) * ints[k + i] for k in range(d - i + 1)], scale)
-        for i in range(d + 1)
+        Polynomial([comb(k + i, i) * cs[k + i] for k in range(len(cs) - i)])
+        for i in range(len(cs))
     ]
 
 
@@ -279,24 +283,31 @@ def _row_sum(rows: Sequence[Polynomial], weights: Callable[[int], Scalar]) -> Po
     return out
 
 
-def _falling_ints(n: int) -> list[int]:
+def _factorial_poly(n: int, a: Scalar = 0, b: int = 1, scale: Scalar = 1) -> Polynomial:
+    """scale * (a + b x)(a + b x - 1)...(a + b x - n + 1) for rational a and integer b.
+
+    With a = p/q each factor is ((p - q j) + q b x)/q, so the product is
+    taken in ints and scaled once by scale/q^n.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return linear_product((-j, 1) for j in range(n))
+    p, q = a.numerator, a.denominator
+    if q != 1:
+        scale = Fraction(scale, q**n)
+    return int_poly(linear_product((p - q * j, q * b) for j in range(n)), scale)
 
 
 def falling_poly(n: int) -> Polynomial:
     """The degree-n falling factorial x(x-1)...(x-n+1); 1 for n = 0."""
-    return int_poly(_falling_ints(n))
+    return _factorial_poly(n)
 
 
 def rising_poly(n: int) -> Polynomial:
     """The degree-n rising factorial x(x+1)...(x+n-1); 1 for n = 0."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return int_poly(linear_product((j, 1) for j in range(n)))
+    return _factorial_poly(n, n - 1)
 
 
 def binom_poly(n: int) -> Polynomial:
     """The polynomial C(x, n) = x(x-1)...(x-n+1)/n!."""
-    return int_poly(_falling_ints(n), Fraction(1, factorial(n)))
+    # max: a negative n must reach the builder's own check
+    return _factorial_poly(n, scale=Fraction(1, factorial(max(n, 0))))

@@ -33,7 +33,7 @@ from .polynomials import (
     _row_sum,
     binom_int,
     falling_poly,
-    linear_product,
+    rising_poly,
     taylor_rows,
 )
 
@@ -382,15 +382,20 @@ def daehee(n: int) -> Fraction:
     return Fraction((-1) ** n * factorial(n), n + 1)
 
 
-def daehee_hat(n: int) -> Fraction:
-    """Second-kind Daehee number: the bosonic integral of the rising factorial."""
+def _second_kind(n: int, weight: Callable[[int], Fraction]) -> Fraction:
+    """n! sum_m (-1)^m C(n-1, n-m) weight(m): the integral of the rising factorial, read
+    off the integrals (-1)^m weight(m) of C(x, m), for weight 1/(m+1) or 1/2^m."""
     _check_index(n)
     if n == 0:
         return Fraction(1)
-    return sum(
-        Fraction((-1) ** k * factorial(n), k + 1) * binom_int(n - 1, k - 1)
-        for k in range(1, n + 1)
+    return factorial(n) * _dot(
+        ((-1) ** m * comb(n - 1, n - m), weight(m)) for m in range(1, n + 1)
     )
+
+
+def daehee_hat(n: int) -> Fraction:
+    """Second-kind Daehee number: the bosonic integral of the rising factorial."""
+    return _second_kind(n, lambda m: Fraction(1, m + 1))
 
 
 def changhee(n: int) -> Fraction:
@@ -401,35 +406,25 @@ def changhee(n: int) -> Fraction:
 
 def changhee_hat(n: int) -> Fraction:
     """Second-kind Changhee number: the fermionic integral of the rising factorial."""
-    _check_index(n)
-    if n == 0:
-        return Fraction(1)
-    return factorial(n) * sum(
-        Fraction((-1) ** m, 2**m) * binom_int(n - 1, n - m) for m in range(n + 1)
-    )
-
-
-def _shifted_factorial_in_t(n: int, rising: bool) -> list[Polynomial]:
-    """Coefficients (polynomials in x) of t^i in (x+t)(x+t-+1)...; see callers."""
-    return taylor_rows(linear_product((j if rising else -j, 1) for j in range(n)))
+    return _second_kind(n, lambda m: Fraction(1, 2**m))
 
 
 def daehee_poly(n: int) -> Polynomial:
     """Daehee polynomial: bosonic integral of (x+t)(x+t-1)...(x+t-n+1) in t."""
     _check_index(n)
-    return _row_sum(_shifted_factorial_in_t(n, rising=False), bernoulli)
+    return _row_sum(taylor_rows(falling_poly(n)), bernoulli)
 
 
 def daehee_hat_poly(n: int) -> Polynomial:
     """Second-kind Daehee polynomial: bosonic integral of the shifted rising factorial."""
     _check_index(n)
-    return _row_sum(_shifted_factorial_in_t(n, rising=True), bernoulli)
+    return _row_sum(taylor_rows(rising_poly(n)), bernoulli)
 
 
 def changhee_poly(n: int) -> Polynomial:
     """Changhee polynomial: fermionic integral of the shifted falling factorial."""
     _check_index(n)
-    return _row_sum(_shifted_factorial_in_t(n, rising=False), euler)
+    return _row_sum(taylor_rows(falling_poly(n)), euler)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +455,7 @@ def fubini_order(n: int, k: int) -> Fraction:
 def cauchy(n: int) -> Fraction:
     """Cauchy number: the Riemann integral of the falling factorial over [0, 1]."""
     _check_index(n)
-    falling = linear_product((-j, 1) for j in range(n))
-    return _dot((c, Fraction(1, i + 1)) for i, c in enumerate(falling))
+    return _dot((c, Fraction(1, i + 1)) for i, c in enumerate(falling_poly(n)))
 
 
 def bernoulli_second_poly(n: int) -> Polynomial:

@@ -71,3 +71,46 @@ def test_unsigned_lah_numbers_from_sympy_stirling():
 def test_bell_numbers_as_second_kind_stirling_sums():
     for n in range(41):
         assert sum(seq.stirling2(n, k) for k in range(n + 1)) == frac(sympy.bell(n)), n
+
+
+# ---------------------------------------------------------------------------
+# the generating-function families, against sympy's series expansions of
+# their EGFs: n! [t^n] F(t) for n <= 10, at one parameter each
+
+T = sympy.Symbol("t")
+EGF_TOP = 10
+LAM, U, K = Fraction(2, 3), 3, 3
+
+
+def egf_coeffs(expr) -> list[Fraction]:
+    """n! times the coefficient of t^n in sympy's expansion of expr, for n <= EGF_TOP."""
+    poly = sympy.series(expr, T, 0, EGF_TOP + 1).removeO()
+    return [frac(sympy.expand(poly).coeff(T, n) * sympy.factorial(n)) for n in range(EGF_TOP + 1)]
+
+
+_lam, _u, _e = sympy.Rational(LAM.numerator, LAM.denominator), sympy.Integer(U), sympy.exp(T)
+EGF_FAMILIES = {
+    "apostol_bernoulli": (T / (_lam * _e - 1), lambda n: seq.apostol_bernoulli(n, LAM)),
+    "apostol_euler": (2 / (_lam * _e + 1), lambda n: seq.apostol_euler(n, LAM)),
+    "frobenius_euler": ((1 - _u) / (_e - _u), lambda n: seq.frobenius_euler(n, U)),
+    "cauchy": (T / sympy.log(1 + T), seq.cauchy),
+    "assoc_stirling1": (
+        (sympy.log(1 + T) - T) ** K / sympy.factorial(K),
+        lambda n: seq.assoc_stirling1(n, K),
+    ),
+    "assoc_stirling2": (
+        (_e - 1 - T) ** K / sympy.factorial(K),
+        lambda n: seq.assoc_stirling2(n, K),
+    ),
+    "stirling2_lambda": (
+        (_lam * _e - 1) ** K / sympy.factorial(K),
+        lambda n: seq.stirling2_lambda(n, K, LAM),
+    ),
+    "fubini_order": (1 / (2 - _e) ** K, lambda n: seq.fubini_order(n, K)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EGF_FAMILIES))
+def test_egf_families_against_sympy_series(name):
+    expr, family = EGF_FAMILIES[name]
+    assert [family(n) for n in range(EGF_TOP + 1)] == egf_coeffs(expr)

@@ -182,7 +182,7 @@ def test_adjudication_square_weighted_binomial_expansion():
         assert alternating == amended, n
         # with a constant in place of that binomial the polynomials differ from n = 3 on
         if n >= 3:
-            literal = Polynomial.x() * identities._binom_shift_poly(n - 1, -2) * (-1) ** n
+            literal = Polynomial.x() * identities._binom(n - 1, -2) * (-1) ** n
             assert alternating != literal, n
 
 
@@ -192,7 +192,7 @@ def test_adjudication_reflected_binomial_is_plain_alternating_sum():
         total = Polynomial.zero()
         for k in range(n + 1):
             total = total + binom_poly(k) * (-1) ** k
-        assert total == identities._binom_reflected_poly(n), n
+        assert total == identities._binom(n, n, -1), n
 
 
 def test_adjudication_falling_factorial_split():
@@ -216,7 +216,7 @@ def test_adjudication_worpitzky_basis_expansion():
             c = identities._worpitzky_coeff(n, j)
             assert c == seq.eulerian(n, j)
             if c:
-                total = total + identities._binom_shift_poly(n, j - 1) * c
+                total = total + identities._binom(n, j - 1) * c
         assert total == Polynomial.monomial(n), n
 
 
@@ -243,6 +243,6 @@ def test_adjudication_harmonic_measure():
     from volkenborn.integrals import fermionic_exact, volkenborn_exact
 
     for n in range(11):
-        poly = identities._binom_reflected_poly(n)
+        poly = identities._binom(n, n, -1)
         assert volkenborn_exact(poly) == seq.harmonic(n)
         assert fermionic_exact(poly) == sum(Fraction(1, 2**k) for k in range(n + 1))

@@ -1,20 +1,23 @@
 """Integer products of linear factors against the Fraction loops they replaced.
 
-Falling, rising and binomial-type polynomials are built in ints by
-``linear_product`` and scaled once; the bivariate expansions are Taylor
-rows of that integer product.  The references below are the earlier
-factor-by-factor loops, multiplying by the Fraction convolution, so they
-share no code with the integer path of ``Polynomial.__mul__``.
+Every falling-factorial-type polynomial is built by one builder,
+``polynomials._factorial_poly``, in ints through ``linear_product`` and
+scaled once; the bivariate expansions are Taylor rows of such a
+polynomial.  The references below are the earlier factor-by-factor and
+t-by-t loops, multiplying by the Fraction convolution, so they share no
+code with the integer path of ``Polynomial.__mul__``.
 """
 from fractions import Fraction
 from math import factorial
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from volkenborn import identities, sequences
+from volkenborn import identities
 from volkenborn.polynomials import (
     Polynomial,
+    _factorial_poly,
     binom_poly,
     falling_poly,
     int_poly,
@@ -77,38 +80,42 @@ def test_falling_rising_and_binom_match_factor_loops(n):
     assert binom_poly(n) == falling * Fraction(1, factorial(n))
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=20), rationals)
-# the shifts the catalog uses: -2, -3, n and n + 1/2
-@example(9, -2)
-@example(8, -3)
-@example(10, 10)
-@example(7, Fraction(15, 2))
-def test_binom_shift_matches_factor_loop(n, a):
-    expected = product(((a - j, 1) for j in range(n)), Fraction(1, factorial(n)))
-    assert identities._binom_shift_poly(n, a) == expected
+@pytest.mark.parametrize("build", [falling_poly, rising_poly, binom_poly])
+def test_builders_reject_a_negative_degree(build):
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        build(-1)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=-8, max_value=8), st.integers(min_value=0, max_value=20))
-def test_binom_scaled_matches_factor_loop(m, n):
-    expected = product(((-j, m) for j in range(n)), Fraction(1, factorial(n)))
-    assert identities._binom_scaled_poly(m, n) == expected
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=30))
-def test_reflected_binom_and_falling_over_x_match_factor_loops(n):
-    reflected = product(((j, -1) for j in range(1, n + 1)), Fraction(1, factorial(n)))
-    assert identities._binom_reflected_poly(n) == reflected
-    assert identities._falling_over_x(n) == product((-j, 1) for j in range(1, n + 1))
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=20),
+    rationals,
+    st.integers(min_value=-8, max_value=8),
+    rationals,
+)
+# the catalog's shifts: -2, -3, n and n + 1/2, the reflected C(n - x, n),
+# the scaled C(m x, n), the falling factorial at -x, and (x - 1)...(x - n), the
+# falling factorial over x
+@example(9, -2, 1, Fraction(1, factorial(9)))
+@example(8, -3, 1, Fraction(1, factorial(8)))
+@example(10, 10, 1, Fraction(1, factorial(10)))
+@example(7, Fraction(15, 2), 1, Fraction(1, factorial(7)))
+@example(12, 12, -1, Fraction(1, factorial(12)))
+@example(11, 0, 5, Fraction(1, factorial(11)))
+@example(9, 0, -1, 1)
+@example(6, 0, -8, 1)
+@example(15, -1, 1, 1)
+@example(5, Fraction(3, 7), 0, 2)
+def test_factorial_poly_matches_factor_by_factor_product(n, a, b, scale):
+    expected = product(((a - j, b) for j in range(n)), scale)
+    assert _factorial_poly(n, a, b, scale) == expected
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=20), st.booleans())
 def test_shifted_factorial_rows_match_t_by_t_loop(n, rising):
     expected = shifted_rows(n, (lambda j: j) if rising else (lambda j: -j))
-    assert sequences._shifted_factorial_in_t(n, rising) == expected
+    assert taylor_rows(rising_poly(n) if rising else falling_poly(n)) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -120,11 +127,34 @@ def test_binom_of_sum_rows_match_t_by_t_loop(n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(int_coeffs, rationals, rationals, rationals)
-def test_taylor_rows_expand_the_shifted_polynomial(ints, scale, x, t):
-    rows = taylor_rows(ints, scale)
+@given(st.lists(rationals, max_size=10), rationals, rationals)
+def test_taylor_rows_expand_the_shifted_polynomial(coeffs, x, t):
+    f = Polynomial(coeffs)
+    rows = taylor_rows(f)
     shifted = sum((row(x) * t**i for i, row in enumerate(rows)), Fraction(0))
-    assert shifted == int_poly(ints, scale)(x + t)
+    assert shifted == f(x + t)
+    assert len(rows) == len(f)
+
+
+def product_falling_rows(k: int) -> list[Polynomial]:
+    """Rows in y of (xy)(xy - 1)...(xy - k + 1), multiplied out one factor at a time."""
+    rows = [Polynomial.one()]
+    xp = Polynomial.x()
+    for j in range(k):
+        # multiply by (x*y - j)
+        new = []
+        for i in range(len(rows) + 1):
+            term = fraction_mul(rows[i - 1], xp) if i >= 1 else Polynomial.zero()
+            if i < len(rows):
+                term = term + rows[i] * (-j)
+            new.append(term)
+        rows = new
+    return rows
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_product_falling_rows_match_the_multiply_loop(k):
+    assert identities._product_falling_rows(k) == product_falling_rows(k)
 
 
 @settings(max_examples=60, deadline=None)

@@ -56,6 +56,12 @@ def test_distance_examples():
     assert padic_distance(Fraction(1, 5), 0, 5) == 5
 
 
+@pytest.mark.parametrize("x, y, p", [(5, 5, 1), (1, 1, 4), (1, 2, 4), (0, 0, 0), (3, 3, -7)])
+def test_distance_rejects_a_non_prime_even_for_equal_points(x, y, p):
+    with pytest.raises(ValueError, match="is not prime"):
+        padic_distance(x, y, p)
+
+
 def _random_fractions(rng, count):
     out = []
     while len(out) < count:
