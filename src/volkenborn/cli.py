@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import click
 
-from . import identities, sequences
+from . import sequences
 from .integrals import Measure, convergence_report, exact_integral, level_integral
 from .padic import valuation
 from .polynomials import Polynomial
@@ -165,6 +165,10 @@ def _triangle(family: str, n_max: int) -> tuple[list[list[str]], list[dict]]:
 @_format_option
 def cmd_seq(family: str, n_max: int, param: Optional[str], order_v: Optional[int], fmt: str) -> None:
     """Emit values 0..N of a family (triangle rows for two-index families)."""
+    if param is not None and family not in _PARAMETRIC | {"array-poly"}:
+        raise click.UsageError(f"--param does not apply to family {family}")
+    if order_v is not None and family != "array-poly":
+        raise click.UsageError(f"--v does not apply to family {family}")
     if family in _SINGLE_FAMILIES:
         pval: Optional[Fraction] = None
         if family in _PARAMETRIC:
@@ -235,6 +239,9 @@ def cmd_integral(
     """Integrate a polynomial exactly or by a level-N sum."""
     if mode_exact == mode_level:
         raise click.UsageError("choose exactly one of --exact or --level")
+    unused = [option for option, value in (("--p", prime), ("--N", level_n)) if value is not None]
+    if mode_exact and unused:
+        raise click.UsageError(f"{unused[0]} only applies to --level")
     f = _parse_poly(poly)
     m = _build_measure(measure, q)
 
@@ -293,6 +300,7 @@ def cmd_converge(poly: str, measure: str, prime: int, n_max: int, q: Optional[st
 @_format_option
 def cmd_verify(ids: Optional[str], n_max: Optional[int], jobs: int, fmt: str) -> None:
     """Run the identity suite; exit 1 on any unadjudicated mismatch."""
+    from . import identities  # the largest module, and no other command uses it
     wanted = None if ids is None else [s.strip() for s in ids.split(",")]
     if wanted is not None and not all(wanted):
         raise click.UsageError(f"empty record id in --ids {ids!r}")

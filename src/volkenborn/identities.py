@@ -459,7 +459,7 @@ def _scaled_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
 
 def _binomial_power(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def lhs(r: int, n: int) -> Fraction:
-        return mu.exact(binom_poly(n) ** r)
+        return mu.exact(falling_poly(n) ** r) / factorial(n) ** r
 
     def rhs(r: int, n: int) -> Fraction:
         return _newton(mu, lambda i: comb(i, n) ** r, n * r)

@@ -185,6 +185,17 @@ def test_converge_csv_is_exact(runner):
     assert result.output == "N,value,err_valuation\n1,1,1\n2,4,2\n"
 
 
+# requests with an option they do not use, and the option their error names
+UNUSED_OPTION = {
+    ("seq", "bernoulli", "--n", "3", "--param", "2"): "--param",
+    ("seq", "stirling1", "--n", "3", "--param", "2"): "--param",
+    ("seq", "bernoulli", "--n", "3", "--v", "2"): "--v",
+    ("seq", "apostol-euler", "--n", "3", "--param", "2", "--v", "1"): "--v",
+    ("integral", "b", "--poly", "0,1", "--exact", "--p", "4", "--N", "2"): "--p",
+    ("integral", "f", "--poly", "0,1", "--exact", "--N", "2"): "--N",
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -197,6 +208,7 @@ def test_converge_csv_is_exact(runner):
         ["table-dump", "lah", "--n-max", "-1"],
         ["seq", "array-poly", "--n", "3", "--v", "-1", "--param", "1"],
         ["seq", "bernoulli", "--n", "-1"],
+        *map(list, UNUSED_OPTION),
     ],
     ids=[
         "integral-b-with-q",
@@ -208,12 +220,24 @@ def test_converge_csv_is_exact(runner):
         "table-dump-negative-n-max",
         "seq-negative-v",
         "seq-negative-n",
+        "seq-single-with-param",
+        "seq-triangle-with-param",
+        "seq-single-with-v",
+        "seq-parametric-with-v",
+        "integral-exact-with-p",
+        "integral-exact-with-N",
     ],
 )
 def test_bad_request_is_usage_error(runner, args):
     result = runner.invoke(cli, args)
     assert result.exit_code == 2
     assert result.output.count("Error:") == 1
+
+
+@pytest.mark.parametrize("args", list(UNUSED_OPTION))
+def test_unused_option_is_named(runner, args):
+    result = runner.invoke(cli, args)
+    assert UNUSED_OPTION[args] in result.output.split("Error:")[1]
 
 
 def test_unprintable_exact_result_is_usage_error(runner):
@@ -285,6 +309,25 @@ VERIFY_DIGESTS = {
     ("--n-max", "6", "--format", "csv"): "582e7ed58a25fd3c8bef816d8a7d3c6b4fb6b6515910df2e9acd23607388147e",
     ("--format", "table"): "a7501b44f337819061d77bafb935f5583a77053a7d9286473a74c7c71def4085",
 }
+
+
+# sha256 of every --help page at an 80-column terminal: moving imports or
+# adding request checks must not change what the CLI offers
+HELP_DIGESTS = {
+    (): "3710dea5f203bf3945dde0848e961f6e85d4cc67a65c1176df21cb4630588e7f",
+    ("seq",): "e266a3892d8153a949feeca1a7d03c28390d6c621aaad80ce943d54c1941e335",
+    ("integral",): "89b8afc61e3e20cafd7589a99e376bf70e65ba3ac4f505782c1ec36c7eed8451",
+    ("converge",): "220bba41a5d37baf4fd7b5735cd5d04763333292bc4478483e7aa7510e4ce2da",
+    ("verify",): "c195489e6024106602896d7526e5d19b55a94130948fe06c6ced89f5fcb4e040",
+    ("table-dump",): "f175942591c3e36e7f81550486e007f934834b15bc0f56f882e78cee15a36591",
+}
+
+
+@pytest.mark.parametrize("args", list(HELP_DIGESTS), ids=lambda args: args[0] if args else "group")
+def test_help_is_frozen(runner, args):
+    result = runner.invoke(cli, [*args, "--help"], terminal_width=80)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == HELP_DIGESTS[args]
 
 
 @pytest.mark.parametrize("args", list(VERIFY_DIGESTS), ids=["json", "n-max-6-csv", "table"])
