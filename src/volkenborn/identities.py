@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, perm
 from typing import Callable, Optional, Sequence
 
@@ -23,12 +24,11 @@ from .polynomials import (
     Polynomial,
     _dot,
     _factorial_poly,
-    _row_sum,
+    _shifted_integral,
     binom_int,
     binom_poly,
     falling_poly,
     rising_poly,
-    taylor_rows,
 )
 from . import sequences as seq
 
@@ -160,20 +160,6 @@ def _binom(n: int, a: Fraction | int = 0, b: int = 1) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# bivariate expansions: row i is the coefficient of y^i, a Polynomial in x
-
-
-def _binom_of_sum_rows(n: int) -> list[Polynomial]:
-    """C(x + y, n), the falling factorial at x + y over n!."""
-    return taylor_rows(binom_poly(n))
-
-
-def _product_falling_rows(k: int) -> list[Polynomial]:
-    """(xy)(xy - 1)...(xy - k + 1): row i is c_i x^i, c_i the x^i coefficient of (x)_k."""
-    return [Polynomial.monomial(i, c) for i, c in enumerate(falling_poly(k))]
-
-
-# ---------------------------------------------------------------------------
 # the two measures
 
 
@@ -196,9 +182,10 @@ class _Integral:
         """Integral of the rising factorial: a second-kind Daehee or Changhee number."""
         return self.exact(rising_poly(n))
 
-    def double(self, rows: Sequence[Polynomial]) -> Fraction:
-        """Integrate in y monomial-by-monomial, then apply the same integral in x."""
-        return self.exact(_row_sum(rows, self.moment))
+    def falling_of_product(self, k: int) -> Fraction:
+        """Double integral in x and y of (xy)_k = sum c_i (xy)^i: the integral in y
+        leaves the diagonal sum c_i m_i x^i, which is then integrated in x."""
+        return self.exact(Polynomial([c * self.moment(i) for i, c in enumerate(falling_poly(k))]))
 
 
 def _integrals() -> tuple[_Integral, _Integral]:
@@ -213,48 +200,62 @@ def _integrals() -> tuple[_Integral, _Integral]:
 # grids
 
 
-def _grid_n(lo: int, hi: int) -> Grid:
+def _grid(*axes: range | tuple[int, ...]) -> Grid:
+    """The points of a product of axes, the last axis varying fastest.
+
+    A ``range`` axis is fixed.  An axis (lo, hi) runs from lo to hi, or from
+    lo to max(lo, cap) under a cap; (lo, hi, most) also clamps the cap at most.
+    """
+
+    def capped(cap: Optional[int], lo: int, hi: int, most: Optional[int] = None) -> range:
+        if cap is not None:
+            hi = max(lo, cap if most is None else min(cap, most))
+        return range(lo, hi + 1)
+
     def g(cap: Optional[int]) -> tuple[tuple[int, ...], ...]:
-        top = hi if cap is None else max(lo, cap)
-        return tuple((n,) for n in range(lo, top + 1))
-
-    return g
-
-
-def _grid_nm(lo: int, hi: int) -> Grid:
-    def g(cap: Optional[int]) -> tuple[tuple[int, ...], ...]:
-        top = hi if cap is None else max(lo, cap)
-        return tuple((n, m) for n in range(lo, top + 1) for m in range(lo, top + 1))
-
-    return g
-
-
-def _grid_tensor(hi: int = 8) -> Grid:
-    def g(cap: Optional[int]) -> tuple[tuple[int, ...], ...]:
-        top = hi if cap is None else max(1, min(cap, hi))
-        return tuple((k,) for k in range(1, top + 1))
-
-    return g
-
-
-def _grid_pairs(m_hi: int = 5, n_hi: int = 15) -> Grid:
-    def g(cap: Optional[int]) -> tuple[tuple[int, ...], ...]:
-        top = n_hi if cap is None else max(0, cap)
-        return tuple((m, n) for m in range(1, m_hi + 1) for n in range(0, top + 1))
-
-    return g
-
-
-def _grid_order(n_hi: int = 15, k_hi: int = 6) -> Grid:
-    def g(cap: Optional[int]) -> tuple[tuple[int, ...], ...]:
-        top = n_hi if cap is None else max(0, cap)
-        return tuple((n, k) for n in range(0, top + 1) for k in range(1, k_hi + 1))
+        return tuple(product(*(a if isinstance(a, range) else capped(cap, *a) for a in axes)))
 
     return g
 
 
 # ---------------------------------------------------------------------------
 # shared sides
+
+
+def _reflected_falling(n: int) -> Fraction:
+    """The bosonic integral of (-x)_n: the left side of I04a and I04b."""
+    return _volk(_factorial_poly(n, 0, -1))
+
+
+def _x_rising(n: int) -> Fraction:
+    """The bosonic integral of x (x)^(n): the left side of I06a and I06b."""
+    return _volk(Polynomial.x() * rising_poly(n))
+
+
+def _x_falling(n: int) -> Fraction:
+    """The bosonic integral of x (x)_n: the left side of I08a and I08b."""
+    return _volk(Polynomial.x() * falling_poly(n))
+
+
+def _daehee_step(n: int) -> Fraction:
+    """The integral of (x)_(n+1) plus n times that of (x)_n: the left side of I11a and I11b."""
+    return _volk(falling_poly(n + 1)) + n * _volk(falling_poly(n))
+
+
+def _x_falling_closed(n: int) -> Fraction:
+    """(-1)^(n+1) n!/((n+1)(n+2)): the right side of I08a and I11b."""
+    return Fraction((-1) ** (n + 1) * factorial(n), n * n + 3 * n + 2)
+
+
+def _x_falling_stirling(n: int) -> Fraction:
+    """sum_k S1(n, k-1) B_k + B_(n+1): the right side of I08b and I11a."""
+    terms = sum(seq.stirling1(n, k - 1) * seq.bernoulli(k) for k in range(1, n + 1))
+    return terms + seq.bernoulli(n + 1)
+
+
+def _binom_of_sum(n: int) -> Fraction:
+    """The bosonic double integral of C(x + y, n): the left side of I12a and I12b."""
+    return _volk(_shifted_integral(binom_poly(n), seq.bernoulli))
 
 
 def _falling_pair(m: int, n: int) -> Fraction:
@@ -368,21 +369,21 @@ def _falling_by_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def lhs(n: int) -> Fraction:
         return sum(seq.stirling1(n, k) * mu.moment(k) for k in range(n + 1))
 
-    return IdentityRecord(rid, title, ("n",), _grid_n(0, 20), lhs, mu.falling)
+    return IdentityRecord(rid, title, ("n",), _grid((0, 20)), lhs, mu.falling)
 
 
 def _rising_unsigned_stirling(rid: str, title: str, mu: _Integral, lo: int) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
         return sum(seq.stirling1_unsigned(n, k) * mu.moment(k) for k in range(lo, n + 1))
 
-    return IdentityRecord(rid, title, ("n",), _grid_n(lo, 15), mu.rising, rhs)
+    return IdentityRecord(rid, title, ("n",), _grid((lo, 15)), mu.rising, rhs)
 
 
 def _rising_lah(rid: str, title: str, mu: _Integral, lo: int) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
         return sum(seq.lah_unsigned(n, k) * mu.falling(k) for k in range(lo, n + 1))
 
-    return IdentityRecord(rid, title, ("n",), _grid_n(lo, 15), mu.rising, rhs)
+    return IdentityRecord(rid, title, ("n",), _grid((lo, 15)), mu.rising, rhs)
 
 
 def _rising_lah_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
@@ -393,7 +394,7 @@ def _rising_lah_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
             for j in range(k + 1)
         )
 
-    return IdentityRecord(rid, title, ("n",), _grid_n(0, 15), mu.rising, rhs)
+    return IdentityRecord(rid, title, ("n",), _grid((0, 15)), mu.rising, rhs)
 
 
 def _falling_over_x_integral(rid: str, title: str, mu: _Integral) -> IdentityRecord:
@@ -403,7 +404,7 @@ def _falling_over_x_integral(rid: str, title: str, mu: _Integral) -> IdentityRec
         )
 
     return IdentityRecord(
-        rid, title, ("n",), _grid_n(0, 15), lambda n: mu.exact(_factorial_poly(n, -1)), rhs
+        rid, title, ("n",), _grid((0, 15)), lambda n: mu.exact(_factorial_poly(n, -1)), rhs
     )
 
 
@@ -414,9 +415,7 @@ def _product_falling_tensor(rid: str, title: str, mu: _Integral) -> IdentityReco
             for l in range(1, k + 1)
         )
 
-    return IdentityRecord(
-        rid, title, ("k",), _grid_tensor(8), lambda k: mu.double(_product_falling_rows(k)), rhs
-    )
+    return IdentityRecord(rid, title, ("k",), _grid((1, 8, 8)), mu.falling_of_product, rhs)
 
 
 def _product_falling_stirling(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
@@ -424,13 +423,13 @@ def _product_falling_stirling(rid: str, title: str, mu: _Integral, note: str) ->
         id=rid,
         title=title,
         params=("k",),
-        grid=_grid_tensor(8),
-        lhs=lambda k: mu.double(_product_falling_rows(k)),
+        grid=_grid((1, 8, 8)),
+        lhs=mu.falling_of_product,
         rhs=lambda k: sum(seq.stirling1(k, m) * mu.moment(m) ** 2 for m in range(k + 1)),
         status=CORRECTED,
         note=note,
         literal=lambda k: (
-            mu.double(_product_falling_rows(k)),
+            mu.falling_of_product(k),
             sum(seq.stirling1(k, m) * mu.moment(k) ** 2 for m in range(k + 1)),
         ),
         counterexample=(2,),
@@ -444,7 +443,7 @@ def _shifted_binomial_times_x(rid: str, title: str, mu: _Integral) -> IdentityRe
     def rhs(n: int) -> Fraction:
         return (-1) ** n * sum(k * mu.weight(k) for k in range(1, n + 1))
 
-    return IdentityRecord(rid, title, ("n",), _grid_n(1, 15), lhs, rhs)
+    return IdentityRecord(rid, title, ("n",), _grid((1, 15)), lhs, rhs)
 
 
 def _scaled_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
@@ -454,7 +453,7 @@ def _scaled_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def rhs(m: int, n: int) -> Fraction:
         return _newton(mu, lambda i: comb(m * i, n), n)
 
-    return IdentityRecord(rid, title, ("m", "n"), _grid_pairs(5, 15), lhs, rhs)
+    return IdentityRecord(rid, title, ("m", "n"), _grid(range(1, 6), (0, 15)), lhs, rhs)
 
 
 def _binomial_power(rid: str, title: str, mu: _Integral) -> IdentityRecord:
@@ -464,7 +463,7 @@ def _binomial_power(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def rhs(r: int, n: int) -> Fraction:
         return _newton(mu, lambda i: comb(i, n) ** r, n * r)
 
-    return IdentityRecord(rid, title, ("r", "n"), _grid_pairs(3, 15), lhs, rhs)
+    return IdentityRecord(rid, title, ("r", "n"), _grid(range(1, 4), (0, 15)), lhs, rhs)
 
 
 def _gould_square(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
@@ -472,7 +471,7 @@ def _gould_square(rid: str, title: str, mu: _Integral, note: str) -> IdentityRec
         id=rid,
         title=title,
         params=("n",),
-        grid=_grid_n(2, 15),
+        grid=_grid((2, 15)),
         lhs=lambda n: mu.exact(_gould_square_poly(n)),
         rhs=lambda n: (-1) ** n * sum(k * k * mu.weight(k) for k in range(n + 1)),
         status=CORRECTED,
@@ -493,7 +492,7 @@ def _degree_shifted_newton(rid: str, title: str, mu: _Integral) -> IdentityRecor
         return _newton(mu, lambda i: comb(i + n, n), n)
 
     return IdentityRecord(
-        rid, title, ("n",), _grid_n(0, 15), lambda n: mu.exact(_binom(n, n)), rhs
+        rid, title, ("n",), _grid((0, 15)), lambda n: mu.exact(_binom(n, n)), rhs
     )
 
 
@@ -506,7 +505,7 @@ def _degree_shifted_stirling(rid: str, title: str, mu: _Integral) -> IdentityRec
         )
 
     return IdentityRecord(
-        rid, title, ("n",), _grid_n(0, 15), lambda n: mu.exact(_binom(n, n)), rhs
+        rid, title, ("n",), _grid((0, 15)), lambda n: mu.exact(_binom(n, n)), rhs
     )
 
 
@@ -524,18 +523,18 @@ def _half_integer_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecor
             for k in range(n + 1)
         )
 
-    return IdentityRecord(rid, title, ("n",), _grid_n(0, 15), lhs, rhs)
+    return IdentityRecord(rid, title, ("n",), _grid((0, 15)), lhs, rhs)
 
 
 def _rising_signed_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
         return sum((-1) ** (m + n) * seq.stirling1(n, m) * mu.moment(m) for m in range(n + 2))
 
-    return IdentityRecord(rid, title, ("n",), _grid_n(0, 15), mu.rising, rhs)
+    return IdentityRecord(rid, title, ("n",), _grid((0, 15)), mu.rising, rhs)
 
 
 def _rising_alternating(rid: str, title: str, mu: _Integral) -> IdentityRecord:
-    return IdentityRecord(rid, title, ("n",), _grid_n(1, 15), mu.rising, mu.hat)
+    return IdentityRecord(rid, title, ("n",), _grid((1, 15)), mu.rising, mu.hat)
 
 
 def _eulerian_expansion(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
@@ -543,7 +542,7 @@ def _eulerian_expansion(rid: str, title: str, mu: _Integral, note: str) -> Ident
         id=rid,
         title=title,
         params=("n",),
-        grid=_grid_n(1, 15),
+        grid=_grid((1, 15)),
         lhs=mu.moment,
         rhs=lambda n: _eulerian_moment(n, mu.moment),
         status=CORRECTED,
@@ -558,7 +557,7 @@ def _worpitzky(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord
         id=rid,
         title=title,
         params=("n",),
-        grid=_grid_n(1, 15),
+        grid=_grid((1, 15)),
         lhs=mu.moment,
         rhs=lambda n: sum(
             _worpitzky_coeff(n, j) * mu.exact(_binom(n, j - 1)) for j in range(n + 1)
@@ -572,7 +571,7 @@ def _worpitzky(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord
 
 def _assoc_closed_form(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     return IdentityRecord(
-        rid, title, ("n",), _grid_n(0, 15), lambda n: _assoc_weighted(n, mu.moment), mu.falling
+        rid, title, ("n",), _grid((0, 15)), lambda n: _assoc_weighted(n, mu.moment), mu.falling
     )
 
 
@@ -606,7 +605,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I02",
         title="Bosonic integral of the shifted falling factorial",
         params=("n",),
-        grid=_grid_n(1, 15),
+        grid=_grid((1, 15)),
         lhs=lambda n: _volk(falling_poly(n).shift(1)),
         rhs=lambda n: F((-1) ** (n + 1) * factorial(n), n * n + n),
     ))
@@ -615,7 +614,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I03",
         title="Bosonic integral of the forward difference of the falling factorial",
         params=("n",),
-        grid=_grid_n(1, 15),
+        grid=_grid((1, 15)),
         lhs=lambda n: _volk(falling_poly(n).shift(1) - falling_poly(n)),
         rhs=lambda n: F((-1) ** (n + 1) * factorial(n - 1)),
     ))
@@ -624,8 +623,8 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I04a",
         title="Bosonic integral of the reflected falling factorial, Lah form",
         params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=lambda n: _volk(_factorial_poly(n, 0, -1)),
+        grid=_grid((1, 15)),
+        lhs=_reflected_falling,
         rhs=lambda n: sum(
             (-1) ** (k + n) * binom_int(n - 1, k - 1) * F(factorial(n), k + 1)
             for k in range(1, n + 1)
@@ -635,8 +634,8 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I04b",
         title="Bosonic integral of the reflected falling factorial, Stirling form",
         params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=lambda n: _volk(_factorial_poly(n, 0, -1)),
+        grid=_grid((1, 15)),
+        lhs=_reflected_falling,
         rhs=lambda n: sum(
             (-1) ** m * seq.stirling1(n, m) * seq.bernoulli(m) for m in range(n + 2)
         ),
@@ -651,7 +650,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I05b",
         title="Rising-factorial integral, alternating binomial form",
         params=("n",),
-        grid=_grid_n(1, 15),
+        grid=_grid((1, 15)),
         lhs=bos.rising,
         rhs=seq.daehee_hat,
     ))
@@ -664,8 +663,8 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I06a",
         title="Integral of x times the rising factorial, binomial form",
         params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=lambda n: _volk(Polynomial.x() * rising_poly(n)),
+        grid=_grid((1, 15)),
+        lhs=_x_rising,
         rhs=lambda n: sum(
             (-1) ** (k + 1) * binom_int(n - 1, k - 1) * F(factorial(n), k * k + 3 * k + 2)
             for k in range(1, n + 1)
@@ -675,8 +674,8 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I06b",
         title="Integral of x times the rising factorial, Bernoulli form",
         params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=lambda n: _volk(Polynomial.x() * rising_poly(n)),
+        grid=_grid((1, 15)),
+        lhs=_x_rising,
         rhs=lambda n: sum(
             seq.stirling1_unsigned(n, k) * seq.bernoulli(k + 1) for k in range(1, n + 1)
         ),
@@ -686,7 +685,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I07",
         title="Recurrence for the rising-factorial integrals with Lah weights",
         params=("n",),
-        grid=_grid_n(1, 15),
+        grid=_grid((1, 15)),
         lhs=lambda n: _volk(rising_poly(n + 1)) - n * _volk(rising_poly(n)),
         rhs=lambda n: sum(
             (-1) ** (k + 1) * seq.lah_unsigned(n, k) * F(factorial(k), k * k + 3 * k + 2)
@@ -698,18 +697,17 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I08a",
         title="Integral of x times the falling factorial, closed form",
         params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: _volk(Polynomial.x() * falling_poly(n)),
-        rhs=lambda n: F((-1) ** (n + 1) * factorial(n), n * n + 3 * n + 2),
+        grid=_grid((0, 15)),
+        lhs=_x_falling,
+        rhs=_x_falling_closed,
     ))
     add(IdentityRecord(
         id="I08b",
         title="Integral of x times the falling factorial, Stirling form",
         params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: _volk(Polynomial.x() * falling_poly(n)),
-        rhs=lambda n: sum(seq.stirling1(n, k - 1) * seq.bernoulli(k) for k in range(1, n + 1))
-        + seq.bernoulli(n + 1),
+        grid=_grid((0, 15)),
+        lhs=_x_falling,
+        rhs=_x_falling_stirling,
     ))
 
     add(_falling_over_x_integral(
@@ -720,7 +718,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I10",
         title="Integral of the shifted falling factorial of one higher degree",
         params=("n",),
-        grid=_grid_n(0, 15),
+        grid=_grid((0, 15)),
         lhs=lambda n: _volk(falling_poly(n + 1).shift(1)),
         rhs=lambda n: F((-1) ** n * factorial(n), n + 2),
     ))
@@ -729,18 +727,17 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I11a",
         title="First-kind Daehee recurrence, Stirling-Bernoulli form",
         params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=lambda n: _volk(falling_poly(n + 1)) + n * _volk(falling_poly(n)),
-        rhs=lambda n: sum(seq.stirling1(n, k - 1) * seq.bernoulli(k) for k in range(1, n + 1))
-        + seq.bernoulli(n + 1),
+        grid=_grid((1, 15)),
+        lhs=_daehee_step,
+        rhs=_x_falling_stirling,
     ))
     add(IdentityRecord(
         id="I11b",
         title="First-kind Daehee recurrence, closed form",
         params=("n",),
-        grid=_grid_n(1, 15),
-        lhs=lambda n: _volk(falling_poly(n + 1)) + n * _volk(falling_poly(n)),
-        rhs=lambda n: F((-1) ** (n + 1) * factorial(n), n * n + 3 * n + 2),
+        grid=_grid((1, 15)),
+        lhs=_daehee_step,
+        rhs=_x_falling_closed,
     ))
 
     # --- double integrals over two p-adic variables ------------------------
@@ -749,8 +746,8 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I12a",
         title="Double integral of the binomial of a sum (Chu-Vandermonde route)",
         params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: bos.double(_binom_of_sum_rows(n)),
+        grid=_grid((0, 15)),
+        lhs=_binom_of_sum,
         rhs=lambda n: (-1) ** n
         * sum(F(1, (k + 1) * (n - k + 1)) for k in range(n + 1)),
     ))
@@ -758,8 +755,8 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I12b",
         title="Double integral of the binomial of a sum, Bernoulli-product form",
         params=("n",),
-        grid=_grid_n(0, 15),
-        lhs=lambda n: bos.double(_binom_of_sum_rows(n)),
+        grid=_grid((0, 15)),
+        lhs=_binom_of_sum,
         rhs=lambda n: sum(
             binom_int(k, j) * seq.stirling1(n, k) * seq.bernoulli(j) * seq.bernoulli(k - j)
             for k in range(n + 1)
@@ -771,7 +768,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I12c",
         title="Integral of the Daehee polynomial against its argument",
         params=("n",),
-        grid=_grid_n(0, 15),
+        grid=_grid((0, 15)),
         lhs=lambda n: _volk(seq.daehee_poly(n)),
         rhs=lambda n: (-1) ** n
         * sum(F(factorial(n), (k + 1) * (n - k + 1)) for k in range(n + 1)),
@@ -781,7 +778,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I13a",
         title="Integral of the shifted binomial coefficient",
         params=("n",),
-        grid=_grid_n(1, 15),
+        grid=_grid((1, 15)),
         lhs=lambda n: _volk(binom_poly(n).shift(1)),
         rhs=lambda n: F((-1) ** (n + 1), n * n + n),
     ))
@@ -789,7 +786,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I13b",
         title="Integral of the shifted binomial coefficient, next degree",
         params=("n",),
-        grid=_grid_n(0, 15),
+        grid=_grid((0, 15)),
         lhs=lambda n: _volk(binom_poly(n + 1).shift(1)),
         rhs=lambda n: F((-1) ** n, n * n + 3 * n + 2),
     ))
@@ -815,7 +812,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I16",
         title="Integral of the reflected binomial gives harmonic partial sums",
         params=("n",),
-        grid=_grid_n(0, 15),
+        grid=_grid((0, 15)),
         lhs=lambda n: _volk(_binom(n, n, -1)),
         rhs=lambda n: seq.harmonic(n),
         status=CORRECTED,
@@ -853,7 +850,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I22",
         title="Integral of a monomial times the falling factorial",
         params=("m", "n"),
-        grid=_grid_nm(0, 15),
+        grid=_grid((0, 15), (0, 15)),
         lhs=lambda m, n: _volk(Polynomial.monomial(m) * falling_poly(n)),
         rhs=lambda m, n: sum(
             seq.stirling1(n, k) * seq.bernoulli(k + m) for k in range(n + 1)
@@ -866,7 +863,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I23a",
         title="Integral of a product of falling factorials, connection form",
         params=("m", "n"),
-        grid=_grid_nm(0, 15),
+        grid=_grid((0, 15), (0, 15)),
         lhs=_falling_pair,
         rhs=_sum_1f,
     ))
@@ -874,7 +871,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I23b",
         title="Integral of a product of falling factorials, double-Stirling form",
         params=("m", "n"),
-        grid=_grid_nm(0, 15),
+        grid=_grid((0, 15), (0, 15)),
         lhs=_falling_pair,
         rhs=_sum_1h,
     ))
@@ -882,7 +879,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I23c",
         title="Integral of a product of falling factorials, mixed form",
         params=("m", "n"),
-        grid=_grid_nm(0, 15),
+        grid=_grid((0, 15), (0, 15)),
         lhs=_falling_pair,
         rhs=_sum_1i,
     ))
@@ -890,7 +887,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I23d",
         title="Integral of a product of falling factorials, Daehee-weighted form",
         params=("m", "n"),
-        grid=_grid_nm(0, 15),
+        grid=_grid((0, 15), (0, 15)),
         lhs=_falling_pair,
         rhs=lambda m, n: sum(
             binom_int(m, k) * binom_int(n, k) * factorial(k) * seq.daehee(m + n - k)
@@ -915,7 +912,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I23e",
         title="Connection form equals double-Stirling form",
         params=("m", "n"),
-        grid=_grid_nm(0, 15),
+        grid=_grid((0, 15), (0, 15)),
         lhs=_sum_1h,
         rhs=_sum_1f,
     ))
@@ -923,7 +920,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I23f",
         title="Double-Stirling form equals mixed form",
         params=("m", "n"),
-        grid=_grid_nm(0, 15),
+        grid=_grid((0, 15), (0, 15)),
         lhs=_sum_1h,
         rhs=_sum_1i,
     ))
@@ -968,7 +965,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I26a",
         title="Fermionic integral of the shifted falling factorial",
         params=("n",),
-        grid=_grid_n(1, 15),
+        grid=_grid((1, 15)),
         lhs=lambda n: _ferm(falling_poly(n).shift(1)),
         rhs=lambda n: F((-1) ** (n + 1) * factorial(n), 2**n),
     ))
@@ -976,7 +973,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I26b",
         title="Fermionic integral of the shifted binomial coefficient",
         params=("n",),
-        grid=_grid_n(1, 15),
+        grid=_grid((1, 15)),
         lhs=lambda n: _ferm(binom_poly(n).shift(1)),
         rhs=lambda n: F((-1) ** (n + 1), 2**n),
     ))
@@ -984,7 +981,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I26c",
         title="First-kind Changhee recurrence",
         params=("n",),
-        grid=_grid_n(1, 15),
+        grid=_grid((1, 15)),
         lhs=lambda n: _ferm(falling_poly(n + 1)) + n * _ferm(falling_poly(n)),
         rhs=lambda n: F((-1) ** n * factorial(n) * (n - 1), 2 ** (n + 1)),
     ))
@@ -999,7 +996,7 @@ def _build_catalog() -> list[IdentityRecord]:
         note="the uncorrected form omits the factorials carried by the two "
         "falling-factorial integrals",
         literal=lambda k: (
-            fer.double(_product_falling_rows(k)),
+            fer.falling_of_product(k),
             sum(
                 (-1) ** (l + m) * fer.weight(l + m) * seq.osgood_wu(k, l, m)
                 for l in range(1, k + 1)
@@ -1031,7 +1028,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I26l",
         title="Fermionic integral of the reflected binomial",
         params=("n",),
-        grid=_grid_n(0, 15),
+        grid=_grid((0, 15)),
         lhs=lambda n: _ferm(_binom(n, n, -1)),
         rhs=lambda n: sum(F(1, 2**k) for k in range(n + 1)),
         status=CORRECTED,
@@ -1104,7 +1101,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I30",
         title="Composition of the Lah and exponential generating functions",
         params=("n", "k"),
-        grid=_grid_order(15, 6),
+        grid=_grid((0, 15), range(1, 7)),
         lhs=lambda n, k: _dot(
             (s, seq.lah_unsigned(m, k)) for m, s in enumerate(seq._stirling2_row(n))
         ),
@@ -1123,7 +1120,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I31",
         title="Telescoping of integral recurrences for falling factorials",
         params=("n",),
-        grid=_grid_n(0, 15),
+        grid=_grid((0, 15)),
         lhs=lambda n: sum(
             perm(n, n - k) * F(factorial(k), (k + 1) * (k + 2)) for k in range(n + 1)
         ),
@@ -1148,7 +1145,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I32b",
         title="Associated-Stirling expansion matches the plain Stirling sum",
         params=("n",),
-        grid=_grid_n(0, 15),
+        grid=_grid((0, 15)),
         lhs=lambda n: _assoc_weighted(n, seq.bernoulli),
         rhs=lambda n: sum(seq.stirling1(n, l) * seq.bernoulli(l) for l in range(n + 1)),
     ))
@@ -1159,7 +1156,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I32d",
         title="Associated-Stirling expansion under the unit-interval integral",
         params=("n",),
-        grid=_grid_n(0, 15),
+        grid=_grid((0, 15)),
         lhs=lambda n: _assoc_weighted(n, lambda i: F(1, i + 1)),
         rhs=seq.cauchy,
     ))
@@ -1168,7 +1165,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I33a",
         title="Cauchy numbers as reciprocally weighted Stirling sums",
         params=("n",),
-        grid=_grid_n(0, 20),
+        grid=_grid((0, 20)),
         lhs=seq.cauchy,
         rhs=lambda n: sum(seq.stirling1(n, k) * F(1, k + 1) for k in range(n + 1)),
     ))
@@ -1179,7 +1176,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I34a",
         title="Bernoulli numbers from factorially weighted second-kind Stirling sums",
         params=("n",),
-        grid=_grid_n(0, 20),
+        grid=_grid((0, 20)),
         lhs=seq.bernoulli,
         rhs=lambda n: sum(
             (-1) ** k * F(factorial(k), k + 1) * seq.stirling2(n, k)
@@ -1200,7 +1197,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I34b",
         title="Bernoulli numbers from Daehee-weighted second-kind Stirling sums",
         params=("n",),
-        grid=_grid_n(0, 20),
+        grid=_grid((0, 20)),
         lhs=seq.bernoulli,
         rhs=lambda n: sum(seq.daehee(k) * seq.stirling2(n, k) for k in range(n + 1)),
         status=CORRECTED,
@@ -1216,7 +1213,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I35",
         title="Bernoulli self-consistency through both Stirling kinds",
         params=("n",),
-        grid=_grid_n(0, 15),
+        grid=_grid((0, 15)),
         lhs=seq.bernoulli,
         rhs=lambda n: sum(
             seq.stirling2(n, k)

@@ -12,9 +12,14 @@ and the shifted, reflected and scaled binomials of the identity catalog.
 It multiplies the linear factors in plain ints (``linear_product``) and
 turns them into Fractions once, with a single rational scale
 (``int_poly``); no other module touches that integer format.
-``taylor_rows`` expands a polynomial at a shifted argument.
+Every integral in t of a shifted polynomial, f(x + t) against a measure
+given by its moments, comes from one kernel, ``_shifted_integral``: the
+shift f(x + a) (a point mass at a), the Bernoulli, Euler and array
+polynomials (f = x^n) and the Daehee, Changhee and second-kind Bernoulli
+polynomials (f a falling or rising factorial).
 ``_dot`` sums products of rationals exactly without building a Fraction
-per term, for the hot sums of the integrals and the identity catalog.
+per term, for the hot sums of the integrals and the identity catalog;
+both kernels reduce their integer sums through ``_reduce``.
 """
 from __future__ import annotations
 
@@ -30,7 +35,6 @@ __all__ = [
     "int_poly",
     "linear_product",
     "rising_poly",
-    "taylor_rows",
 ]
 
 Scalar = Union[Fraction, int]
@@ -192,20 +196,11 @@ class Polynomial:
         return acc
 
     def shift(self, a: Scalar) -> "Polynomial":
-        """Return f(x + a), expanded via the binomial theorem."""
+        """Return f(x + a): the integral of f(x + t) against a point mass at a."""
         av = _as_fraction(a)
         if av == 0 or not self._coeffs:
             return self
-        out = [Fraction(0)] * len(self._coeffs)
-        for i, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            # c * (x + a)^i  contributes  c * C(i, j) * a^(i-j)  to x^j
-            pw = Fraction(1)
-            for j in range(i, -1, -1):
-                out[j] += c * comb(i, j) * pw
-                pw *= av
-        return Polynomial(out)
+        return _shifted_integral(self, lambda i: av**i)
 
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self._coeffs)][1:])
@@ -244,24 +239,24 @@ def int_poly(ints: Iterable[int], scale: Scalar = 1) -> Polynomial:
     return Polynomial([Fraction(c * num, den) for c in ints])
 
 
-def taylor_rows(f: Polynomial) -> list[Polynomial]:
-    """Expand f(x + t) in powers of t.
+def _reduce(buckets: dict[int, int]) -> Fraction:
+    """The sum of num/den over the items den -> num, reduced once (0 for no items).
 
-    Row i is the coefficient of t^i, a polynomial in x: by the binomial
-    theorem its x^k coefficient is C(k + i, i) * f[k + i].
+    One denominator needs no lcm.
     """
-    cs = f.coeffs
-    return [
-        Polynomial([comb(k + i, i) * cs[k + i] for k in range(len(cs) - i)])
-        for i in range(len(cs))
-    ]
+    if len(buckets) > 1:
+        den = lcm(*buckets)
+        return Fraction(sum(num * (den // d) for d, num in buckets.items()), den)
+    for den, num in buckets.items():
+        return Fraction(num, den)
+    return Fraction(0)
 
 
 def _dot(pairs: Iterable[tuple[Scalar, Scalar]]) -> Fraction:
     """The exact sum of w * v over pairs of ints or Fractions.
 
     Numerator products are added into one bucket per product denominator and
-    reduced once over the lcm of the buckets, so no term builds a Fraction.
+    reduced once, so no term builds a Fraction.
     """
     buckets: dict[int, int] = {}
     for w, v in pairs:
@@ -269,18 +264,28 @@ def _dot(pairs: Iterable[tuple[Scalar, Scalar]]) -> Fraction:
             raise TypeError(f"expected exact rationals, got {type(w).__name__}, {type(v).__name__}")
         d = w.denominator * v.denominator
         buckets[d] = buckets.get(d, 0) + w.numerator * v.numerator
-    den = lcm(*buckets)
-    return Fraction(sum(num * (den // d) for d, num in buckets.items()), den)
+    return _reduce(buckets)
 
 
-def _row_sum(rows: Sequence[Polynomial], weights: Callable[[int], Scalar]) -> Polynomial:
-    """sum_i weights(i) * rows[i]: integrates rows in t, such as ``taylor_rows``, term by term."""
-    out = Polynomial.zero()
-    for i, row in enumerate(rows):
-        w = weights(i)
-        if w and not row.is_zero():
-            out = out + row * w
-    return out
+def _shifted_integral(f: Polynomial, moment: Callable[[int], Scalar]) -> Polynomial:
+    """The integral in t of f(x + t) against the measure whose i-th moment is moment(i).
+
+    By the binomial theorem its x^k coefficient is sum_j C(j, k) f_j m_(j-k).
+    Each coefficient adds its integer numerator products per denominator, as
+    ``_dot`` does, and is reduced once.
+    """
+    ms = [(m.numerator, m.denominator) for m in map(moment, range(len(f)))]
+    buckets: list[dict[int, int]] = [{} for _ in ms]
+    for j, c in enumerate(f.coeffs):
+        num, den = c.numerator, c.denominator
+        if not num:
+            continue
+        for k, bucket in enumerate(buckets[: j + 1]):
+            m_num, m_den = ms[j - k]
+            if m_num:
+                d = den * m_den
+                bucket[d] = bucket.get(d, 0) + comb(j, k) * num * m_num
+    return Polynomial([_reduce(b) for b in buckets])
 
 
 def _factorial_poly(n: int, a: Scalar = 0, b: int = 1, scale: Scalar = 1) -> Polynomial:

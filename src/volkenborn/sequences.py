@@ -8,8 +8,14 @@ E_n(0) = -2 (2^(n+1) - 1) B_(n+1) / (n + 1); the Stirling and Eulerian
 triangles share one two-term row rule; the Apostol, Frobenius and
 Fubini numbers share one recurrence for the coefficients of
 r t^j / (c e^t + d).  The associated and lambda-Stirling numbers, the
-order-k Fubini numbers and the second-kind Bernoulli polynomials are
-finite sums over the Stirling triangles and Cauchy numbers.
+order-k Fubini numbers and the Cauchy numbers are finite sums over the
+Stirling triangles and the falling factorials.
+Every family polynomial is the integral in t of a shifted polynomial
+f(x + t) against a measure, built by ``polynomials._shifted_integral``
+from the measure's moments: the Bernoulli, Euler and array polynomials
+integrate x^n, the Daehee and Changhee polynomials a falling or rising
+factorial, and the second-kind Bernoulli polynomials the falling
+factorial against dt on [0, 1].
 The Stirling and Eulerian rows are stored as ints, so a sum over a whole
 row reads it once; the public entry functions return ``Fraction``s.
 The memoized families keep their values in a ``_Memo``: one list per
@@ -30,11 +36,10 @@ from typing import Callable, Hashable
 from .polynomials import (
     Polynomial,
     _dot,
-    _row_sum,
+    _shifted_integral,
     binom_int,
     falling_poly,
     rising_poly,
-    taylor_rows,
 )
 
 __all__ = [
@@ -142,23 +147,16 @@ def euler(n: int) -> Fraction:
     return _EULER.get(None, n)
 
 
-def _appell(n: int, numbers: Callable[[int], Fraction]) -> Polynomial:
-    """The Appell polynomial sum C(n, k) a_k x^(n-k) of the numbers a_k."""
-    _check_index(n)
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        out[n - k] = binom_int(n, k) * numbers(k)
-    return Polynomial(out)
-
-
 def bernoulli_poly(n: int) -> Polynomial:
-    """Bernoulli polynomial B_n(x) = sum C(n, k) B_k x^(n-k)."""
-    return _appell(n, bernoulli)
+    """Bernoulli polynomial B_n(x) = sum C(n, k) B_k x^(n-k): the bosonic integral of (x+t)^n."""
+    _check_index(n)
+    return _shifted_integral(Polynomial.monomial(n), bernoulli)
 
 
 def euler_poly(n: int) -> Polynomial:
-    """Euler polynomial E_n(x) = sum C(n, k) E_k x^(n-k)."""
-    return _appell(n, euler)
+    """Euler polynomial E_n(x) = sum C(n, k) E_k x^(n-k): the fermionic integral of (x+t)^n."""
+    _check_index(n)
+    return _shifted_integral(Polynomial.monomial(n), euler)
 
 
 def euler_second(n: int) -> Fraction:
@@ -302,15 +300,14 @@ def stirling2_lambda(n: int, k: int, lam: Fraction | int) -> Fraction:
 
 
 def array_poly(n: int, v: int, lam: Fraction | int) -> Polynomial:
-    """Array polynomial of order v: coefficient n of (lambda e^t - 1)^v / v! * e^(tx)."""
+    """Array polynomial of order v: coefficient n of (lambda e^t - 1)^v / v! * e^(tx).
+
+    That is sum C(n, j) S2(j, v, lambda) x^(n-j): the integral of (x+t)^n against
+    the moments S2(i, v, lambda) of the generating function (lambda e^t - 1)^v / v!.
+    """
     _check_index(n)
     _check_index(v, "v")
-    out = Polynomial.zero()
-    for j in range(n + 1):
-        c = binom_int(n, j) * stirling2_lambda(j, v, lam)
-        if c:
-            out = out + Polynomial.monomial(n - j, c)
-    return out
+    return _shifted_integral(Polynomial.monomial(n), lambda i: stirling2_lambda(i, v, lam))
 
 
 def _associated_entry(vals: list[Fraction], key: tuple) -> Fraction:
@@ -412,19 +409,19 @@ def changhee_hat(n: int) -> Fraction:
 def daehee_poly(n: int) -> Polynomial:
     """Daehee polynomial: bosonic integral of (x+t)(x+t-1)...(x+t-n+1) in t."""
     _check_index(n)
-    return _row_sum(taylor_rows(falling_poly(n)), bernoulli)
+    return _shifted_integral(falling_poly(n), bernoulli)
 
 
 def daehee_hat_poly(n: int) -> Polynomial:
     """Second-kind Daehee polynomial: bosonic integral of the shifted rising factorial."""
     _check_index(n)
-    return _row_sum(taylor_rows(rising_poly(n)), bernoulli)
+    return _shifted_integral(rising_poly(n), bernoulli)
 
 
 def changhee_poly(n: int) -> Polynomial:
     """Changhee polynomial: fermionic integral of the shifted falling factorial."""
     _check_index(n)
-    return _row_sum(taylor_rows(falling_poly(n)), euler)
+    return _shifted_integral(falling_poly(n), euler)
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +456,14 @@ def cauchy(n: int) -> Fraction:
 
 
 def bernoulli_second_poly(n: int) -> Polynomial:
-    """Second-kind Bernoulli polynomial, assembled from t/log(1+t) and (1+t)^x.
+    """Second-kind Bernoulli polynomial: int_0^1 (x+t)_n dt, the falling factorial integrated.
 
-    t/log(1+t) is the EGF of the Cauchy numbers: it is the integral over
-    [0, 1] of (1+t)^x, whose EGF coefficients are the falling factorials.
+    It is coefficient n of t/log(1+t) (1+t)^x, the EGF of the Cauchy numbers
+    times that of the falling factorials, so it equals
+    sum C(n, k) cauchy(n - k) (x)_k; the moments of dt on [0, 1] are 1/(i+1).
     """
     _check_index(n)
-    out = Polynomial.zero()
-    for k in range(n + 1):
-        c = binom_int(n, k) * cauchy(n - k)
-        if c:
-            out = out + falling_poly(k) * c
-    return out
+    return _shifted_integral(falling_poly(n), lambda i: Fraction(1, i + 1))
 
 
 def harmonic(n: int) -> Fraction:

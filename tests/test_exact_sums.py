@@ -26,7 +26,7 @@ pairs = st.lists(st.tuples(rationals, rationals), max_size=20)
 
 BOS, FER = identities._integrals()
 MEASURES = pytest.mark.parametrize("mu", [BOS, FER], ids=["bosonic", "fermionic"])
-GRID_NM = identities._grid_nm(0, 15)(None)
+GRID_NM = identities._grid((0, 15), (0, 15))(None)
 
 
 def fraction_dot(items) -> Fraction:
@@ -142,13 +142,13 @@ def old_newton(mu, f, top):
 @MEASURES
 def test_newton_series_match_fraction_form(mu):
     # the grids and summands of the three Newton-series records (scaled, power, shifted)
-    for m, n in identities._grid_pairs(5, 15)(None):
+    for m, n in identities._grid(range(1, 6), (0, 15))(None):
         new = identities._newton(mu, lambda i: comb(m * i, n), n)
         assert new == old_newton(mu, lambda i: binom_int(m * i, n), n), (m, n)
-    for r, n in identities._grid_pairs(3, 15)(None):
+    for r, n in identities._grid(range(1, 4), (0, 15))(None):
         new = identities._newton(mu, lambda i: comb(i, n) ** r, n * r)
         assert new == old_newton(mu, lambda i: binom_int(i, n) ** r, n * r), (r, n)
-    for (n,) in identities._grid_n(0, 15)(None):
+    for (n,) in identities._grid((0, 15))(None):
         new = identities._newton(mu, lambda i: comb(i + n, n), n)
         assert new == old_newton(mu, lambda i: binom_int(i + n, n), n), n
 
@@ -169,7 +169,7 @@ def old_eulerian_moment(n, moment, paired):
 @MEASURES
 @pytest.mark.parametrize("paired", [True, False])
 def test_eulerian_moment_matches_fraction_form(mu, paired):
-    for (n,) in identities._grid_n(1, 15)(None):
+    for (n,) in identities._grid((1, 15))(None):
         got = identities._eulerian_moment(n, mu.moment, paired)
         assert got == old_eulerian_moment(n, mu.moment, paired), n
 

@@ -137,6 +137,76 @@ def test_verify_all_with_cap_shrinks_grids():
     assert small["I01"] == 7
 
 
+# the five grid factories the catalog used before its one ``_grid``, kept as the reference
+def old_grid_n(lo, hi):
+    def g(cap):
+        top = hi if cap is None else max(lo, cap)
+        return tuple((n,) for n in range(lo, top + 1))
+
+    return g
+
+
+def old_grid_nm(lo, hi):
+    def g(cap):
+        top = hi if cap is None else max(lo, cap)
+        return tuple((n, m) for n in range(lo, top + 1) for m in range(lo, top + 1))
+
+    return g
+
+
+def old_grid_tensor(hi=8):
+    def g(cap):
+        top = hi if cap is None else max(1, min(cap, hi))
+        return tuple((k,) for k in range(1, top + 1))
+
+    return g
+
+
+def old_grid_pairs(m_hi=5, n_hi=15):
+    def g(cap):
+        top = n_hi if cap is None else max(0, cap)
+        return tuple((m, n) for m in range(1, m_hi + 1) for n in range(0, top + 1))
+
+    return g
+
+
+def old_grid_order(n_hi=15, k_hi=6):
+    def g(cap):
+        top = n_hi if cap is None else max(0, cap)
+        return tuple((n, k) for n in range(0, top + 1) for k in range(1, k_hi + 1))
+
+    return g
+
+
+OLD_GRIDS = [
+    (old_grid_n(0, 20), "I01 I33a I33b I33c I34a I34b"),
+    (
+        old_grid_n(1, 15),
+        "I02 I03 I04a I04b I05b I06a I06b I07 I11a I11b I13a I15 I24b I24c I26a I26b I26c "
+        "I26k I27a I27b I27c I28a I28b I29a I29b",
+    ),
+    (
+        old_grid_n(0, 15),
+        "I05a I05c I05d I08a I08b I09 I10 I12a I12b I12c I13b I16 I20a I20b I21 I24a I25 "
+        "I26d I26g I26h I26l I26n I27d I27e I31 I32a I32b I32c I32d I35",
+    ),
+    (old_grid_n(2, 15), "I19 I26m"),
+    (old_grid_tensor(8), "I14a I14b I26e I26f"),
+    (old_grid_pairs(5, 15), "I17 I26i"),
+    (old_grid_pairs(3, 15), "I18 I26j"),
+    (old_grid_nm(0, 15), "I22 I23a I23b I23c I23d I23e I23f"),
+    (old_grid_order(15, 6), "I30"),
+]
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 4, 8, 15, 30])
+def test_record_grids_match_the_old_factories(cap):
+    old = {rid: grid for grid, ids in OLD_GRIDS for rid in ids.split()}
+    assert sorted(old) == sorted(r.id for r in catalog())
+    for r in catalog():
+        assert r.grid(cap) == old[r.id](cap), r.id
+
+
 def test_mutation_is_detected():
     # breaking exactly one side of one record must fail exactly that record
     (orig,) = resolve_ids(["I01"])

@@ -2,10 +2,11 @@
 
 Every falling-factorial-type polynomial is built by one builder,
 ``polynomials._factorial_poly``, in ints through ``linear_product`` and
-scaled once; the bivariate expansions are Taylor rows of such a
-polynomial.  The references below are the earlier factor-by-factor and
-t-by-t loops, multiplying by the Fraction convolution, so they share no
-code with the integer path of ``Polynomial.__mul__``.
+scaled once; its integrals in t at a shifted argument x + t come from
+``polynomials._shifted_integral``.  The references below are the earlier
+factor-by-factor and t-by-t loops, multiplying by the Fraction
+convolution and integrating row by row, so they share no code with the
+integer path of ``Polynomial.__mul__`` or with the kernel.
 """
 from fractions import Fraction
 from math import factorial
@@ -15,15 +16,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volkenborn import identities
+from volkenborn import sequences as seq
+from volkenborn.integrals import volkenborn_exact
 from volkenborn.polynomials import (
     Polynomial,
     _factorial_poly,
+    _shifted_integral,
     binom_poly,
     falling_poly,
     int_poly,
     linear_product,
     rising_poly,
-    taylor_rows,
 )
 
 small_ints = st.integers(min_value=-30, max_value=30)
@@ -63,6 +66,14 @@ def shifted_rows(n: int, const) -> list[Polynomial]:
             new.append(term)
         rows = new
     return rows
+
+
+def integrate_rows(rows: list[Polynomial], moment) -> Polynomial:
+    """sum_i moment(i) * rows[i]: rows in t integrated one at a time."""
+    out = Polynomial.zero()
+    for i, row in enumerate(rows):
+        out = out + fraction_mul(row, Polynomial([moment(i)]))
+    return out
 
 
 @settings(max_examples=60, deadline=None)
@@ -114,26 +125,28 @@ def test_factorial_poly_matches_factor_by_factor_product(n, a, b, scale):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=20), st.booleans())
 def test_shifted_factorial_rows_match_t_by_t_loop(n, rising):
-    expected = shifted_rows(n, (lambda j: j) if rising else (lambda j: -j))
-    assert taylor_rows(rising_poly(n) if rising else falling_poly(n)) == expected
+    rows = shifted_rows(n, (lambda j: j) if rising else (lambda j: -j))
+    f = rising_poly(n) if rising else falling_poly(n)
+    for moment in (seq.bernoulli, seq.euler, lambda i: Fraction(1, i + 1)):
+        assert _shifted_integral(f, moment) == integrate_rows(rows, moment)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=20))
 def test_binom_of_sum_rows_match_t_by_t_loop(n):
     scale = Fraction(1, factorial(n))
-    expected = [row * scale for row in shifted_rows(n, lambda j: -j)]
-    assert identities._binom_of_sum_rows(n) == expected
+    rows = [row * scale for row in shifted_rows(n, lambda j: -j)]
+    assert identities._binom_of_sum(n) == volkenborn_exact(integrate_rows(rows, seq.bernoulli))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(rationals, max_size=10), rationals, rationals)
-def test_taylor_rows_expand_the_shifted_polynomial(coeffs, x, t):
+def test_point_mass_integral_is_the_shifted_polynomial(coeffs, x, t):
     f = Polynomial(coeffs)
-    rows = taylor_rows(f)
-    shifted = sum((row(x) * t**i for i, row in enumerate(rows)), Fraction(0))
-    assert shifted == f(x + t)
-    assert len(rows) == len(f)
+    shifted = _shifted_integral(f, lambda i: t**i)
+    assert shifted(x) == f(x + t)
+    assert shifted == f.shift(t)
+    assert len(shifted) <= len(f)
 
 
 def product_falling_rows(k: int) -> list[Polynomial]:
@@ -154,7 +167,10 @@ def product_falling_rows(k: int) -> list[Polynomial]:
 
 @pytest.mark.parametrize("k", range(13))
 def test_product_falling_rows_match_the_multiply_loop(k):
-    assert identities._product_falling_rows(k) == product_falling_rows(k)
+    # the double integral in x and y of (xy)_k: its rows in y, integrated in y, then in x
+    rows = product_falling_rows(k)
+    for mu in identities._integrals():
+        assert mu.falling_of_product(k) == mu.exact(integrate_rows(rows, mu.moment))
 
 
 @settings(max_examples=60, deadline=None)
