@@ -122,21 +122,23 @@ cli.command_class = _Command
 # seq
 
 _SINGLE_FAMILIES = {
-    "bernoulli": lambda n, p: sequences.bernoulli(n),
-    "euler": lambda n, p: sequences.euler(n),
-    "daehee": lambda n, p: sequences.daehee(n),
-    "daehee2": lambda n, p: sequences.daehee_hat(n),
-    "changhee": lambda n, p: sequences.changhee(n),
-    "changhee2": lambda n, p: sequences.changhee_hat(n),
-    "fubini": lambda n, p: sequences.fubini(n),
-    "cauchy": lambda n, p: sequences.cauchy(n),
-    "harmonic": lambda n, p: sequences.harmonic(n),
-    "apostol-bernoulli": lambda n, p: sequences.apostol_bernoulli(n, p),
-    "apostol-euler": lambda n, p: sequences.apostol_euler(n, p),
-    "frobenius-euler": lambda n, p: sequences.frobenius_euler(n, p),
+    "bernoulli": sequences.bernoulli,
+    "euler": sequences.euler,
+    "daehee": sequences.daehee,
+    "daehee2": sequences.daehee_hat,
+    "changhee": sequences.changhee,
+    "changhee2": sequences.changhee_hat,
+    "fubini": sequences.fubini,
+    "cauchy": sequences.cauchy,
+    "harmonic": sequences.harmonic,
 }
 
-_PARAMETRIC = {"apostol-bernoulli", "apostol-euler", "frobenius-euler"}
+# families of (n, lambda or u)
+_PARAMETRIC_FAMILIES = {
+    "apostol-bernoulli": sequences.apostol_bernoulli,
+    "apostol-euler": sequences.apostol_euler,
+    "frobenius-euler": sequences.frobenius_euler,
+}
 
 _TRIANGLE_FAMILIES = {
     "stirling1": sequences.stirling1,
@@ -147,7 +149,7 @@ _TRIANGLE_FAMILIES = {
     "assoc-stirling2": sequences.assoc_stirling2,
 }
 
-ALL_FAMILIES = sorted(_SINGLE_FAMILIES) + sorted(_TRIANGLE_FAMILIES) + ["array-poly"]
+ALL_FAMILIES = sorted([*_SINGLE_FAMILIES, *_PARAMETRIC_FAMILIES]) + sorted(_TRIANGLE_FAMILIES) + ["array-poly"]
 
 
 def _triangle(family: str, n_max: int) -> tuple[list[list[str]], list[dict]]:
@@ -165,17 +167,19 @@ def _triangle(family: str, n_max: int) -> tuple[list[list[str]], list[dict]]:
 @_format_option
 def cmd_seq(family: str, n_max: int, param: Optional[str], order_v: Optional[int], fmt: str) -> None:
     """Emit values 0..N of a family (triangle rows for two-index families)."""
-    if param is not None and family not in _PARAMETRIC | {"array-poly"}:
+    if param is not None and family not in _PARAMETRIC_FAMILIES and family != "array-poly":
         raise click.UsageError(f"--param does not apply to family {family}")
     if order_v is not None and family != "array-poly":
         raise click.UsageError(f"--v does not apply to family {family}")
-    if family in _SINGLE_FAMILIES:
+    if family in _SINGLE_FAMILIES or family in _PARAMETRIC_FAMILIES:
         pval: Optional[Fraction] = None
-        if family in _PARAMETRIC:
+        if family in _PARAMETRIC_FAMILIES:
             if param is None:
                 raise click.UsageError(f"family {family} requires --param")
             pval = _parse_rational(param, "--param")
-        values = [_SINGLE_FAMILIES[family](n, pval) for n in range(n_max + 1)]
+            values = [_PARAMETRIC_FAMILIES[family](n, pval) for n in range(n_max + 1)]
+        else:
+            values = [_SINGLE_FAMILIES[family](n) for n in range(n_max + 1)]
         rows = [[str(n), str(v)] for n, v in enumerate(values)]
         obj = {
             "family": family,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from . import padic
-from .polynomials import Polynomial, _dot
+from .polynomials import Polynomial, _as_fraction, _dot
 from .sequences import bernoulli, bernoulli_poly, euler, euler_poly
 
 __all__ = [
@@ -51,6 +51,7 @@ class Measure:
         if self.kind == "q":
             if self.q is None:
                 raise ValueError("q-weighted measure needs a rational q")
+            object.__setattr__(self, "q", _as_fraction(self.q))
         elif self.q is not None:
             raise ValueError("q parameter only applies to the q-weighted measure")
 
@@ -64,7 +65,7 @@ class Measure:
 
     @classmethod
     def q_weighted(cls, q: Union[Fraction, int]) -> "Measure":
-        return cls("q", Fraction(q))
+        return cls("q", q)
 
 
 def volkenborn_exact(f: Polynomial) -> Fraction:

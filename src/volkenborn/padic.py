@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
+from .polynomials import _as_fraction
+
 __all__ = [
     "is_prime",
     "padic_distance",
@@ -76,7 +78,7 @@ def _int_valuation(n: int, p: int) -> int:
 def valuation(x: Rational, p: int) -> int | float:
     """The p-adic valuation v_p(x); math.inf for x = 0."""
     _check_prime(p)
-    xf = Fraction(x)
+    xf = _as_fraction(x)
     if xf == 0:
         return math.inf
     return _int_valuation(xf.numerator, p) - _int_valuation(xf.denominator, p)
@@ -85,7 +87,7 @@ def valuation(x: Rational, p: int) -> int | float:
 def padic_distance(x: Rational, y: Rational, p: int) -> Fraction:
     """The p-adic norm p**(-v_p(x - y)) as an exact rational; 0 when x = y."""
     _check_prime(p)
-    d = Fraction(x) - Fraction(y)
+    d = _as_fraction(x) - _as_fraction(y)
     if d == 0:
         return Fraction(0)
     v = valuation(d, p)

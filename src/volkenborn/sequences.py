@@ -5,36 +5,38 @@ Apostol/Frobenius variants.
 Every family is generated by its defining recurrence or closed form.
 Euler numbers are read off the Bernoulli numbers through
 E_n(0) = -2 (2^(n+1) - 1) B_(n+1) / (n + 1); the Stirling and Eulerian
-triangles share one two-term row rule; the Apostol, Frobenius and
-Fubini numbers share one recurrence for the coefficients of
-r t^j / (c e^t + d).  The associated and lambda-Stirling numbers, the
-order-k Fubini numbers and the Cauchy numbers are finite sums over the
-Stirling triangles and the falling factorials.
+triangles share one two-term row rule.  The Apostol, Frobenius and
+Fubini numbers, the coefficients of r t^j / (c e^t + d), are values of
+the Fubini polynomial F_n(x) = sum_k k! S2(n, k) x^k, since
+c e^t + d = (c + d)(1 - x (e^t - 1)) with x = -c/(c + d).  The
+associated and lambda-Stirling numbers, the order-k Fubini numbers and
+the Cauchy numbers are finite sums over the Stirling triangles and the
+falling factorials.
 Every family polynomial is the integral in t of a shifted polynomial
 f(x + t) against a measure, built by ``polynomials._shifted_integral``
 from the measure's moments: the Bernoulli, Euler and array polynomials
 integrate x^n, the Daehee and Changhee polynomials a falling or rising
 factorial, and the second-kind Bernoulli polynomials the falling
 factorial against dt on [0, 1].
-The Stirling and Eulerian rows are stored as ints, so a sum over a whole
-row reads it once; the public entry functions return ``Fraction``s.
-The memoized families keep their values in a ``_Memo``: one list per
-key (the family's parameter, or ``None``), grown under the single
-module lock by appending one entry at a time.  A list is only ever
-appended to (clearing drops whole lists), so a stored value is read
-without the lock and the library is safe to query from several threads.
+The Stirling, Eulerian and associated Stirling rows are stored as ints,
+so a sum over a whole row reads it once; the public entry functions
+return ``Fraction``s.  The memoized families keep their values in a
+``_Memo``: one list, grown under the single module lock by appending one
+entry at a time.  The list is only ever appended to (clearing replaces
+it), so a stored value is read without the lock and the library is safe
+to query from several threads.
 All returned values are immutable ``Fraction``s or ``Polynomial``s.
 """
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from functools import partial
 from math import comb, factorial
-from typing import Callable, Hashable
+from typing import Callable
 
 from .polynomials import (
     Polynomial,
+    _as_fraction,
     _dot,
     _shifted_integral,
     binom_int,
@@ -88,37 +90,37 @@ _TABLES: list["_Memo"] = []
 
 
 class _Memo:
-    """Memoized values of one family, one list per key.
+    """Memoized values of one family in one list.
 
-    ``step(values, key)`` returns the entry at index ``len(values)``.
+    ``step(values)`` returns the entry at index ``len(values)``.
     """
 
-    def __init__(self, step: Callable[[list, Hashable], object]):
+    def __init__(self, step: Callable[[list], object]):
         self._step = step
-        self._lists: dict[Hashable, list] = {}
+        self._values: list = []
         _TABLES.append(self)
 
-    def get(self, key: Hashable, n: int):
+    def get(self, n: int):
         _check_index(n)
-        vals = self._lists.get(key)
-        if vals is not None and n < len(vals):
+        vals = self._values
+        if n < len(vals):
             return vals[n]
         with _LOCK:
-            vals = self._lists.setdefault(key, [])
+            vals = self._values
             while len(vals) <= n:
-                vals.append(self._step(vals, key))
+                vals.append(self._step(vals))
             return vals[n]
 
     def clear(self) -> None:
         with _LOCK:
-            self._lists = {}
+            self._values = []
 
 
 # ---------------------------------------------------------------------------
 # Bernoulli and Euler numbers and polynomials
 
 
-def _next_bernoulli(vals: list[Fraction], _key: None) -> Fraction:
+def _next_bernoulli(vals: list[Fraction]) -> Fraction:
     n = len(vals)
     if n == 0:
         return Fraction(1)
@@ -127,7 +129,7 @@ def _next_bernoulli(vals: list[Fraction], _key: None) -> Fraction:
     return -s / (n + 1)
 
 
-def _next_euler(vals: list[Fraction], _key: None) -> Fraction:
+def _next_euler(vals: list[Fraction]) -> Fraction:
     n = len(vals)
     # E_n(0) = -2 (2^(n+1) - 1) B_(n+1) / (n + 1)
     return -2 * (2 ** (n + 1) - 1) * bernoulli(n + 1) / (n + 1)
@@ -139,12 +141,12 @@ _EULER = _Memo(_next_euler)
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n, first kind (B_1 = -1/2)."""
-    return _BERNOULLI.get(None, n)
+    return _BERNOULLI.get(n)
 
 
 def euler(n: int) -> Fraction:
     """Euler number E_n = E_n(0), the value of the Euler polynomial at 0."""
-    return _EULER.get(None, n)
+    return _EULER.get(n)
 
 
 def bernoulli_poly(n: int) -> Polynomial:
@@ -166,69 +168,6 @@ def euler_second(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Apostol / Frobenius variants with rational parameters
-
-def _egf_quotient(params: Callable[[Hashable], tuple[Fraction | int, ...]]) -> _Memo:
-    """EGF coefficients a_m of r t^j / (c e^t + d), with (c, d, r, j) = params(key).
-
-    Matching coefficients of t^m/m! in (c e^t + d) A(t) = r t^j (j <= 1) gives
-    (c + d) a_m = r [m = j] - c sum_{k<m} C(m, k) a_k.
-    """
-
-    def step(vals: list[Fraction], key: Hashable) -> Fraction:
-        c, d, r, j = params(key)
-        m = len(vals)
-        s = sum(binom_int(m, k) * vals[k] for k in range(m))
-        return (Fraction(r if m == j else 0) - c * s) / (c + d)
-
-    return _Memo(step)
-
-
-_APOSTOL_BERNOULLI = _egf_quotient(lambda lam: (lam, -1, 1, 1))
-_APOSTOL_EULER = _egf_quotient(lambda lam: (lam, 1, 2, 0))
-_FROBENIUS_EULER = _egf_quotient(lambda u: (1, -u, 1 - u, 0))
-
-
-def apostol_bernoulli(n: int, lam: Fraction | int) -> Fraction:
-    """Apostol-Bernoulli number at rational lambda != 1.
-
-    Coefficients of t/(lambda e^t - 1) solved triangularly from
-    lambda sum_k C(n, k) b_k - b_n = [n = 1].
-    """
-    _check_index(n)
-    lam = Fraction(lam)
-    if lam == 1:
-        raise ValueError("lambda = 1 is excluded (denominator series has zero constant term)")
-    return _APOSTOL_BERNOULLI.get(lam, n)
-
-
-def apostol_euler(n: int, lam: Fraction | int) -> Fraction:
-    """Apostol-Euler number at rational lambda != -1 (lambda = 1 gives E_n).
-
-    Coefficients of 2/(lambda e^t + 1) from
-    lambda sum_k C(n, k) e_k + e_n = 2 [n = 0].
-    """
-    _check_index(n)
-    lam = Fraction(lam)
-    if lam == -1:
-        raise ValueError("lambda = -1 is excluded (function undefined at t = 0)")
-    return _APOSTOL_EULER.get(lam, n)
-
-
-def frobenius_euler(n: int, u: Fraction | int) -> Fraction:
-    """Frobenius-Euler number H_n(u) for rational u != 1 (u = -1 gives E_n).
-
-    Coefficients of (1-u)/(e^t - u) from
-    sum_k C(n, k) H_k - u H_n = (1-u) [n = 0].
-    """
-    _check_index(n)
-    u = Fraction(u)
-    if u == 1:
-        raise ValueError("u = 1 is excluded (function undefined)")
-    return _FROBENIUS_EULER.get(u, n)
-
-
-# ---------------------------------------------------------------------------
 # Stirling numbers, both kinds, plus lambda and associated variants
 
 
@@ -238,7 +177,7 @@ def _triangle(a: Callable[[int, int], int], b: Callable[[int, int], int]) -> _Me
     Entries outside 0 <= k <= n are 0.
     """
 
-    def row(rows: list[list[int]], _key: None) -> list[int]:
+    def row(rows: list[list[int]]) -> list[int]:
         n = len(rows)
         if n == 0:
             return [1]
@@ -248,22 +187,42 @@ def _triangle(a: Callable[[int, int], int], b: Callable[[int, int], int]) -> _Me
     return _Memo(row)
 
 
+def _associated(stirling: _Memo) -> _Memo:
+    """Rows of the EGF coefficients of (B(t) - t)^k / k!, where the rows
+    ``stirling`` hold the coefficients of B(t)^m / m!.
+
+    Expanding the power binomially gives
+    sum_{j=0..k} (-1)^j C(n, j) stirling(n - j, k - j).  The base series
+    starts at t^2, so row n holds only k <= n/2; the rest vanish.
+    """
+
+    def row(rows: list[list[int]]) -> list[int]:
+        n = len(rows)
+        return [
+            sum((-1) ** j * comb(n, j) * stirling.get(n - j)[k - j] for j in range(k + 1))
+            for k in range(n // 2 + 1)
+        ]
+
+    return _Memo(row)
+
+
 _STIRLING1 = _triangle(lambda n, k: 1, lambda n, k: 1 - n)
 _STIRLING2 = _triangle(lambda n, k: 1, lambda n, k: k)
 _EULERIAN = _triangle(lambda n, k: n - k + 1, lambda n, k: k)
+_ASSOC_STIRLING1 = _associated(_STIRLING1)
+_ASSOC_STIRLING2 = _associated(_STIRLING2)
 # row n of a triangle as ints, index k: the stored list, to be read and not changed
-_stirling1_row = partial(_STIRLING1.get, None)
-_stirling2_row = partial(_STIRLING2.get, None)
-_eulerian_row = partial(_EULERIAN.get, None)
+_stirling1_row = _STIRLING1.get
+_stirling2_row = _STIRLING2.get
+_eulerian_row = _EULERIAN.get
 
 
 def _entry(rows: _Memo, n: int, k: int) -> Fraction:
-    """Entry (n, k) of a triangle stored row by row; 0 outside it."""
+    """Entry (n, k) of a table stored as int rows; 0 outside its row."""
     _check_index(n)
     _check_index(k, "k")
-    if k > n:
-        return Fraction(0)
-    return Fraction(rows.get(None, n)[k])
+    row = rows.get(n)
+    return Fraction(row[k] if k < len(row) else 0)
 
 
 def stirling1(n: int, k: int) -> Fraction:
@@ -294,7 +253,7 @@ def stirling2_lambda(n: int, k: int, lam: Fraction | int) -> Fraction:
     """
     _check_index(k, "k")
     _check_index(n)
-    lam = Fraction(lam)
+    lam = _as_fraction(lam)
     s = sum((-1) ** (k - j) * binom_int(k, j) * lam**j * j**n for j in range(k + 1))
     return s / factorial(k)
 
@@ -310,35 +269,12 @@ def array_poly(n: int, v: int, lam: Fraction | int) -> Polynomial:
     return _shifted_integral(Polynomial.monomial(n), lambda i: stirling2_lambda(i, v, lam))
 
 
-def _associated_entry(vals: list[Fraction], key: tuple) -> Fraction:
-    """EGF coefficient n = len(vals) of (B(t) - t)^k / k!, for key = (k, stirling).
-
-    B^m / m! has EGF coefficients stirling(., m).  Expanding the power
-    binomially gives sum_{j=0..k} (-1)^j C(n, j) stirling(n - j, k - j).
-    The base series starts at t^2, so the value vanishes for 2k > n.
-    """
-    k, stirling = key
-    n = len(vals)
-    if 2 * k > n:
-        return Fraction(0)
-    return sum((-1) ** j * binom_int(n, j) * stirling(n - j, k - j) for j in range(k + 1))
-
-
-_ASSOCIATED = _Memo(_associated_entry)
-
-
-def _associated(n: int, k: int, stirling: Callable[[int, int], Fraction]) -> Fraction:
-    _check_index(n)
-    _check_index(k, "k")
-    return _ASSOCIATED.get((k, stirling), n)
-
-
 def assoc_stirling1(n: int, k: int) -> Fraction:
     """Associated Stirling number of the first kind, from (log(1+t) - t)^k / k!.
 
     Vanishes for k > n/2.
     """
-    return _associated(n, k, stirling1)
+    return _entry(_ASSOC_STIRLING1, n, k)
 
 
 def assoc_stirling2(n: int, k: int) -> Fraction:
@@ -347,7 +283,81 @@ def assoc_stirling2(n: int, k: int) -> Fraction:
     Counts partitions of an n-set into k blocks all of size >= 2, hence
     vanishes for k > n/2.
     """
-    return _associated(n, k, stirling2)
+    return _entry(_ASSOC_STIRLING2, n, k)
+
+
+# ---------------------------------------------------------------------------
+# Values of the Fubini polynomial: Fubini, Apostol and Frobenius-Euler numbers
+
+
+def _fubini_at(n: int, x: Fraction | int, k: int = 1) -> Fraction:
+    """Order-k Fubini polynomial sum_{j=0..n} C(k+j-1, j) j! S2(n, j) x^j.
+
+    It is coefficient n of 1/(1 - x (e^t - 1))^k: with u = e^t - 1,
+    1/(1 - x u)^k = sum_j C(k+j-1, j) x^j u^j, and u^j / j! has
+    coefficients S2(., j).  At x = a/b the sum is taken in ints,
+    sum_j C(k+j-1, j) j! S2(n, j) a^j b^(n-j), and divided by b^n once.
+    """
+    a, b = x.numerator, x.denominator
+    total, weight = 0, 1  # weight = C(k+j-1, j) j! = k (k+1) ... (k+j-1)
+    for j, s in enumerate(_stirling2_row(n)):
+        total += weight * s * a**j * b ** (n - j)
+        weight *= k + j
+    return Fraction(total, b**n)
+
+
+def fubini(n: int) -> Fraction:
+    """Fubini number: ordered set partitions of an n-set, F_n(1)."""
+    return _fubini_at(n, 1)
+
+
+def fubini_order(n: int, k: int) -> Fraction:
+    """Order-k Fubini number, coefficient n of 1/(2 - e^t)^k; k = 1 is the plain family."""
+    _check_index(n)
+    if k <= 0:
+        raise ValueError("k must be >= 1")
+    return _fubini_at(n, 1, k)
+
+
+def apostol_bernoulli(n: int, lam: Fraction | int) -> Fraction:
+    """Apostol-Bernoulli number at rational lambda != 1.
+
+    Coefficient n of t/(lambda e^t - 1) = t/(lambda - 1) / (1 - x (e^t - 1))
+    with x = lambda/(1 - lambda), that is n F_(n-1)(x)/(lambda - 1).
+    """
+    _check_index(n)
+    lam = _as_fraction(lam)
+    if lam == 1:
+        raise ValueError("lambda = 1 is excluded (denominator series has zero constant term)")
+    if n == 0:
+        return Fraction(0)
+    return n * _fubini_at(n - 1, lam / (1 - lam)) / (lam - 1)
+
+
+def apostol_euler(n: int, lam: Fraction | int) -> Fraction:
+    """Apostol-Euler number at rational lambda != -1 (lambda = 1 gives E_n).
+
+    Coefficient n of 2/(lambda e^t + 1) = 2/(lambda + 1) / (1 - x (e^t - 1))
+    with x = -lambda/(lambda + 1), that is 2 F_n(x)/(lambda + 1).
+    """
+    _check_index(n)
+    lam = _as_fraction(lam)
+    if lam == -1:
+        raise ValueError("lambda = -1 is excluded (function undefined at t = 0)")
+    return 2 * _fubini_at(n, -lam / (lam + 1)) / (lam + 1)
+
+
+def frobenius_euler(n: int, u: Fraction | int) -> Fraction:
+    """Frobenius-Euler number H_n(u) for rational u != 1 (u = -1 gives E_n).
+
+    Coefficient n of (1-u)/(e^t - u) = 1/(1 - x (e^t - 1)) with
+    x = 1/(u - 1), that is F_n(x).
+    """
+    _check_index(n)
+    u = _as_fraction(u)
+    if u == 1:
+        raise ValueError("u = 1 is excluded (function undefined)")
+    return _fubini_at(n, 1 / (u - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -425,28 +435,7 @@ def changhee_poly(n: int) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Fubini, Cauchy, harmonic
-
-
-_FUBINI = _egf_quotient(lambda _key: (-1, 2, 1, 0))
-
-
-def fubini(n: int) -> Fraction:
-    """Fubini number: ordered set partitions of an n-set."""
-    return _FUBINI.get(None, n)
-
-
-def fubini_order(n: int, k: int) -> Fraction:
-    """Order-k Fubini number, read off 1/(2 - e^t)^k; k = 1 is the plain family.
-
-    With u = e^t - 1, 1/(1 - u)^k = sum_j C(k+j-1, j) u^j and u^j / j! has
-    coefficients S2(., j), which gives sum_{j=0..n} C(k+j-1, j) j! S2(n, j).
-    """
-    _check_index(n)
-    if k <= 0:
-        raise ValueError("k must be >= 1")
-    row = _stirling2_row(n)
-    return Fraction(sum(comb(k + j - 1, j) * factorial(j) * s for j, s in enumerate(row)))
+# Cauchy, harmonic
 
 
 def cauchy(n: int) -> Fraction:

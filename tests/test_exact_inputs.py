@@ -1,0 +1,42 @@
+"""Rational inputs are ints or Fractions: a float is refused, not computed with."""
+from fractions import Fraction
+
+import pytest
+
+from volkenborn import padic, sequences as seq
+from volkenborn.integrals import Measure, convergence_report, level_integral
+from volkenborn.polynomials import Polynomial
+
+
+def _q_level(q):
+    return level_integral(Polynomial([1, 2, 3]), Measure("q", q), 3, 3)
+
+
+# name -> (entry point of one rational argument, that argument exactly, the value there)
+_ENTRY_POINTS = {
+    "Measure": (_q_level, 4, Fraction(451471962645042315, 222399981598543)),
+    "Measure.q_weighted": (lambda q: Measure.q_weighted(q).q, 4, Fraction(4)),
+    "convergence_report": (
+        lambda q: convergence_report(Polynomial([1, 2, 3]), Measure("q", q), 3, 1).rows[0].value,
+        4,
+        Fraction(99, 7),
+    ),
+    "valuation": (lambda x: padic.valuation(x, 5), Fraction(1, 10), -1),
+    "padic_distance/x": (lambda x: padic.padic_distance(x, 3, 5), Fraction(1, 2), Fraction(1, 5)),
+    "padic_distance/y": (lambda y: padic.padic_distance(4, y, 3), Fraction(-1, 2), Fraction(1, 9)),
+    "apostol_bernoulli": (lambda lam: seq.apostol_bernoulli(2, lam), Fraction(1, 10), Fraction(-20, 81)),
+    "apostol_euler": (lambda lam: seq.apostol_euler(2, lam), Fraction(1, 10), Fraction(-180, 1331)),
+    "frobenius_euler": (lambda u: seq.frobenius_euler(2, u), Fraction(1, 10), Fraction(110, 81)),
+    "stirling2_lambda": (lambda lam: seq.stirling2_lambda(3, 2, lam), 2, Fraction(14)),
+    "array_poly": (lambda lam: seq.array_poly(2, 1, lam).coeffs, 2, (2, 4, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_float_inputs_raise_and_exact_ones_give_exact_values(name):
+    fn, x, value = _ENTRY_POINTS[name]
+    with pytest.raises(TypeError):
+        fn(float(x))
+    assert fn(x) == value
+    assert fn(Fraction(x)) == value
+    assert type(fn(x)) is type(value)

@@ -598,15 +598,19 @@ def test_clear_caches_is_deterministic():
 def test_concurrent_table_growth_is_consistent():
     seq.clear_caches()
 
+    # the associated rows grow the Stirling rows while holding the lock
     def worker(start):
-        return [seq.stirling2(n, n // 2) for n in range(start, start + 40)]
+        return [
+            (seq.stirling2(n, n // 2), seq.assoc_stirling1(n, n // 3), seq.assoc_stirling2(n, n // 3))
+            for n in range(start, start + 40)
+        ]
 
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(worker, [0] * 8))
     assert all(r == results[0] for r in results)
 
     seq.clear_caches()
-    expected = [seq.stirling2(n, n // 2) for n in range(0, 40)]
+    expected = worker(0)
     assert results[0] == expected
 
 
@@ -630,13 +634,18 @@ def _fill_every_table():
 
 def test_clear_caches_empties_every_registered_table():
     _fill_every_table()
-    assert len(seq._TABLES) == 10
-    assert all(table._lists for table in seq._TABLES)
+    assert len(seq._TABLES) == 7
+    assert all(table._values for table in seq._TABLES)
     seq.clear_caches()
-    assert not any(table._lists for table in seq._TABLES)
+    assert not any(table._values for table in seq._TABLES)
 
 
 _EGF_FAMILIES = {
+    # the parameters (2 key - 7)/4 avoid the excluded values 1 and -1
+    "apostol_bernoulli": lambda n, key: seq.apostol_bernoulli(n, Fraction(2 * key - 7, 4)),
+    "apostol_euler": lambda n, key: seq.apostol_euler(n, Fraction(2 * key - 7, 4)),
+    "frobenius_euler": lambda n, key: seq.frobenius_euler(n, Fraction(2 * key - 7, 4)),
+    "fubini": lambda n, key: seq.fubini(n),
     "assoc_stirling1": lambda n, key: seq.assoc_stirling1(n, key % 5),
     "assoc_stirling2": lambda n, key: seq.assoc_stirling2(n, key % 5),
     "stirling2_lambda": lambda n, key: seq.stirling2_lambda(n, key % 4, Fraction(key - 3, 2)),
