@@ -16,14 +16,17 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, perm
-from typing import Callable, Optional, Sequence
+from operator import mul
+from typing import Callable, Iterable, Optional, Sequence
 
+from .integrals import _moment_integral
 from .integrals import fermionic_exact as _ferm
 from .integrals import volkenborn_exact as _volk
 from .polynomials import (
     Polynomial,
     _dot,
     _factorial_poly,
+    _falling_product,
     _shifted_integral,
     binom_int,
     binom_poly,
@@ -167,16 +170,22 @@ def _binom(n: int, a: Fraction | int = 0, b: int = 1) -> Polynomial:
 class _Integral:
     """What the bosonic or the fermionic integral contributes to a statement:
     ``exact`` integrates a polynomial, ``moment(n)`` is the integral of x^n
-    (B_n or E_n), ``falling(n)`` that of the falling factorial (the Daehee
+    (B_n or E_n), ``ints(n)`` the moments 0..n as int numerators over one
+    denominator, ``falling(n)`` that of the falling factorial (the Daehee
     or Changhee number), ``hat(n)`` the closed form of that of the rising
     factorial (the second-kind number), and ``weight(k)`` is |integral of
     C(x, k)| written in closed form (1/(k + 1) or 1/2^k)."""
 
     exact: Evaluator
     moment: Callable[[int], Fraction]
+    ints: Callable[[int], tuple[tuple[int, ...], int]]
     falling: Callable[[int], Fraction]
     hat: Callable[[int], Fraction]
     weight: Callable[[int], Fraction]
+
+    def dot(self, weights: Iterable[int], shift: int = 0) -> Fraction:
+        """sum_k weights[k] m_(k+shift), added in ints over the moments' one denominator."""
+        return _moment_integral(weights, self.ints, shift)
 
     def rising(self, n: int) -> Fraction:
         """Integral of the rising factorial: a second-kind Daehee or Changhee number."""
@@ -191,8 +200,10 @@ class _Integral:
 def _integrals() -> tuple[_Integral, _Integral]:
     """The bosonic and the fermionic integral, from the names bound at the call."""
     return (
-        _Integral(_volk, seq.bernoulli, seq.daehee, seq.daehee_hat, lambda k: Fraction(1, k + 1)),
-        _Integral(_ferm, seq.euler, seq.changhee, seq.changhee_hat, lambda k: Fraction(1, 2**k)),
+        _Integral(_volk, seq.bernoulli, seq._bernoulli_ints, seq.daehee, seq.daehee_hat,
+                  lambda k: Fraction(1, k + 1)),
+        _Integral(_ferm, seq.euler, seq._euler_ints, seq.changhee, seq.changhee_hat,
+                  lambda k: Fraction(1, 2**k)),
     )
 
 
@@ -247,10 +258,9 @@ def _x_falling_closed(n: int) -> Fraction:
     return Fraction((-1) ** (n + 1) * factorial(n), n * n + 3 * n + 2)
 
 
-def _x_falling_stirling(n: int) -> Fraction:
+def _x_falling_stirling(bos: _Integral, n: int) -> Fraction:
     """sum_k S1(n, k-1) B_k + B_(n+1): the right side of I08b and I11a."""
-    terms = sum(seq.stirling1(n, k - 1) * seq.bernoulli(k) for k in range(1, n + 1))
-    return terms + seq.bernoulli(n + 1)
+    return bos.dot([*seq._stirling1_row(n)[:n], 1], 1)
 
 
 def _binom_of_sum(n: int) -> Fraction:
@@ -260,7 +270,7 @@ def _binom_of_sum(n: int) -> Fraction:
 
 def _falling_pair(m: int, n: int) -> Fraction:
     """The bosonic integral of (x)_m (x)_n: the left side of I23a-I23d."""
-    return _volk(falling_poly(m) * falling_poly(n))
+    return _volk(_falling_product(m, n))
 
 
 def _sum_1f(m: int, n: int) -> Fraction:
@@ -274,21 +284,17 @@ def _sum_1f(m: int, n: int) -> Fraction:
 
 
 def _sum_1h(m: int, n: int) -> Fraction:
-    b = [seq.bernoulli(i) for i in range(m + n + 1)]
-    return _dot(
-        (sn * sm, b[j + l])
-        for j, sn in enumerate(seq._stirling1_row(n))
-        for l, sm in enumerate(seq._stirling1_row(m))
+    nums, den = seq._bernoulli_ints(m + n)
+    sm = seq._stirling1_row(m)
+    return Fraction(
+        sum(sn * sum(map(mul, sm, nums[j:])) for j, sn in enumerate(seq._stirling1_row(n))), den
     )
 
 
 def _sum_1i(m: int, n: int) -> Fraction:
-    b = [seq.bernoulli(i) for i in range(m + n + 1)]
-    return _dot(
-        (comb(m, k) * comb(n, k) * factorial(k) * s, b[l])
-        for k in range(min(m, n) + 1)
-        for l, s in enumerate(seq._stirling1_row(m + n - k))
-    )
+    nums, den = seq._bernoulli_ints(m + n)
+    inner = (sum(map(mul, seq._stirling1_row(m + n - k), nums)) for k in range(min(m, n) + 1))
+    return Fraction(sum(comb(m, k) * perm(n, k) * s for k, s in enumerate(inner)), den)
 
 
 def _lah_fubini(n: int, k: int) -> Fraction:
@@ -316,17 +322,14 @@ def _newton(mu: _Integral, f: Callable[[int], int], top: int) -> Fraction:
     )
 
 
-def _eulerian_moment(n: int, moment: Callable[[int], Fraction], paired: bool = True) -> Fraction:
+def _eulerian_moment(n: int, mu: _Integral, paired: bool = True) -> Fraction:
     # paired=False is the uncorrected variant: the binomial C(j, l) degenerated to 1
-    ms = [moment(l) for l in range(n + 1)]
-    return _dot(
-        (a * s1 * (comb(j, l) if paired else 1) * (n - k) ** (j - l), ms[l])
-        for k, a in enumerate(seq._eulerian_row(n))
-        if a
-        for j, s1 in enumerate(seq._stirling1_row(n))
-        if s1
-        for l in range(j + 1)
-    ) / factorial(n)
+    weights = [0] * (n + 1)
+    rows = enumerate(seq._eulerian_row(n)), enumerate(seq._stirling1_row(n))
+    for (k, a), (j, s1) in product(*rows):
+        for l in range(j + 1):
+            weights[l] += a * s1 * (comb(j, l) if paired else 1) * (n - k) ** (j - l)
+    return mu.dot(weights) / factorial(n)
 
 
 def _worpitzky_coeff(n: int, j: int) -> Fraction:
@@ -350,13 +353,23 @@ def _worpitzky_literal(n: int, denom: Callable[[int], Fraction]) -> Fraction:
     return total
 
 
-def _assoc_weighted(n: int, moment: Callable[[int], Fraction]) -> Fraction:
-    """The falling factorial through associated Stirling numbers, integrated by its moments."""
-    return sum(
-        binom_int(n, j) * seq.assoc_stirling1(n - j, k) * moment(k + j)
+def _assoc_weights(n: int) -> list[int]:
+    """The falling factorial's coefficient of x^i through associated Stirling numbers,
+    sum over k + j = i of C(n, j) S1a(n - j, k): its weight of the i-th moment."""
+    weights = [0] * (n + 1)
+    for j in range(n + 1):
+        for k, a in enumerate(seq._ASSOC_STIRLING1.get(n - j)):
+            weights[k + j] += comb(n, j) * a
+    return weights
+
+
+def _stirling_round_trip(n: int) -> list[int]:
+    """The weight of B_j in sum_k S2(n, k) (sum_(j<k) S1(k, j) B_j + B_k), the right side of I35."""
+    s2 = seq._stirling2_row(n)
+    return [
+        s2[j] + sum(s2[k] * seq._stirling1_row(k)[j] for k in range(j + 1, n + 1))
         for j in range(n + 1)
-        for k in range((n - j) // 2 + 1)
-    )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +380,14 @@ def _assoc_weighted(n: int, moment: Callable[[int], Fraction]) -> Fraction:
 
 def _falling_by_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def lhs(n: int) -> Fraction:
-        return sum(seq.stirling1(n, k) * mu.moment(k) for k in range(n + 1))
+        return mu.dot(seq._stirling1_row(n))
 
     return IdentityRecord(rid, title, ("n",), _grid((0, 20)), lhs, mu.falling)
 
 
 def _rising_unsigned_stirling(rid: str, title: str, mu: _Integral, lo: int) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
-        return sum(seq.stirling1_unsigned(n, k) * mu.moment(k) for k in range(lo, n + 1))
+        return mu.dot(map(abs, seq._stirling1_row(n)[lo:]), lo)
 
     return IdentityRecord(rid, title, ("n",), _grid((lo, 15)), mu.rising, rhs)
 
@@ -388,11 +401,12 @@ def _rising_lah(rid: str, title: str, mu: _Integral, lo: int) -> IdentityRecord:
 
 def _rising_lah_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
-        return sum(
-            seq.lah_unsigned(n, k) * seq.stirling1(k, j) * mu.moment(j)
-            for k in range(n + 1)
-            for j in range(k + 1)
-        )
+        weights = [0] * (n + 1)
+        for k in range(n + 1):
+            lah = int(seq.lah_unsigned(n, k))
+            for j, s in enumerate(seq._stirling1_row(k)):
+                weights[j] += lah * s
+        return mu.dot(weights)
 
     return IdentityRecord(rid, title, ("n",), _grid((0, 15)), mu.rising, rhs)
 
@@ -498,11 +512,12 @@ def _degree_shifted_newton(rid: str, title: str, mu: _Integral) -> IdentityRecor
 
 def _degree_shifted_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
-        return sum(
-            mu.moment(k)
-            * sum(binom_int(n, j) * seq.stirling1(j, k) / factorial(j) for j in range(n + 1))
-            for k in range(n + 1)
-        )
+        # sum_k m_k sum_j C(n, j) S1(j, k)/j!, over n! to keep the weights ints
+        weights = [0] * (n + 1)
+        for j in range(n + 1):
+            for k, s in enumerate(seq._stirling1_row(j)):
+                weights[k] += comb(n, j) * perm(n, n - j) * s
+        return mu.dot(weights) / factorial(n)
 
     return IdentityRecord(
         rid, title, ("n",), _grid((0, 15)), lambda n: mu.exact(_binom(n, n)), rhs
@@ -528,7 +543,7 @@ def _half_integer_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecor
 
 def _rising_signed_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
-        return sum((-1) ** (m + n) * seq.stirling1(n, m) * mu.moment(m) for m in range(n + 2))
+        return mu.dot((-1) ** (m + n) * s for m, s in enumerate(seq._stirling1_row(n)))
 
     return IdentityRecord(rid, title, ("n",), _grid((0, 15)), mu.rising, rhs)
 
@@ -544,10 +559,10 @@ def _eulerian_expansion(rid: str, title: str, mu: _Integral, note: str) -> Ident
         params=("n",),
         grid=_grid((1, 15)),
         lhs=mu.moment,
-        rhs=lambda n: _eulerian_moment(n, mu.moment),
+        rhs=lambda n: _eulerian_moment(n, mu),
         status=CORRECTED,
         note=note,
-        literal=lambda n: (mu.moment(n), _eulerian_moment(n, mu.moment, paired=False)),
+        literal=lambda n: (mu.moment(n), _eulerian_moment(n, mu, paired=False)),
         counterexample=(2,),
     )
 
@@ -571,7 +586,7 @@ def _worpitzky(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord
 
 def _assoc_closed_form(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     return IdentityRecord(
-        rid, title, ("n",), _grid((0, 15)), lambda n: _assoc_weighted(n, mu.moment), mu.falling
+        rid, title, ("n",), _grid((0, 15)), lambda n: mu.dot(_assoc_weights(n)), mu.falling
     )
 
 
@@ -636,9 +651,7 @@ def _build_catalog() -> list[IdentityRecord]:
         params=("n",),
         grid=_grid((1, 15)),
         lhs=_reflected_falling,
-        rhs=lambda n: sum(
-            (-1) ** m * seq.stirling1(n, m) * seq.bernoulli(m) for m in range(n + 2)
-        ),
+        rhs=lambda n: bos.dot((-1) ** m * s for m, s in enumerate(seq._stirling1_row(n))),
     ))
 
     # --- second-kind Daehee numbers: four expressions ---------------------
@@ -676,9 +689,7 @@ def _build_catalog() -> list[IdentityRecord]:
         params=("n",),
         grid=_grid((1, 15)),
         lhs=_x_rising,
-        rhs=lambda n: sum(
-            seq.stirling1_unsigned(n, k) * seq.bernoulli(k + 1) for k in range(1, n + 1)
-        ),
+        rhs=lambda n: bos.dot(map(abs, seq._stirling1_row(n)[1:]), 2),
     ))
 
     add(IdentityRecord(
@@ -707,7 +718,7 @@ def _build_catalog() -> list[IdentityRecord]:
         params=("n",),
         grid=_grid((0, 15)),
         lhs=_x_falling,
-        rhs=_x_falling_stirling,
+        rhs=lambda n: _x_falling_stirling(bos, n),
     ))
 
     add(_falling_over_x_integral(
@@ -729,7 +740,7 @@ def _build_catalog() -> list[IdentityRecord]:
         params=("n",),
         grid=_grid((1, 15)),
         lhs=_daehee_step,
-        rhs=_x_falling_stirling,
+        rhs=lambda n: _x_falling_stirling(bos, n),
     ))
     add(IdentityRecord(
         id="I11b",
@@ -852,9 +863,7 @@ def _build_catalog() -> list[IdentityRecord]:
         params=("m", "n"),
         grid=_grid((0, 15), (0, 15)),
         lhs=lambda m, n: _volk(Polynomial.monomial(m) * falling_poly(n)),
-        rhs=lambda m, n: sum(
-            seq.stirling1(n, k) * seq.bernoulli(k + m) for k in range(n + 1)
-        ),
+        rhs=lambda m, n: bos.dot(seq._stirling1_row(n), m),
     ))
 
     # --- products of two falling factorials ---------------------------------
@@ -889,9 +898,8 @@ def _build_catalog() -> list[IdentityRecord]:
         params=("m", "n"),
         grid=_grid((0, 15), (0, 15)),
         lhs=_falling_pair,
-        rhs=lambda m, n: sum(
-            binom_int(m, k) * binom_int(n, k) * factorial(k) * seq.daehee(m + n - k)
-            for k in range(m + 1)
+        rhs=lambda m, n: _dot(
+            (comb(m, k) * comb(n, k) * factorial(k), seq.daehee(m + n - k)) for k in range(m + 1)
         ),
         status=CORRECTED,
         note="the uncorrected form drops the k! connection factor and carries a spurious "
@@ -1146,8 +1154,8 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Associated-Stirling expansion matches the plain Stirling sum",
         params=("n",),
         grid=_grid((0, 15)),
-        lhs=lambda n: _assoc_weighted(n, seq.bernoulli),
-        rhs=lambda n: sum(seq.stirling1(n, l) * seq.bernoulli(l) for l in range(n + 1)),
+        lhs=lambda n: bos.dot(_assoc_weights(n)),
+        rhs=lambda n: bos.dot(seq._stirling1_row(n)),
     ))
     add(_assoc_closed_form(
         "I32c", "Associated-Stirling expansion under the fermionic integral", fer
@@ -1157,7 +1165,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Associated-Stirling expansion under the unit-interval integral",
         params=("n",),
         grid=_grid((0, 15)),
-        lhs=lambda n: _assoc_weighted(n, lambda i: F(1, i + 1)),
+        lhs=lambda n: _dot((w, F(1, i + 1)) for i, w in enumerate(_assoc_weights(n))),
         rhs=seq.cauchy,
     ))
 
@@ -1215,12 +1223,7 @@ def _build_catalog() -> list[IdentityRecord]:
         params=("n",),
         grid=_grid((0, 15)),
         lhs=seq.bernoulli,
-        rhs=lambda n: sum(
-            seq.stirling2(n, k)
-            * sum(seq.stirling1(k, j) * seq.bernoulli(j) for j in range(k))
-            for k in range(n + 1)
-        )
-        + sum(seq.stirling2(n, k) * seq.bernoulli(k) for k in range(n + 1)),
+        rhs=lambda n: bos.dot(_stirling_round_trip(n)),
     ))
 
     return records

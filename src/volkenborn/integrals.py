@@ -3,7 +3,10 @@
 The bosonic integral over the p-adic integers sends x^n to the Bernoulli
 number B_n and the fermionic integral sends x^n to the Euler number E_n;
 both extend to polynomials by linearity, which makes them exactly
-computable.  Bosonic and fermionic level-N Riemann sums are evaluated in
+computable.  Both exact integrals are one kernel over the integer view of
+the moment table (numerators over one denominator, see ``sequences``):
+int products, one bucket per coefficient denominator, one reduction.
+Bosonic and fermionic level-N Riemann sums are evaluated in
 closed form through power sums (no p^N term loops), so their convergence
 can be observed p-adically at useful depths.  The q-weighted level sum
 still loops over all p^N terms, so it is refused past
@@ -14,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from . import padic
-from .polynomials import Polynomial, _as_fraction, _dot
-from .sequences import bernoulli, bernoulli_poly, euler, euler_poly
+from .polynomials import Polynomial, Scalar, _as_fraction, _reduce
+from .sequences import _bernoulli_ints, _euler_ints, bernoulli, bernoulli_poly, euler, euler_poly
 
 __all__ = [
     "ConvergenceReport",
@@ -68,14 +71,27 @@ class Measure:
         return cls("q", q)
 
 
+def _moment_integral(coeffs: Iterable[Scalar], moments: Callable, shift: int = 0) -> Fraction:
+    """sum_i c_i m_(i+shift) for moments(n) = (numerators of m_0..m_n, den): the int
+    products go into one bucket per coefficient denominator, reduced once."""
+    cs = list(coeffs)
+    nums, den = moments(len(cs) + shift - 1)
+    buckets: dict[int, int] = {}
+    for c, m in zip(cs, nums[shift:]):
+        if m:
+            d = c.denominator
+            buckets[d] = buckets.get(d, 0) + c.numerator * m
+    return _reduce({d * den: num for d, num in buckets.items()})
+
+
 def volkenborn_exact(f: Polynomial) -> Fraction:
     """Bosonic integral of a polynomial: sum of coefficient i times B_i."""
-    return _dot((c, bernoulli(i)) for i, c in enumerate(f) if c)
+    return _moment_integral(f.coeffs, _bernoulli_ints)
 
 
 def fermionic_exact(f: Polynomial) -> Fraction:
     """Fermionic integral of a polynomial: sum of coefficient i times E_i."""
-    return _dot((c, euler(i)) for i, c in enumerate(f) if c)
+    return _moment_integral(f.coeffs, _euler_ints)
 
 
 def exact_integral(f: Polynomial, measure: Measure) -> Optional[Fraction]:

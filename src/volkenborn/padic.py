@@ -33,8 +33,11 @@ def is_prime(p: int) -> bool:
     Miller-Rabin with those 13 bases.
 
     Raises ValueError for p >= 3317044064679887385961981 (about 3.3 * 10**24)
-    without a factor among those primes, where the test is no longer exact.
+    without a factor among those primes, where the test is no longer exact,
+    and for a p that is not an int (7.0 is not a prime).
     """
+    if not isinstance(p, int):
+        raise ValueError(f"a prime must be an int, got {type(p).__name__}")
     if p < 2:
         return False
     for b in _SMALL_PRIMES:

@@ -11,7 +11,9 @@ builder, ``_factorial_poly``: the falling and rising factorials, C(x, n)
 and the shifted, reflected and scaled binomials of the identity catalog.
 It multiplies the linear factors in plain ints (``linear_product``) and
 turns them into Fractions once, with a single rational scale
-(``int_poly``); no other module touches that integer format.
+(``int_poly``); no other module touches that integer format.  The
+product of two falling factorials, (x)_m (x)_n, is built the same way
+(``_falling_product``), as one product of m + n linear factors.
 Every integral in t of a shifted polynomial, f(x + t) against a measure
 given by its moments, comes from one kernel, ``_shifted_integral``: the
 shift f(x + a) (a point mass at a), the Bernoulli, Euler and array
@@ -300,6 +302,11 @@ def _factorial_poly(n: int, a: Scalar = 0, b: int = 1, scale: Scalar = 1) -> Pol
     if q != 1:
         scale = Fraction(scale, q**n)
     return int_poly(linear_product((p - q * j, q * b) for j in range(n)), scale)
+
+
+def _falling_product(m: int, n: int) -> Polynomial:
+    """(x)_m (x)_n, taken in ints as one product of its m + n linear factors."""
+    return int_poly(linear_product((-j, 1) for k in (m, n) for j in range(k)))
 
 
 def falling_poly(n: int) -> Polynomial:

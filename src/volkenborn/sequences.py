@@ -24,14 +24,20 @@ return ``Fraction``s.  The memoized families keep their values in a
 ``_Memo``: one list, grown under the single module lock by appending one
 entry at a time.  The list is only ever appended to (clearing replaces
 it), so a stored value is read without the lock and the library is safe
-to query from several threads.
+to query from several threads.  The Bernoulli and Euler tables also give
+``ints(n)``: entries 0..n as int numerators over the lcm of their
+denominators (distinct small primes for B_n, by von Staudt-Clausen; a
+power of 2 for E_n), built under the lock, grown by doubling within the
+entries already computed, published as one tuple and dropped by
+``clear_caches``; the exact integrals and the identity catalog's moment
+sums add ints over it and divide once.
 All returned values are immutable ``Fraction``s or ``Polynomial``s.
 """
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable
 
 from .polynomials import (
@@ -98,6 +104,7 @@ class _Memo:
     def __init__(self, step: Callable[[list], object]):
         self._step = step
         self._values: list = []
+        self._ints: tuple[tuple[int, ...], int] = ((), 1)
         _TABLES.append(self)
 
     def get(self, n: int):
@@ -111,9 +118,28 @@ class _Memo:
                 vals.append(self._step(vals))
             return vals[n]
 
+    def ints(self, n: int) -> tuple[tuple[int, ...], int]:
+        """Entries 0..n (or more) as (numerators, den), den the lcm of their denominators.
+
+        A growth doubles the view's length where the table already holds the
+        entries (it never grows the table past n), and publishes it as one
+        tuple, so it is read without the lock."""
+        view = self._ints
+        if n >= len(view[0]):
+            with _LOCK:
+                view = self._ints
+                if n >= len(view[0]):  # not grown by another thread meanwhile
+                    size = max(n + 1, min(2 * len(view[0]), len(self._values)))
+                    vals = [self.get(i) for i in range(size)]
+                    den = lcm(*(v.denominator for v in vals))
+                    view = tuple(v.numerator * (den // v.denominator) for v in vals), den
+                    self._ints = view
+        return view
+
     def clear(self) -> None:
         with _LOCK:
             self._values = []
+            self._ints = ((), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +163,9 @@ def _next_euler(vals: list[Fraction]) -> Fraction:
 
 _BERNOULLI = _Memo(_next_bernoulli)
 _EULER = _Memo(_next_euler)
+# B_0..B_n and E_0..E_n as (numerators, den), for sums that divide once
+_bernoulli_ints = _BERNOULLI.ints
+_euler_ints = _EULER.ints
 
 
 def bernoulli(n: int) -> Fraction:

@@ -1,4 +1,8 @@
-"""Rational inputs are ints or Fractions: a float is refused, not computed with."""
+"""Rational inputs are ints or Fractions: a float is refused, not computed with.
+
+A prime is an int: a float, a ``Fraction`` or a string is refused with
+``ValueError`` before any work.
+"""
 from fractions import Fraction
 
 import pytest
@@ -40,3 +44,29 @@ def test_float_inputs_raise_and_exact_ones_give_exact_values(name):
     assert fn(x) == value
     assert fn(Fraction(x)) == value
     assert type(fn(x)) is type(value)
+
+
+# name -> (entry point of one prime argument, its value at p = 3)
+_PRIME_ENTRY_POINTS = {
+    "is_prime": (padic.is_prime, True),
+    "valuation": (lambda p: padic.valuation(Fraction(9, 2), p), 2),
+    "padic_distance": (lambda p: padic.padic_distance(1, 10, p), Fraction(1, 9)),
+    "level_integral": (
+        lambda p: level_integral(Polynomial([0, 1]), Measure.bosonic(), p, 2), Fraction(4)
+    ),
+    "convergence_report": (
+        lambda p: convergence_report(Polynomial([0, 1]), Measure.fermionic(), p, 1).rows[0].value,
+        Fraction(1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRIME_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "prime", [3.0, Fraction(3), 7.0, "3"], ids=["3.0", "Fraction(3)", "7.0", "str"]
+)
+def test_a_prime_that_is_not_an_int_is_refused(name, prime):
+    fn, value = _PRIME_ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match="must be an int"):
+        fn(prime)
+    assert fn(3) == value

@@ -3,9 +3,10 @@
 ``polynomials._dot`` adds numerator products per denominator and reduces
 once; the catalog's hot right-hand sides, the exact integrals and a few
 number families sum through it with integer weights read off whole
-integer triangle rows.  The references below are the earlier forms, one
-``Fraction`` product per term over the public (per-entry) functions, so
-they share no code with the integer path.
+integer triangle rows, or add int products of the Bernoulli and Euler
+numerators over their one denominator.  The references below are the
+earlier forms, one ``Fraction`` product per term over the public
+(per-entry) functions, so they share no code with the integer path.
 """
 from fractions import Fraction
 from math import comb, factorial
@@ -170,8 +171,96 @@ def old_eulerian_moment(n, moment, paired):
 @pytest.mark.parametrize("paired", [True, False])
 def test_eulerian_moment_matches_fraction_form(mu, paired):
     for (n,) in identities._grid((1, 15))(None):
-        got = identities._eulerian_moment(n, mu.moment, paired)
+        got = identities._eulerian_moment(n, mu, paired)
         assert got == old_eulerian_moment(n, mu.moment, paired), n
+
+
+B, E = seq.bernoulli, seq.euler
+
+
+def old_assoc(n, moment):
+    return sum(
+        binom_int(n, j) * seq.assoc_stirling1(n - j, k) * moment(k + j)
+        for j in range(n + 1)
+        for k in range((n - j) // 2 + 1)
+    )
+
+
+def old_falling_by_stirling(mu):
+    return lambda n: sum(seq.stirling1(n, k) * mu.moment(k) for k in range(n + 1))
+
+
+def old_rising_unsigned(mu, lo):
+    return lambda n: sum(seq.stirling1_unsigned(n, k) * mu.moment(k) for k in range(lo, n + 1))
+
+
+def old_rising_signed(mu):
+    return lambda n: sum(
+        (-1) ** (m + n) * seq.stirling1(n, m) * mu.moment(m) for m in range(n + 2)
+    )
+
+
+def old_lah_stirling(mu):
+    return lambda n: sum(
+        seq.lah_unsigned(n, k) * seq.stirling1(k, j) * mu.moment(j)
+        for k in range(n + 1)
+        for j in range(k + 1)
+    )
+
+
+def old_degree_shifted(mu):
+    return lambda n: sum(
+        mu.moment(k)
+        * sum(binom_int(n, j) * seq.stirling1(j, k) / factorial(j) for j in range(n + 1))
+        for k in range(n + 1)
+    )
+
+
+def old_x_falling_stirling(n):
+    return sum(seq.stirling1(n, k - 1) * B(k) for k in range(1, n + 1)) + B(n + 1)
+
+
+# (record, side) -> the Fraction form that side had before it summed in ints
+OLD_SIDES = {
+    ("I01", "lhs"): old_falling_by_stirling(BOS),
+    ("I33b", "lhs"): old_falling_by_stirling(BOS),
+    ("I33c", "lhs"): old_falling_by_stirling(FER),
+    ("I04b", "rhs"): lambda n: sum((-1) ** m * seq.stirling1(n, m) * B(m) for m in range(n + 2)),
+    ("I05a", "rhs"): old_rising_unsigned(BOS, 0),
+    ("I27b", "rhs"): old_rising_unsigned(FER, 1),
+    ("I05d", "rhs"): old_lah_stirling(BOS),
+    ("I27e", "rhs"): old_lah_stirling(FER),
+    ("I06b", "rhs"): lambda n: sum(seq.stirling1_unsigned(n, k) * B(k + 1) for k in range(1, n + 1)),
+    ("I08b", "rhs"): old_x_falling_stirling,
+    ("I11a", "rhs"): old_x_falling_stirling,
+    ("I20b", "rhs"): old_degree_shifted(BOS),
+    ("I26h", "rhs"): old_degree_shifted(FER),
+    ("I22", "rhs"): lambda m, n: sum(seq.stirling1(n, k) * B(k + m) for k in range(n + 1)),
+    ("I23d", "rhs"): lambda m, n: sum(
+        binom_int(m, k) * binom_int(n, k) * factorial(k) * seq.daehee(m + n - k)
+        for k in range(m + 1)
+    ),
+    ("I24a", "rhs"): old_rising_signed(BOS),
+    ("I27d", "rhs"): old_rising_signed(FER),
+    ("I32a", "lhs"): lambda n: old_assoc(n, B),
+    ("I32b", "lhs"): lambda n: old_assoc(n, B),
+    ("I32b", "rhs"): lambda n: sum(seq.stirling1(n, l) * B(l) for l in range(n + 1)),
+    ("I32c", "lhs"): lambda n: old_assoc(n, E),
+    ("I32d", "lhs"): lambda n: old_assoc(n, lambda i: Fraction(1, i + 1)),
+    ("I35", "rhs"): lambda n: sum(
+        seq.stirling2(n, k) * sum(seq.stirling1(k, j) * B(j) for j in range(k))
+        for k in range(n + 1)
+    )
+    + sum(seq.stirling2(n, k) * B(k) for k in range(n + 1)),
+}
+
+
+@pytest.mark.parametrize("rid, side", sorted(OLD_SIDES))
+def test_integer_moment_sides_match_fraction_forms(rid, side):
+    record = next(r for r in identities.catalog() if r.id == rid)
+    old = OLD_SIDES[rid, side]
+    for params in record.grid(None):
+        assert getattr(record, side)(*params) == old(*params), params
 
 
 def old_osgood_wu(k, l, m):

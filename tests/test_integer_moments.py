@@ -1,0 +1,121 @@
+"""The Bernoulli and Euler numbers as integer numerators over one denominator.
+
+``sequences`` keeps, beside each of the two tables, a view of entries
+0..n as ``(numerators, den)`` with den the lcm of their denominators.  The
+exact integrals and the catalog's moment sums add plain ints over it and
+divide once.  The references here are the ``Fraction`` tables and the
+``_dot`` sums over them that the integer path replaced.
+"""
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from volkenborn import sequences as seq
+from volkenborn.integrals import fermionic_exact, volkenborn_exact
+from volkenborn.polynomials import Polynomial, _dot, _falling_product, falling_poly
+
+VIEWS = pytest.mark.parametrize(
+    "view, table", [(seq._bernoulli_ints, seq.bernoulli), (seq._euler_ints, seq.euler)],
+    ids=["bernoulli", "euler"],
+)
+
+
+def dot_exact(f: Polynomial, moment) -> Fraction:
+    return _dot((c, moment(i)) for i, c in enumerate(f))
+
+
+def check_view(view, table, n):
+    nums, den = view(n)
+    assert len(nums) > n
+    assert all(type(c) is int for c in nums) and type(den) is int
+    assert den == lcm(*(table(i).denominator for i in range(len(nums))))
+    assert [Fraction(c, den) for c in nums] == [table(i) for i in range(len(nums))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4), max_size=48))
+@example([])
+@example([0, 0, 0])
+@example([Fraction(1, 3)] * 47)
+def test_exact_integrals_match_dot_over_the_fraction_tables(coeffs):
+    seq.clear_caches()
+    f = Polynomial(coeffs)
+    for exact, table in ((volkenborn_exact, seq.bernoulli), (fermionic_exact, seq.euler)):
+        got = exact(f)
+        assert type(got) is Fraction
+        assert got == dot_exact(f, table)
+
+
+@VIEWS
+@settings(max_examples=40, deadline=None)
+@given(ns=st.lists(st.integers(0, 70), min_size=1, max_size=10), clear_at=st.integers(0, 10))
+def test_view_equals_the_table_in_any_request_order(view, table, ns, clear_at):
+    # each request past the view's end grows (and rescales) it
+    seq.clear_caches()
+    for i, n in enumerate(ns):
+        if i == clear_at:
+            seq.clear_caches()
+        check_view(view, table, n)
+    seq.clear_caches()
+    check_view(view, table, max(ns))
+
+
+@VIEWS
+def test_view_doubles_within_the_table_and_is_one_object_between_growths(view, table):
+    seq.clear_caches()
+    memo = seq._BERNOULLI if table is seq.bernoulli else seq._EULER
+    first = view(5)
+    assert len(first[0]) == 6
+    assert view(3) is first and view(5) is first
+    # the view never grows the table past the index asked for
+    assert len(view(6)[0]) == 7 and len(memo._values) == 7
+    table(40)
+    assert len(view(7)[0]) == 14
+    assert len(view(40)[0]) == 41
+    check_view(view, table, 40)
+
+
+@VIEWS
+def test_clear_caches_drops_the_view(view, table):
+    view(30)
+    seq.clear_caches()
+    assert seq._BERNOULLI._ints == seq._EULER._ints == ((), 1)
+    assert not seq._BERNOULLI._values and not seq._EULER._values
+
+
+@VIEWS
+def test_concurrent_view_growth_is_consistent(view, table):
+    def worker(start):
+        views = [(n, view(n)) for n in range(start, 90, 7)]
+        return [Fraction(nums[n], den) for n, (nums, den) in views]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            seq.clear_caches()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(worker, k % 7) for k in range(16)]
+                results = [f.result(timeout=60) for f in futures]
+            for k, got in enumerate(results):
+                assert got == [table(n) for n in range(k % 7, 90, 7)]
+            check_view(view, table, 89)
+            # no thread's growth reached past the largest index asked for
+            assert len(view(0)[0]) == 90
+    finally:
+        sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("m", range(21))
+def test_falling_product_is_the_product_of_the_two_falling_factorials(m):
+    for n in range(21):
+        got = _falling_product(m, n)
+        want = falling_poly(m) * falling_poly(n)
+        assert got == want, (m, n)
+        assert repr(got) == repr(want)
+        assert all(type(c) is Fraction for c in got.coeffs)
