@@ -6,9 +6,10 @@ both extend to polynomials by linearity, which makes them exactly
 computable.  Both exact integrals are one kernel over the integer view of
 the moment table (numerators over one denominator, see ``sequences``):
 int products, one bucket per coefficient denominator, one reduction.
-Bosonic and fermionic level-N Riemann sums are evaluated in
-closed form through power sums (no p^N term loops), so their convergence
-can be observed p-adically at useful depths.  The q-weighted level sum
+Bosonic and fermionic level-N Riemann sums are evaluated in closed form
+through power sums, Horner's rule in ints over the same views (no p^N
+term loops, and one reduction per sum), so their convergence can be
+observed p-adically at useful depths.  The q-weighted level sum
 still loops over all p^N terms, so it is refused past
 p^N = ``Q_LEVEL_GUARD``.
 """
@@ -21,7 +22,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from . import padic
 from .polynomials import Polynomial, Scalar, _as_fraction, _reduce
-from .sequences import _bernoulli_ints, _euler_ints, bernoulli, bernoulli_poly, euler, euler_poly
+from .sequences import _bernoulli_ints, _euler_ints
 
 __all__ = [
     "ConvergenceReport",
@@ -104,30 +105,34 @@ def exact_integral(f: Polynomial, measure: Measure) -> Optional[Fraction]:
     return None
 
 
-def power_sum(n: int, m: int) -> Fraction:
-    """Sum of x^n for x = 0..m-1, via Bernoulli polynomials (0^0 = 1).
-
-    Closed form (B_{n+1}(m) - B_{n+1})/(n+1), so m may be astronomically
-    large without any loop.
-    """
+def _power_sum(n: int, m: int, alternating: bool) -> tuple[int, int]:
+    """The sum of x^n, or of (-1)^x x^n, for x = 0..m-1 (0^0 = 1), as (num, den):
+    (B_{n+1}(m) - B_{n+1})/(n+1), or (E_n(0) - (-1)^m E_n(m))/2 by telescoping
+    E_n(x+1) + E_n(x) = 2 x^n, each polynomial evaluated by Horner's rule in ints
+    over its table's view: den B_k(m) = sum_d C(k, d) nums[k-d] m^d."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if m < 0:
         raise ValueError("m must be >= 0")
-    return (bernoulli_poly(n + 1)(m) - bernoulli(n + 1)) / (n + 1)
+    k = n if alternating else n + 1
+    nums, den = _euler_ints(k) if alternating else _bernoulli_ints(k)
+    acc, c = 0, 1  # c = C(k, d), from d = k down
+    for d in range(k, -1, -1):
+        acc = acc * m + c * nums[k - d]
+        c = c * d // (k - d + 1)
+    if alternating:
+        return nums[k] - (-1 if m % 2 else 1) * acc, 2 * den
+    return acc - nums[k], den * k
+
+
+def power_sum(n: int, m: int) -> Fraction:
+    """Sum of x^n for x = 0..m-1, via Bernoulli polynomials (0^0 = 1), with no loop over m."""
+    return Fraction(*_power_sum(n, m, False))
 
 
 def alternating_power_sum(n: int, m: int) -> Fraction:
-    """Sum of (-1)^x x^n for x = 0..m-1, via Euler polynomials (0^0 = 1).
-
-    Telescoping E_n(x+1) + E_n(x) = 2 x^n gives (E_n(0) - (-1)^m E_n(m))/2.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    sign = -1 if m % 2 else 1
-    return (euler(n) - sign * euler_poly(n)(m)) / 2
+    """Sum of (-1)^x x^n for x = 0..m-1, via Euler polynomials (0^0 = 1), with no loop over m."""
+    return Fraction(*_power_sum(n, m, True))
 
 
 def _check_level_args(measure: Measure, p: int, N: int) -> None:
@@ -154,11 +159,15 @@ def level_integral(f: Polynomial, measure: Measure, p: int, N: int) -> Fraction:
     """
     _check_level_args(measure, p, N)
     m = p**N
-    if measure.kind == "bosonic":
-        total = sum((c * power_sum(i, m) for i, c in enumerate(f) if c), Fraction(0))
-        return total / m
-    if measure.kind == "fermionic":
-        return sum((c * alternating_power_sum(i, m) for i, c in enumerate(f) if c), Fraction(0))
+    if measure.kind != "q":
+        buckets: dict[int, int] = {}
+        for n, c in enumerate(f):
+            if c:
+                num, den = _power_sum(n, m, measure.kind == "fermionic")
+                d = c.denominator * den
+                buckets[d] = buckets.get(d, 0) + c.numerator * num
+        scale = m if measure.kind == "bosonic" else 1
+        return _reduce({d * scale: num for d, num in buckets.items()})
     q = measure.q
     if q == 1:
         return level_integral(f, Measure.bosonic(), p, N)

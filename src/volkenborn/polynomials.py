@@ -55,10 +55,10 @@ def binom_int(n: int, k: int) -> Fraction:
 
 
 def _as_fraction(x: Scalar) -> Fraction:
+    if isinstance(x, int):  # first: most inputs are ints, and Fraction is an ABC check
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 

@@ -2,16 +2,17 @@
 Changhee, Fubini, Cauchy, Eulerian, harmonic, and rational-parameter
 Apostol/Frobenius variants.
 
-Every family is generated by its defining recurrence or closed form.
-Euler numbers are read off the Bernoulli numbers through
-E_n(0) = -2 (2^(n+1) - 1) B_(n+1) / (n + 1); the Stirling and Eulerian
-triangles share one two-term row rule.  The Apostol, Frobenius and
-Fubini numbers, the coefficients of r t^j / (c e^t + d), are values of
-the Fubini polynomial F_n(x) = sum_k k! S2(n, k) x^k, since
-c e^t + d = (c + d)(1 - x (e^t - 1)) with x = -c/(c + d).  The
-associated and lambda-Stirling numbers, the order-k Fubini numbers and
-the Cauchy numbers are finite sums over the Stirling triangles and the
-falling factorials.
+The Bernoulli numbers come from the tangent numbers, built in ints for a
+batch that doubles the table; every other family from its defining
+recurrence or closed form.  Euler numbers are read off the Bernoulli
+numbers through E_n(0) = -2 (2^(n+1) - 1) B_(n+1) / (n + 1); the
+Stirling and Eulerian triangles share one two-term row rule.  The
+Apostol, Frobenius and Fubini numbers, the coefficients of
+r t^j / (c e^t + d), are values of the Fubini polynomial
+F_n(x) = sum_k k! S2(n, k) x^k, since c e^t + d = (c + d)(1 - x (e^t - 1))
+with x = -c/(c + d).  The associated and lambda-Stirling numbers, the
+order-k Fubini numbers and the Cauchy numbers are finite sums over the
+Stirling triangles and the falling factorials.
 Every family polynomial is the integral in t of a shifted polynomial
 f(x + t) against a measure, built by ``polynomials._shifted_integral``
 from the measure's moments: the Bernoulli, Euler and array polynomials
@@ -21,16 +22,17 @@ factorial against dt on [0, 1].
 The Stirling, Eulerian and associated Stirling rows are stored as ints,
 so a sum over a whole row reads it once; the public entry functions
 return ``Fraction``s.  The memoized families keep their values in a
-``_Memo``: one list, grown under the single module lock by appending one
-entry at a time.  The list is only ever appended to (clearing replaces
-it), so a stored value is read without the lock and the library is safe
-to query from several threads.  The Bernoulli and Euler tables also give
-``ints(n)``: entries 0..n as int numerators over the lcm of their
-denominators (distinct small primes for B_n, by von Staudt-Clausen; a
-power of 2 for E_n), built under the lock, grown by doubling within the
-entries already computed, published as one tuple and dropped by
-``clear_caches``; the exact integrals and the identity catalog's moment
-sums add ints over it and divide once.
+``_Memo``: one list, grown under the single module lock by one
+``list.extend`` per step (one entry, or a Bernoulli batch).  The list is
+only ever extended (clearing replaces it), so a stored value is read
+without the lock and the library is safe to query from several threads.
+The Bernoulli and Euler tables also give ``ints(n)``: entries 0..n as
+int numerators over the lcm of their denominators (distinct small primes
+for B_n, by von Staudt-Clausen; a power of 2 for E_n), built under the
+lock, grown by doubling within the entries already computed (the old
+numerators are rescaled only when den changes), published as one tuple
+and dropped by ``clear_caches``; the exact integrals, the power sums and
+the identity catalog's moment sums add ints over it and divide once.
 All returned values are immutable ``Fraction``s or ``Polynomial``s.
 """
 from __future__ import annotations
@@ -98,10 +100,10 @@ _TABLES: list["_Memo"] = []
 class _Memo:
     """Memoized values of one family in one list.
 
-    ``step(values)`` returns the entry at index ``len(values)``.
+    ``step(values)`` returns the entries from index ``len(values)`` on (at least one).
     """
 
-    def __init__(self, step: Callable[[list], object]):
+    def __init__(self, step: Callable[[list], list]):
         self._step = step
         self._values: list = []
         self._ints: tuple[tuple[int, ...], int] = ((), 1)
@@ -115,24 +117,26 @@ class _Memo:
         with _LOCK:
             vals = self._values
             while len(vals) <= n:
-                vals.append(self._step(vals))
+                vals.extend(self._step(vals))
             return vals[n]
 
     def ints(self, n: int) -> tuple[tuple[int, ...], int]:
         """Entries 0..n (or more) as (numerators, den), den the lcm of their denominators.
 
         A growth doubles the view's length where the table already holds the
-        entries (it never grows the table past n), and publishes it as one
-        tuple, so it is read without the lock."""
+        entries (it never grows the table past n), reads only the new ones, and
+        publishes the view as one tuple, so it is read without the lock."""
         view = self._ints
         if n >= len(view[0]):
             with _LOCK:
                 view = self._ints
-                if n >= len(view[0]):  # not grown by another thread meanwhile
-                    size = max(n + 1, min(2 * len(view[0]), len(self._values)))
-                    vals = [self.get(i) for i in range(size)]
-                    den = lcm(*(v.denominator for v in vals))
-                    view = tuple(v.numerator * (den // v.denominator) for v in vals), den
+                nums, den = view
+                if n >= len(nums):  # not grown by another thread meanwhile
+                    size = max(n + 1, min(2 * len(nums), len(self._values)))
+                    new = [self.get(i) for i in range(len(nums), size)]
+                    d = lcm(den, *(v.denominator for v in new))
+                    nums = nums if d == den else tuple(c * (d // den) for c in nums)
+                    view = nums + tuple(v.numerator * (d // v.denominator) for v in new), d
                     self._ints = view
         return view
 
@@ -146,22 +150,28 @@ class _Memo:
 # Bernoulli and Euler numbers and polynomials
 
 
-def _next_bernoulli(vals: list[Fraction]) -> Fraction:
-    n = len(vals)
-    if n == 0:
-        return Fraction(1)
-    # sum_{k=0}^{n} C(n+1, k) B_k = 0, first-kind convention (B_1 = -1/2)
-    s = sum(binom_int(n + 1, k) * vals[k] for k in range(n))
-    return -s / (n + 1)
+def _bernoulli_batch(vals: list[Fraction]) -> list[Fraction]:
+    """B_i for len(vals) <= i <= 2K + 1, K = len(vals) + 1, read off the tangent numbers
+    T_1..T_K, which Brent and Harvey's Algorithm TangentNumbers (2011) builds in ints:
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), B_1 = -1/2, B_i = 0 for odd i > 1."""
+    K = len(vals) + 1
+    t = [0, *(factorial(k) for k in range(K))]  # t[k] = (k - 1)!, then T_k in place
+    for k in range(2, K + 1):
+        for j in range(k, K + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    out = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, K + 1):
+        out += Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1)), Fraction(0)
+    return out[len(vals):]
 
 
-def _next_euler(vals: list[Fraction]) -> Fraction:
+def _next_euler(vals: list[Fraction]) -> list[Fraction]:
     n = len(vals)
     # E_n(0) = -2 (2^(n+1) - 1) B_(n+1) / (n + 1)
-    return -2 * (2 ** (n + 1) - 1) * bernoulli(n + 1) / (n + 1)
+    return [-2 * (2 ** (n + 1) - 1) * bernoulli(n + 1) / (n + 1)]
 
 
-_BERNOULLI = _Memo(_next_bernoulli)
+_BERNOULLI = _Memo(_bernoulli_batch)
 _EULER = _Memo(_next_euler)
 # B_0..B_n and E_0..E_n as (numerators, den), for sums that divide once
 _bernoulli_ints = _BERNOULLI.ints
@@ -206,12 +216,12 @@ def _triangle(a: Callable[[int, int], int], b: Callable[[int, int], int]) -> _Me
     Entries outside 0 <= k <= n are 0.
     """
 
-    def row(rows: list[list[int]]) -> list[int]:
+    def row(rows: list[list[int]]) -> list[list[int]]:
         n = len(rows)
         if n == 0:
-            return [1]
+            return [[1]]
         prev = [0, *rows[-1], 0]  # prev[k] = T(n-1, k-1)
-        return [a(n, k) * prev[k] + b(n, k) * prev[k + 1] for k in range(n + 1)]
+        return [[a(n, k) * prev[k] + b(n, k) * prev[k + 1] for k in range(n + 1)]]
 
     return _Memo(row)
 
@@ -225,12 +235,12 @@ def _associated(stirling: _Memo) -> _Memo:
     starts at t^2, so row n holds only k <= n/2; the rest vanish.
     """
 
-    def row(rows: list[list[int]]) -> list[int]:
+    def row(rows: list[list[int]]) -> list[list[int]]:
         n = len(rows)
-        return [
+        return [[
             sum((-1) ** j * comb(n, j) * stirling.get(n - j)[k - j] for j in range(k + 1))
             for k in range(n // 2 + 1)
-        ]
+        ]]
 
     return _Memo(row)
 

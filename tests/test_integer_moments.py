@@ -51,11 +51,23 @@ def test_exact_integrals_match_dot_over_the_fraction_tables(coeffs):
         assert got == dot_exact(f, table)
 
 
+def memo_of(table):
+    return seq._BERNOULLI if table is seq.bernoulli else seq._EULER
+
+
+def grown_length(table, n):
+    """The table's length once table(n) alone has grown it from empty (Bernoulli grows in batches)."""
+    seq.clear_caches()
+    table(n)
+    return len(memo_of(table)._values)
+
+
 @VIEWS
 @settings(max_examples=40, deadline=None)
-@given(ns=st.lists(st.integers(0, 70), min_size=1, max_size=10), clear_at=st.integers(0, 10))
+@given(ns=st.lists(st.integers(0, 240), min_size=1, max_size=10), clear_at=st.integers(0, 10))
 def test_view_equals_the_table_in_any_request_order(view, table, ns, clear_at):
-    # each request past the view's end grows (and rescales) it
+    # each request past the view's end grows it, rescaling the old numerators
+    # where den changes (B_n gains a prime p at n = p - 1)
     seq.clear_caches()
     for i, n in enumerate(ns):
         if i == clear_at:
@@ -67,16 +79,20 @@ def test_view_equals_the_table_in_any_request_order(view, table, ns, clear_at):
 
 @VIEWS
 def test_view_doubles_within_the_table_and_is_one_object_between_growths(view, table):
+    memo = memo_of(table)
+    want = grown_length(table, 6)
     seq.clear_caches()
-    memo = seq._BERNOULLI if table is seq.bernoulli else seq._EULER
     first = view(5)
     assert len(first[0]) == 6
     assert view(3) is first and view(5) is first
-    # the view never grows the table past the index asked for
-    assert len(view(6)[0]) == 7 and len(memo._values) == 7
+    # the view never grows the table past what table(6) alone grows it to
+    second = view(6)
+    assert len(memo._values) == want
+    assert len(second[0]) == max(7, min(12, want))
     table(40)
-    assert len(view(7)[0]) == 14
-    assert len(view(40)[0]) == 41
+    n = len(second[0])
+    assert len(view(n)[0]) == 2 * n
+    assert 41 <= len(view(40)[0]) <= len(memo._values)
     check_view(view, table, 40)
 
 
@@ -90,8 +106,10 @@ def test_clear_caches_drops_the_view(view, table):
 
 @VIEWS
 def test_concurrent_view_growth_is_consistent(view, table):
+    want = grown_length(table, 150)
+
     def worker(start):
-        views = [(n, view(n)) for n in range(start, 90, 7)]
+        views = [(n, view(n)) for n in range(start, 151, 7)]
         return [Fraction(nums[n], den) for n, (nums, den) in views]
 
     old = sys.getswitchinterval()
@@ -103,10 +121,11 @@ def test_concurrent_view_growth_is_consistent(view, table):
                 futures = [pool.submit(worker, k % 7) for k in range(16)]
                 results = [f.result(timeout=60) for f in futures]
             for k, got in enumerate(results):
-                assert got == [table(n) for n in range(k % 7, 90, 7)]
-            check_view(view, table, 89)
-            # no thread's growth reached past the largest index asked for
-            assert len(view(0)[0]) == 90
+                assert got == [table(n) for n in range(k % 7, 151, 7)]
+            check_view(view, table, 150)
+            # no thread's growth reached past what table(150) alone grows
+            assert len(memo_of(table)._values) == want
+            assert len(view(0)[0]) <= max(151, want)
     finally:
         sys.setswitchinterval(old)
 

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volkenborn.integrals import (
@@ -97,15 +97,59 @@ def test_alternating_power_sum_examples():
 
 
 def test_power_sums_match_direct_loops():
-    for n in range(11):
+    for n in range(41):
         direct = 0
         alt = 0
-        for m in range(501):
+        for m in range(301):
             assert power_sum(n, m) == direct
             assert alternating_power_sum(n, m) == alt
             term = m**n if (m or n == 0) else 0
             direct += term
             alt += term if m % 2 == 0 else -term
+
+
+def akiyama_tanigawa(n_max):
+    """B_0..B_n_max (B_1 = -1/2) by the Akiyama-Tanigawa transform, not the library's tables."""
+    out, row = [], []
+    for m in range(n_max + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    out[1] = -out[1]  # the transform gives B_1 = +1/2
+    return out
+
+
+FAULHABER_B = akiyama_tanigawa(41)
+
+
+def faulhaber(n, m):
+    """Sum of x^n for x < m: (1/(n+1)) sum_j C(n+1, j) B_j m^(n+1-j)."""
+    return sum(math.comb(n + 1, j) * FAULHABER_B[j] * m ** (n + 1 - j) for j in range(n + 1)) / (n + 1)
+
+
+def faulhaber_alternating(n, m):
+    """Sum of (-1)^x x^n for x < m: twice the sum over even x, less the whole sum."""
+    return 2 * 2**n * faulhaber(n, (m + 1) // 2) - faulhaber(n, m)
+
+
+def test_faulhaber_reference_matches_the_loops():
+    for n in (0, 1, 2, 7, 40):
+        for m in range(25):
+            assert faulhaber(n, m) == sum(Fraction(x) ** n for x in range(m))
+            assert faulhaber_alternating(n, m) == sum((-1) ** x * Fraction(x) ** n for x in range(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 10**18))
+@example(0, 0)
+@example(40, 10**18)
+@example(1, 1)
+def test_power_sums_match_faulhaber(n, m):
+    got = power_sum(n, m)
+    assert type(got) is Fraction and got == faulhaber(n, m)
+    got = alternating_power_sum(n, m)
+    assert type(got) is Fraction and got == faulhaber_alternating(n, m)
 
 
 def test_power_sum_handles_huge_arguments():
@@ -126,16 +170,44 @@ def test_level_integral_examples():
     assert level_integral(Polynomial.one(), Measure.bosonic(), 5, 3) == 1
 
 
+def direct_level_sum(f, kind, m):
+    if kind == "bosonic":
+        return sum((f(x) for x in range(m)), Fraction(0)) / m
+    return sum(((-1) ** x * f(x) for x in range(m)), Fraction(0))
+
+
+LEVELS = [(2, 1), (2, 3), (2, 7), (3, 1), (3, 2), (3, 4), (5, 1), (5, 3), (7, 1), (7, 2), (11, 2), (13, 1)]
+
+
 def test_level_integral_matches_direct_summation():
-    f = Polynomial([Fraction(1, 2), -2, 0, 1])
-    for p, N in [(3, 2), (5, 1), (2, 3)]:
-        m = p**N
-        direct = sum(f(x) for x in range(m))
-        assert level_integral(f, Measure.bosonic(), p, N) == direct / Fraction(m)
-    for p, N in [(3, 2), (7, 1)]:
-        m = p**N
-        direct = sum((-1) ** x * f(x) for x in range(m))
-        assert level_integral(f, Measure.fermionic(), p, N) == direct
+    polys = [
+        Polynomial([Fraction(1, 2), -2, 0, 1]),
+        Polynomial([Fraction((-1) ** i * (i + 1), 2 * i + 3) for i in range(31)]),
+        Polynomial.monomial(30, Fraction(7, 11)),
+        Polynomial.zero(),
+    ]
+    for f in polys:
+        for p, N in LEVELS:
+            for kind in ("bosonic", "fermionic"):
+                if kind == "fermionic" and p == 2:
+                    continue
+                got = level_integral(f, Measure(kind), p, N)
+                assert type(got) is Fraction
+                assert got == direct_level_sum(f, kind, p**N), (f, kind, p, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=30), max_size=31),
+    st.sampled_from(LEVELS),
+    st.sampled_from(["bosonic", "fermionic"]),
+)
+def test_level_integral_of_random_polynomials_matches_the_term_loop(coeffs, level, kind):
+    p, N = level
+    if kind == "fermionic" and p == 2:
+        p = 3
+    f = Polynomial(coeffs)
+    assert level_integral(f, Measure(kind), p, N) == direct_level_sum(f, kind, p**N)
 
 
 def test_level_integral_preconditions():
