@@ -124,8 +124,9 @@ class _Memo:
         """Entries 0..n (or more) as (numerators, den), den the lcm of their denominators.
 
         A growth doubles the view's length where the table already holds the
-        entries (it never grows the table past n), reads only the new ones, and
-        publishes the view as one tuple, so it is read without the lock."""
+        entries (it asks for no index past n that the table lacks, though the
+        table's own step may add more), reads only the new ones, and publishes
+        the view as one tuple, so it is read without the lock."""
         view = self._ints
         if n >= len(view[0]):
             with _LOCK:

@@ -100,7 +100,7 @@ def test_power_sums_match_direct_loops():
     for n in range(41):
         direct = 0
         alt = 0
-        for m in range(301):
+        for m in range(501):
             assert power_sum(n, m) == direct
             assert alternating_power_sum(n, m) == alt
             term = m**n if (m or n == 0) else 0
