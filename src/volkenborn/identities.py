@@ -3,12 +3,13 @@
 Each record carries two independently computed evaluators over a finite
 parameter grid.  A record is ``verified`` when the statement checks out
 in its commonly stated form, and ``corrected`` when brute-force
-expansion pinned down an amended statement; corrected records keep a
-literal evaluator plus a stored counterexample so the original mismatch
-stays reproducible.  The runner adjudicates nothing on its own: it just
-evaluates both sides exactly on every grid point.  A statement that holds
-for both the bosonic and the fermionic measure is written once, from the
-measure's exact integral, moments and falling-factorial integrals.
+expansion pinned down an amended statement; a corrected record stores a
+counterexample and only the side or sides the commonly stated form writes
+differently, so the original mismatch stays reproducible.  The runner
+adjudicates nothing on its own: it just evaluates both sides exactly on
+every grid point.  A statement that holds for both the bosonic and the
+fermionic measure is written once, from the measure's exact integral,
+moments and falling-factorial integrals.
 """
 from __future__ import annotations
 
@@ -50,7 +51,6 @@ VERIFIED = "verified"
 CORRECTED = "corrected"
 
 Evaluator = Callable[..., Fraction]
-LiteralPair = Callable[..., tuple[Fraction, Fraction]]
 Grid = Callable[[Optional[int]], tuple[tuple[int, ...], ...]]
 
 
@@ -60,16 +60,20 @@ class IdentityRecord:
 
     id: str
     title: str
-    params: tuple[str, ...]
     grid: Grid
     lhs: Evaluator
     rhs: Evaluator
-    status: str = VERIFIED
     note: str = ""
-    # corrected records only: both sides of the uncorrected claim,
-    # and one parameter point where they demonstrably disagree
-    literal: Optional[LiteralPair] = None
+    # corrected records only: the side or sides the uncorrected claim states
+    # differently (an unset one is the record's own), and one parameter
+    # point where the claim demonstrably fails
+    literal_lhs: Optional[Evaluator] = None
+    literal_rhs: Optional[Evaluator] = None
     counterexample: Optional[tuple[int, ...]] = None
+
+    @property
+    def status(self) -> str:
+        return VERIFIED if self.counterexample is None else CORRECTED
 
 
 @dataclass(frozen=True)
@@ -374,29 +378,29 @@ def _stirling_round_trip(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # statements that hold for both measures: one builder each, called once per
-# measure at its record's place in the catalog; the first six record fields
-# are passed in order (id, title, params, grid, lhs, rhs)
+# measure at its record's place in the catalog; the first five record fields
+# are passed in order (id, title, grid, lhs, rhs)
 
 
 def _falling_by_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def lhs(n: int) -> Fraction:
         return mu.dot(seq._stirling1_row(n))
 
-    return IdentityRecord(rid, title, ("n",), _grid((0, 20)), lhs, mu.falling)
+    return IdentityRecord(rid, title, _grid((0, 20)), lhs, mu.falling)
 
 
 def _rising_unsigned_stirling(rid: str, title: str, mu: _Integral, lo: int) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
         return mu.dot(map(abs, seq._stirling1_row(n)[lo:]), lo)
 
-    return IdentityRecord(rid, title, ("n",), _grid((lo, 15)), mu.rising, rhs)
+    return IdentityRecord(rid, title, _grid((lo, 15)), mu.rising, rhs)
 
 
 def _rising_lah(rid: str, title: str, mu: _Integral, lo: int) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
         return sum(seq.lah_unsigned(n, k) * mu.falling(k) for k in range(lo, n + 1))
 
-    return IdentityRecord(rid, title, ("n",), _grid((lo, 15)), mu.rising, rhs)
+    return IdentityRecord(rid, title, _grid((lo, 15)), mu.rising, rhs)
 
 
 def _rising_lah_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
@@ -408,7 +412,7 @@ def _rising_lah_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
                 weights[j] += lah * s
         return mu.dot(weights)
 
-    return IdentityRecord(rid, title, ("n",), _grid((0, 15)), mu.rising, rhs)
+    return IdentityRecord(rid, title, _grid((0, 15)), mu.rising, rhs)
 
 
 def _falling_over_x_integral(rid: str, title: str, mu: _Integral) -> IdentityRecord:
@@ -418,7 +422,7 @@ def _falling_over_x_integral(rid: str, title: str, mu: _Integral) -> IdentityRec
         )
 
     return IdentityRecord(
-        rid, title, ("n",), _grid((0, 15)), lambda n: mu.exact(_factorial_poly(n, -1)), rhs
+        rid, title, _grid((0, 15)), lambda n: mu.exact(_factorial_poly(n, -1)), rhs
     )
 
 
@@ -429,23 +433,18 @@ def _product_falling_tensor(rid: str, title: str, mu: _Integral) -> IdentityReco
             for l in range(1, k + 1)
         )
 
-    return IdentityRecord(rid, title, ("k",), _grid((1, 8, 8)), mu.falling_of_product, rhs)
+    return IdentityRecord(rid, title, _grid((1, 8, 8)), mu.falling_of_product, rhs)
 
 
 def _product_falling_stirling(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
     return IdentityRecord(
         id=rid,
         title=title,
-        params=("k",),
         grid=_grid((1, 8, 8)),
         lhs=mu.falling_of_product,
         rhs=lambda k: sum(seq.stirling1(k, m) * mu.moment(m) ** 2 for m in range(k + 1)),
-        status=CORRECTED,
         note=note,
-        literal=lambda k: (
-            mu.falling_of_product(k),
-            sum(seq.stirling1(k, m) * mu.moment(k) ** 2 for m in range(k + 1)),
-        ),
+        literal_rhs=lambda k: sum(seq.stirling1(k, m) * mu.moment(k) ** 2 for m in range(k + 1)),
         counterexample=(2,),
     )
 
@@ -457,7 +456,7 @@ def _shifted_binomial_times_x(rid: str, title: str, mu: _Integral) -> IdentityRe
     def rhs(n: int) -> Fraction:
         return (-1) ** n * sum(k * mu.weight(k) for k in range(1, n + 1))
 
-    return IdentityRecord(rid, title, ("n",), _grid((1, 15)), lhs, rhs)
+    return IdentityRecord(rid, title, _grid((1, 15)), lhs, rhs)
 
 
 def _scaled_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
@@ -467,7 +466,7 @@ def _scaled_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def rhs(m: int, n: int) -> Fraction:
         return _newton(mu, lambda i: comb(m * i, n), n)
 
-    return IdentityRecord(rid, title, ("m", "n"), _grid(range(1, 6), (0, 15)), lhs, rhs)
+    return IdentityRecord(rid, title, _grid(range(1, 6), (0, 15)), lhs, rhs)
 
 
 def _binomial_power(rid: str, title: str, mu: _Integral) -> IdentityRecord:
@@ -477,25 +476,20 @@ def _binomial_power(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def rhs(r: int, n: int) -> Fraction:
         return _newton(mu, lambda i: comb(i, n) ** r, n * r)
 
-    return IdentityRecord(rid, title, ("r", "n"), _grid(range(1, 4), (0, 15)), lhs, rhs)
+    return IdentityRecord(rid, title, _grid(range(1, 4), (0, 15)), lhs, rhs)
 
 
 def _gould_square(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
     return IdentityRecord(
         id=rid,
         title=title,
-        params=("n",),
         grid=_grid((2, 15)),
         lhs=lambda n: mu.exact(_gould_square_poly(n)),
         rhs=lambda n: (-1) ** n * sum(k * k * mu.weight(k) for k in range(n + 1)),
-        status=CORRECTED,
         note=note,
-        literal=lambda n: (
-            mu.exact(
-                Polynomial.x() * _binom(n - 1, -2)
-                + Polynomial.x() * Polynomial([-1, 1]) * binom_poly(n - 2)(n - 3)
-            ),
-            (-1) ** n * sum(k * k * mu.weight(k) for k in range(n + 1)),
+        literal_lhs=lambda n: mu.exact(
+            Polynomial.x() * _binom(n - 1, -2)
+            + Polynomial.x() * Polynomial([-1, 1]) * binom_poly(n - 2)(n - 3)
         ),
         counterexample=(3,),
     )
@@ -505,9 +499,7 @@ def _degree_shifted_newton(rid: str, title: str, mu: _Integral) -> IdentityRecor
     def rhs(n: int) -> Fraction:
         return _newton(mu, lambda i: comb(i + n, n), n)
 
-    return IdentityRecord(
-        rid, title, ("n",), _grid((0, 15)), lambda n: mu.exact(_binom(n, n)), rhs
-    )
+    return IdentityRecord(rid, title, _grid((0, 15)), lambda n: mu.exact(_binom(n, n)), rhs)
 
 
 def _degree_shifted_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
@@ -519,9 +511,7 @@ def _degree_shifted_stirling(rid: str, title: str, mu: _Integral) -> IdentityRec
                 weights[k] += comb(n, j) * perm(n, n - j) * s
         return mu.dot(weights) / factorial(n)
 
-    return IdentityRecord(
-        rid, title, ("n",), _grid((0, 15)), lambda n: mu.exact(_binom(n, n)), rhs
-    )
+    return IdentityRecord(rid, title, _grid((0, 15)), lambda n: mu.exact(_binom(n, n)), rhs)
 
 
 def _half_integer_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
@@ -538,31 +528,29 @@ def _half_integer_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecor
             for k in range(n + 1)
         )
 
-    return IdentityRecord(rid, title, ("n",), _grid((0, 15)), lhs, rhs)
+    return IdentityRecord(rid, title, _grid((0, 15)), lhs, rhs)
 
 
 def _rising_signed_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
         return mu.dot((-1) ** (m + n) * s for m, s in enumerate(seq._stirling1_row(n)))
 
-    return IdentityRecord(rid, title, ("n",), _grid((0, 15)), mu.rising, rhs)
+    return IdentityRecord(rid, title, _grid((0, 15)), mu.rising, rhs)
 
 
 def _rising_alternating(rid: str, title: str, mu: _Integral) -> IdentityRecord:
-    return IdentityRecord(rid, title, ("n",), _grid((1, 15)), mu.rising, mu.hat)
+    return IdentityRecord(rid, title, _grid((1, 15)), mu.rising, mu.hat)
 
 
 def _eulerian_expansion(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
     return IdentityRecord(
         id=rid,
         title=title,
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=mu.moment,
         rhs=lambda n: _eulerian_moment(n, mu),
-        status=CORRECTED,
         note=note,
-        literal=lambda n: (mu.moment(n), _eulerian_moment(n, mu, paired=False)),
+        literal_rhs=lambda n: _eulerian_moment(n, mu, paired=False),
         counterexample=(2,),
     )
 
@@ -571,22 +559,20 @@ def _worpitzky(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord
     return IdentityRecord(
         id=rid,
         title=title,
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=mu.moment,
         rhs=lambda n: sum(
             _worpitzky_coeff(n, j) * mu.exact(_binom(n, j - 1)) for j in range(n + 1)
         ),
-        status=CORRECTED,
         note=note,
-        literal=lambda n: (mu.moment(n), _worpitzky_literal(n, mu.weight)),
+        literal_rhs=lambda n: _worpitzky_literal(n, mu.weight),
         counterexample=(2,),
     )
 
 
 def _assoc_closed_form(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     return IdentityRecord(
-        rid, title, ("n",), _grid((0, 15)), lambda n: mu.dot(_assoc_weights(n)), mu.falling
+        rid, title, _grid((0, 15)), lambda n: mu.dot(_assoc_weights(n)), mu.falling
     )
 
 
@@ -619,7 +605,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I02",
         title="Bosonic integral of the shifted falling factorial",
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=lambda n: _volk(falling_poly(n).shift(1)),
         rhs=lambda n: F((-1) ** (n + 1) * factorial(n), n * n + n),
@@ -628,7 +613,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I03",
         title="Bosonic integral of the forward difference of the falling factorial",
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=lambda n: _volk(falling_poly(n).shift(1) - falling_poly(n)),
         rhs=lambda n: F((-1) ** (n + 1) * factorial(n - 1)),
@@ -637,7 +621,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I04a",
         title="Bosonic integral of the reflected falling factorial, Lah form",
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=_reflected_falling,
         rhs=lambda n: sum(
@@ -648,7 +631,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I04b",
         title="Bosonic integral of the reflected falling factorial, Stirling form",
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=_reflected_falling,
         rhs=lambda n: bos.dot((-1) ** m * s for m, s in enumerate(seq._stirling1_row(n))),
@@ -662,7 +644,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I05b",
         title="Rising-factorial integral, alternating binomial form",
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=bos.rising,
         rhs=seq.daehee_hat,
@@ -675,7 +656,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I06a",
         title="Integral of x times the rising factorial, binomial form",
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=_x_rising,
         rhs=lambda n: sum(
@@ -686,7 +666,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I06b",
         title="Integral of x times the rising factorial, Bernoulli form",
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=_x_rising,
         rhs=lambda n: bos.dot(map(abs, seq._stirling1_row(n)[1:]), 2),
@@ -695,7 +674,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I07",
         title="Recurrence for the rising-factorial integrals with Lah weights",
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=lambda n: _volk(rising_poly(n + 1)) - n * _volk(rising_poly(n)),
         rhs=lambda n: sum(
@@ -707,7 +685,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I08a",
         title="Integral of x times the falling factorial, closed form",
-        params=("n",),
         grid=_grid((0, 15)),
         lhs=_x_falling,
         rhs=_x_falling_closed,
@@ -715,7 +692,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I08b",
         title="Integral of x times the falling factorial, Stirling form",
-        params=("n",),
         grid=_grid((0, 15)),
         lhs=_x_falling,
         rhs=lambda n: _x_falling_stirling(bos, n),
@@ -728,7 +704,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I10",
         title="Integral of the shifted falling factorial of one higher degree",
-        params=("n",),
         grid=_grid((0, 15)),
         lhs=lambda n: _volk(falling_poly(n + 1).shift(1)),
         rhs=lambda n: F((-1) ** n * factorial(n), n + 2),
@@ -737,7 +712,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I11a",
         title="First-kind Daehee recurrence, Stirling-Bernoulli form",
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=_daehee_step,
         rhs=lambda n: _x_falling_stirling(bos, n),
@@ -745,7 +719,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I11b",
         title="First-kind Daehee recurrence, closed form",
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=_daehee_step,
         rhs=_x_falling_closed,
@@ -756,7 +729,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I12a",
         title="Double integral of the binomial of a sum (Chu-Vandermonde route)",
-        params=("n",),
         grid=_grid((0, 15)),
         lhs=_binom_of_sum,
         rhs=lambda n: (-1) ** n
@@ -765,7 +737,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I12b",
         title="Double integral of the binomial of a sum, Bernoulli-product form",
-        params=("n",),
         grid=_grid((0, 15)),
         lhs=_binom_of_sum,
         rhs=lambda n: sum(
@@ -778,7 +749,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I12c",
         title="Integral of the Daehee polynomial against its argument",
-        params=("n",),
         grid=_grid((0, 15)),
         lhs=lambda n: _volk(seq.daehee_poly(n)),
         rhs=lambda n: (-1) ** n
@@ -788,7 +758,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I13a",
         title="Integral of the shifted binomial coefficient",
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=lambda n: _volk(binom_poly(n).shift(1)),
         rhs=lambda n: F((-1) ** (n + 1), n * n + n),
@@ -796,7 +765,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I13b",
         title="Integral of the shifted binomial coefficient, next degree",
-        params=("n",),
         grid=_grid((0, 15)),
         lhs=lambda n: _volk(binom_poly(n + 1).shift(1)),
         rhs=lambda n: F((-1) ** n, n * n + 3 * n + 2),
@@ -822,17 +790,13 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I16",
         title="Integral of the reflected binomial gives harmonic partial sums",
-        params=("n",),
         grid=_grid((0, 15)),
         lhs=lambda n: _volk(_binom(n, n, -1)),
         rhs=lambda n: seq.harmonic(n),
-        status=CORRECTED,
         note="holds under the bosonic measure and without the alternating sign; "
         "the fermionic statement with (-1)^n fails already at n = 1",
-        literal=lambda n: (
-            _ferm(_binom(n, n, -1)),
-            (-1) ** n * seq.harmonic(n),
-        ),
+        literal_lhs=lambda n: _ferm(_binom(n, n, -1)),
+        literal_rhs=lambda n: (-1) ** n * seq.harmonic(n),
         counterexample=(1,),
     ))
 
@@ -860,7 +824,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I22",
         title="Integral of a monomial times the falling factorial",
-        params=("m", "n"),
         grid=_grid((0, 15), (0, 15)),
         lhs=lambda m, n: _volk(Polynomial.monomial(m) * falling_poly(n)),
         rhs=lambda m, n: bos.dot(seq._stirling1_row(n), m),
@@ -871,7 +834,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I23a",
         title="Integral of a product of falling factorials, connection form",
-        params=("m", "n"),
         grid=_grid((0, 15), (0, 15)),
         lhs=_falling_pair,
         rhs=_sum_1f,
@@ -879,7 +841,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I23b",
         title="Integral of a product of falling factorials, double-Stirling form",
-        params=("m", "n"),
         grid=_grid((0, 15), (0, 15)),
         lhs=_falling_pair,
         rhs=_sum_1h,
@@ -887,7 +848,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I23c",
         title="Integral of a product of falling factorials, mixed form",
-        params=("m", "n"),
         grid=_grid((0, 15), (0, 15)),
         lhs=_falling_pair,
         rhs=_sum_1i,
@@ -895,31 +855,22 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I23d",
         title="Integral of a product of falling factorials, Daehee-weighted form",
-        params=("m", "n"),
         grid=_grid((0, 15), (0, 15)),
         lhs=_falling_pair,
         rhs=lambda m, n: _dot(
             (comb(m, k) * comb(n, k) * factorial(k), seq.daehee(m + n - k)) for k in range(m + 1)
         ),
-        status=CORRECTED,
         note="the uncorrected form drops the k! connection factor and carries a spurious "
         "alternating sign on the already signed Daehee values",
-        literal=lambda m, n: (
-            _falling_pair(m, n),
-            sum(
-                (-1) ** (m + n - k)
-                * binom_int(m, k)
-                * binom_int(n, k)
-                * seq.daehee(m + n - k)
-                for k in range(m + 1)
-            ),
+        literal_rhs=lambda m, n: sum(
+            (-1) ** (m + n - k) * binom_int(m, k) * binom_int(n, k) * seq.daehee(m + n - k)
+            for k in range(m + 1)
         ),
         counterexample=(1, 1),
     ))
     add(IdentityRecord(
         id="I23e",
         title="Connection form equals double-Stirling form",
-        params=("m", "n"),
         grid=_grid((0, 15), (0, 15)),
         lhs=_sum_1h,
         rhs=_sum_1f,
@@ -927,7 +878,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I23f",
         title="Double-Stirling form equals mixed form",
-        params=("m", "n"),
         grid=_grid((0, 15), (0, 15)),
         lhs=_sum_1h,
         rhs=_sum_1i,
@@ -943,13 +893,10 @@ def _build_catalog() -> list[IdentityRecord]:
         _rising_alternating(
             "I24c", "Second-kind Daehee numbers from the alternating binomial sum", bos
         ),
-        status=CORRECTED,
         note="the claimed scale factor 1/n! must be n!",
-        literal=lambda n: (
-            bos.rising(n),
-            sum(F((-1) ** m, m + 1) * binom_int(n - 1, n - m) for m in range(n + 1))
-            / factorial(n),
-        ),
+        literal_rhs=lambda n: sum(
+            F((-1) ** m, m + 1) * binom_int(n - 1, n - m) for m in range(n + 1)
+        ) / factorial(n),
         counterexample=(2,),
     ))
 
@@ -957,13 +904,9 @@ def _build_catalog() -> list[IdentityRecord]:
         _rising_lah(
             "I25", "Second-kind Daehee numbers as unsigned-Lah sums of first-kind ones", bos, 0
         ),
-        status=CORRECTED,
         note="the uncorrected sum runs over one index and evaluates the Lah factor "
         "at another; both must be the summation index",
-        literal=lambda n: (
-            bos.rising(n),
-            sum(seq.lah_unsigned(n, n) * seq.daehee(m) for m in range(n + 1)),
-        ),
+        literal_rhs=lambda n: sum(seq.lah_unsigned(n, n) * seq.daehee(m) for m in range(n + 1)),
         counterexample=(2,),
     ))
 
@@ -972,7 +915,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I26a",
         title="Fermionic integral of the shifted falling factorial",
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=lambda n: _ferm(falling_poly(n).shift(1)),
         rhs=lambda n: F((-1) ** (n + 1) * factorial(n), 2**n),
@@ -980,7 +922,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I26b",
         title="Fermionic integral of the shifted binomial coefficient",
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=lambda n: _ferm(binom_poly(n).shift(1)),
         rhs=lambda n: F((-1) ** (n + 1), 2**n),
@@ -988,7 +929,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I26c",
         title="First-kind Changhee recurrence",
-        params=("n",),
         grid=_grid((1, 15)),
         lhs=lambda n: _ferm(falling_poly(n + 1)) + n * _ferm(falling_poly(n)),
         rhs=lambda n: F((-1) ** n * factorial(n) * (n - 1), 2 ** (n + 1)),
@@ -1000,16 +940,12 @@ def _build_catalog() -> list[IdentityRecord]:
         _product_falling_tensor(
             "I26e", "Fermionic double integral of the product falling factorial, tensor form", fer
         ),
-        status=CORRECTED,
         note="the uncorrected form omits the factorials carried by the two "
         "falling-factorial integrals",
-        literal=lambda k: (
-            fer.falling_of_product(k),
-            sum(
-                (-1) ** (l + m) * fer.weight(l + m) * seq.osgood_wu(k, l, m)
-                for l in range(1, k + 1)
-                for m in range(1, k + 1)
-            ),
+        literal_rhs=lambda k: sum(
+            (-1) ** (l + m) * fer.weight(l + m) * seq.osgood_wu(k, l, m)
+            for l in range(1, k + 1)
+            for m in range(1, k + 1)
         ),
         counterexample=(2,),
     ))
@@ -1035,16 +971,11 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I26l",
         title="Fermionic integral of the reflected binomial",
-        params=("n",),
         grid=_grid((0, 15)),
         lhs=lambda n: _ferm(_binom(n, n, -1)),
         rhs=lambda n: sum(F(1, 2**k) for k in range(n + 1)),
-        status=CORRECTED,
         note="the sum must start at k = 0 and the alternating prefactor must go",
-        literal=lambda n: (
-            _ferm(_binom(n, n, -1)),
-            (-1) ** n * sum(F(1, 2**k) for k in range(1, n + 1)),
-        ),
+        literal_rhs=lambda n: (-1) ** n * sum(F(1, 2**k) for k in range(1, n + 1)),
         counterexample=(1,),
     ))
     add(_gould_square(
@@ -1108,41 +1039,28 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I30",
         title="Composition of the Lah and exponential generating functions",
-        params=("n", "k"),
         grid=_grid((0, 15), range(1, 7)),
         lhs=lambda n, k: _dot(
             (s, seq.lah_unsigned(m, k)) for m, s in enumerate(seq._stirling2_row(n))
         ),
         rhs=_lah_fubini,
-        status=CORRECTED,
         note="the Lah factor must carry the summation index and the unsigned "
         "family (the substituted series has positive coefficients)",
-        literal=lambda n, k: (
-            seq.lah(n, k) * sum(seq.stirling2(n, m) for m in range(n + 1)),
-            _lah_fubini(n, k),
-        ),
+        literal_lhs=lambda n, k: seq.lah(n, k) * sum(seq.stirling2(n, m) for m in range(n + 1)),
         counterexample=(2, 1),
     ))
 
     add(IdentityRecord(
         id="I31",
         title="Telescoping of integral recurrences for falling factorials",
-        params=("n",),
         grid=_grid((0, 15)),
         lhs=lambda n: sum(
             perm(n, n - k) * F(factorial(k), (k + 1) * (k + 2)) for k in range(n + 1)
         ),
         rhs=lambda n: F(factorial(n + 1), n + 2),
-        status=CORRECTED,
         note="the claimed right side (n-1)!/(n+1) does not match the "
         "telescoped integrals; expansion gives (n+1)!/(n+2)",
-        literal=lambda n: (
-            sum(
-                perm(n, n - k) * F(factorial(k), (k + 1) * (k + 2))
-                for k in range(n + 1)
-            ),
-            F(factorial(n - 1), n + 1) if n >= 1 else F(0),
-        ),
+        literal_rhs=lambda n: F(factorial(n - 1), n + 1) if n >= 1 else F(0),
         counterexample=(1,),
     ))
 
@@ -1152,7 +1070,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I32b",
         title="Associated-Stirling expansion matches the plain Stirling sum",
-        params=("n",),
         grid=_grid((0, 15)),
         lhs=lambda n: bos.dot(_assoc_weights(n)),
         rhs=lambda n: bos.dot(seq._stirling1_row(n)),
@@ -1163,7 +1080,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I32d",
         title="Associated-Stirling expansion under the unit-interval integral",
-        params=("n",),
         grid=_grid((0, 15)),
         lhs=lambda n: _dot((w, F(1, i + 1)) for i, w in enumerate(_assoc_weights(n))),
         rhs=seq.cauchy,
@@ -1172,7 +1088,6 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I33a",
         title="Cauchy numbers as reciprocally weighted Stirling sums",
-        params=("n",),
         grid=_grid((0, 20)),
         lhs=seq.cauchy,
         rhs=lambda n: sum(seq.stirling1(n, k) * F(1, k + 1) for k in range(n + 1)),
@@ -1183,44 +1098,32 @@ def _build_catalog() -> list[IdentityRecord]:
     add(IdentityRecord(
         id="I34a",
         title="Bernoulli numbers from factorially weighted second-kind Stirling sums",
-        params=("n",),
         grid=_grid((0, 20)),
         lhs=seq.bernoulli,
         rhs=lambda n: sum(
             (-1) ** k * F(factorial(k), k + 1) * seq.stirling2(n, k)
             for k in range(n + 1)
         ),
-        status=CORRECTED,
         note="the truncated upper limit n-1 drops the k = n term",
-        literal=lambda n: (
-            seq.bernoulli(n),
-            sum(
-                (-1) ** k * F(factorial(k), k + 1) * seq.stirling2(n, k)
-                for k in range(n)
-            ),
+        literal_rhs=lambda n: sum(
+            (-1) ** k * F(factorial(k), k + 1) * seq.stirling2(n, k) for k in range(n)
         ),
         counterexample=(1,),
     ))
     add(IdentityRecord(
         id="I34b",
         title="Bernoulli numbers from Daehee-weighted second-kind Stirling sums",
-        params=("n",),
         grid=_grid((0, 20)),
         lhs=seq.bernoulli,
         rhs=lambda n: sum(seq.daehee(k) * seq.stirling2(n, k) for k in range(n + 1)),
-        status=CORRECTED,
         note="same truncated upper limit as the factorial form",
-        literal=lambda n: (
-            seq.bernoulli(n),
-            sum(seq.daehee(k) * seq.stirling2(n, k) for k in range(n)),
-        ),
+        literal_rhs=lambda n: sum(seq.daehee(k) * seq.stirling2(n, k) for k in range(n)),
         counterexample=(1,),
     ))
 
     add(IdentityRecord(
         id="I35",
         title="Bernoulli self-consistency through both Stirling kinds",
-        params=("n",),
         grid=_grid((0, 15)),
         lhs=seq.bernoulli,
         rhs=lambda n: bos.dot(_stirling_round_trip(n)),
@@ -1267,8 +1170,9 @@ _N_MAX_LIMIT = 30
 def verify(record: IdentityRecord | str, n_max: Optional[int] = None) -> RecordResult:
     """Evaluate both sides of one record on its grid; report mismatches.
 
-    Corrected records additionally re-run the literal form at the stored
-    counterexample and report whether it still fails there.
+    Corrected records additionally evaluate the literal form (each side the
+    record does not restate is its own) at the stored counterexample and
+    report whether it still fails there.
     """
     if n_max is not None and not 0 <= n_max <= _N_MAX_LIMIT:
         raise ValueError(f"n_max must be >= 0 and <= {_N_MAX_LIMIT}: got {n_max}")
@@ -1277,9 +1181,10 @@ def verify(record: IdentityRecord | str, n_max: Optional[int] = None) -> RecordR
         if len(matches) != 1:
             raise KeyError(f"{record} names {len(matches)} records; verify takes one")
         record = matches[0]
-    if record.status == CORRECTED and (record.literal is None or record.counterexample is None):
+    ce = record.counterexample
+    if (ce is None) != (record.literal_lhs is None and record.literal_rhs is None):
         raise ValueError(
-            f"corrected record {record.id} needs both a literal form and a counterexample"
+            f"corrected record {record.id} needs both a literal side and a counterexample"
         )
 
     points = mismatch_count = 0
@@ -1294,9 +1199,9 @@ def verify(record: IdentityRecord | str, n_max: Optional[int] = None) -> RecordR
                 first_mismatch = Mismatch(params, left, right)
 
     literal_confirmed: Optional[bool] = None
-    if record.status == CORRECTED:
-        lv, rv = record.literal(*record.counterexample)
-        literal_confirmed = lv != rv
+    if ce is not None:
+        lhs, rhs = record.literal_lhs or record.lhs, record.literal_rhs or record.rhs
+        literal_confirmed = lhs(*ce) != rhs(*ce)
 
     return RecordResult(
         id=record.id,

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 from fractions import Fraction
 from math import comb, factorial, perm
 
@@ -26,19 +27,76 @@ def test_catalog_ids_are_unique_and_grids_nonempty():
     assert len(ids) == len(set(ids))
     for r in records:
         assert len(r.grid(None)) > 0, r.id
-        assert len(r.grid(None)[0]) == len(r.params), r.id
+        # every evaluator takes exactly as many arguments as a grid point has
+        arity = len(r.grid(None)[0])
+        for side in (r.lhs, r.rhs, r.literal_lhs, r.literal_rhs):
+            if side is not None:
+                assert len(inspect.signature(side).parameters) == arity, r.id
 
 
 def test_corrected_records_carry_their_evidence():
     for r in catalog():
         if r.status == identities.CORRECTED:
-            assert r.literal is not None, r.id
-            assert r.counterexample is not None, r.id
+            assert r.literal_lhs is not None or r.literal_rhs is not None, r.id
             assert r.note, r.id
-            lv, rv = r.literal(*r.counterexample)
+            ce = r.counterexample
+            lv, rv = (r.literal_lhs or r.lhs)(*ce), (r.literal_rhs or r.rhs)(*ce)
             assert lv != rv, f"{r.id}: stored counterexample no longer breaks the literal form"
+            # a literal side is stated only where it differs from the record's own
+            for literal, own in ((r.literal_lhs, r.lhs), (r.literal_rhs, r.rhs)):
+                if literal is not None:
+                    assert any(literal(*p) != own(*p) for p in (ce, *r.grid(4))), r.id
         else:
             assert r.status == identities.VERIFIED, r.id
+            assert r.literal_lhs is None and r.literal_rhs is None, r.id
+
+
+# the uncorrected claims as first frozen: id, counterexample, then the literal
+# left and right sides there (a side a record does not restate is its own)
+LITERAL_VALUES = """\
+I14b (2,) -2/9 0
+I16 (1,) 3/2 -3/2
+I19 (3,) -23/12 -49/12
+I23d (1, 1) 1/6 7/6
+I24c (2,) -1/3 -1/12
+I25 (2,) -1/3 7/6
+I26e (2,) -1/4 -3/16
+I26f (2,) -1/4 0
+I26l (1,) 3/2 -1/2
+I26m (3,) -11/8 -21/8
+I28a (2,) 1/6 5/12
+I28b (2,) 0 1/4
+I29a (2,) 1/6 -5/12
+I29b (2,) 0 -1/2
+I30 (2, 1) 4 3
+I31 (1,) 2/3 1/2
+I34a (1,) -1/2 0
+I34b (1,) -1/2 0
+"""
+
+
+def test_literal_sides_at_the_counterexamples_are_frozen():
+    lines = []
+    for r in catalog():
+        if r.counterexample is not None:
+            ce = r.counterexample
+            lv, rv = (r.literal_lhs or r.lhs)(*ce), (r.literal_rhs or r.rhs)(*ce)
+            lines.append(f"{r.id} {ce} {lv} {rv}")
+    assert lines == LITERAL_VALUES.splitlines()
+
+
+def test_verify_fills_an_unset_literal_side_with_the_records_own():
+    # the record's own sides differ, so a side filled from the wrong one shows
+    one, two = (lambda n: Fraction(1)), (lambda n: Fraction(2))
+    base = identities.IdentityRecord("X", "probe", lambda cap: ((0,),), one, two)
+    for literal, broken in [
+        ({"literal_lhs": two}, False),
+        ({"literal_rhs": one}, False),
+        ({"literal_lhs": two, "literal_rhs": one}, True),
+        ({"literal_lhs": one, "literal_rhs": one}, False),
+    ]:
+        record = dataclasses.replace(base, counterexample=(0,), **literal)
+        assert verify(record).literal_confirmed is broken, literal
 
 
 def test_verify_single_records():
@@ -93,7 +151,7 @@ TWINS = [
 @pytest.mark.parametrize("bosonic, fermionic", TWINS)
 def test_twin_records_use_their_own_measure(bosonic, fermionic):
     b, f = resolve_ids([bosonic, fermionic])
-    assert b.params == f.params
+    assert len(b.grid(None)[0]) == len(f.grid(None)[0])
     points = sorted(set(b.grid(4)) & set(f.grid(4)))
     # a twin built on the other measure would agree with its sibling everywhere
     assert any(b.lhs(*p) != f.lhs(*p) for p in points)
@@ -107,12 +165,25 @@ def test_verify_unknown_id():
         resolve_ids(["I2"])  # bare prefixes must name a whole group
 
 
-@pytest.mark.parametrize("missing", ["literal", "counterexample"])
+MISSING = {
+    "literal": {"literal_lhs": None, "literal_rhs": None},
+    "counterexample": {"counterexample": None},
+}
+
+
+@pytest.mark.parametrize("missing", MISSING)
 def test_corrected_record_without_its_evidence_is_rejected(missing):
+    # the status is read off the counterexample, so neither half of the
+    # evidence can go without the other being noticed
     corrected = next(r for r in catalog() if r.status == identities.CORRECTED)
-    broken = dataclasses.replace(corrected, **{missing: None})
+    broken = dataclasses.replace(corrected, **MISSING[missing])
     with pytest.raises(ValueError, match=f"corrected record {corrected.id} "):
         verify(broken)
+    plain = dataclasses.replace(corrected, literal_lhs=None, literal_rhs=None, counterexample=None)
+    assert plain.status == identities.VERIFIED
+    assert verify(plain).literal_confirmed is None
+    with pytest.raises(TypeError):
+        dataclasses.replace(corrected, status="corected")
 
 
 def test_group_prefix_resolution():

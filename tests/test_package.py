@@ -11,12 +11,17 @@ import volkenborn
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def _printed_by(probe: str) -> str:
+    """What a fresh interpreter, importing the package from ./src, prints running ``probe``."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return out.stdout
+
+
 def _loaded_after(statement: str) -> list[str]:
     """The volkenborn modules a fresh interpreter holds after running ``statement``."""
     probe = f"{statement}\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('volkenborn')))"
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.split()
+    return _printed_by(probe).split()
 
 
 def test_import_loads_only_what_is_used():
@@ -25,6 +30,14 @@ def test_import_loads_only_what_is_used():
     assert "volkenborn.cli" in cli
     assert "volkenborn.identities" not in cli and "volkenborn.series" not in cli
     assert "volkenborn.identities" in _loaded_after("from volkenborn import verify")
+
+
+def test_catalog_set_up_grows_no_table():
+    # importing identities and building its records (what the catalog
+    # benchmark's set-up probe times) must leave every memo table empty
+    empty = "print(all(t._values == [] and t._ints == ((), 1) for t in sequences._TABLES))"
+    out = _printed_by(f"from volkenborn import identities, sequences\n{empty}\nidentities.catalog()\n{empty}")
+    assert out.split() == ["True", "True"]
 
 
 def test_every_public_name_is_its_module_object():
