@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 # each module and the public names it defines; a name equal to its module's is the module itself
 _EXPORTS = {
-    "polynomials": ("Polynomial", "binom_int", "binom_poly", "falling_poly", "rising_poly"),
+    "polynomials": ("Polynomial", "binom_int"),
     "series": ("PowerSeries",),
     "padic": ("padic_distance", "valuation"),
     "integrals": (
@@ -33,7 +33,7 @@ _EXPORTS = {
         "power_sum", "volkenborn_exact",
     ),
     "identities": ("IdentityRecord", "IdentityReport", "catalog", "verify", "verify_all"),
-    "sequences": ("sequences",),
+    "sequences": ("binom_poly", "falling_poly", "rising_poly", "sequences"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -5,15 +5,13 @@ holding the coefficient of x**i, with no trailing zeros (the zero
 polynomial is the empty tuple).  Every operation is exact; nothing here
 ever touches floating point.
 
-Every falling-factorial-type polynomial, scale * (a + b x)(a + b x - 1)
-...(a + b x - n + 1) with rational a and integer b, comes from one
-builder, ``_factorial_poly``: the falling and rising factorials, C(x, n)
-and the shifted, reflected and scaled binomials of the identity catalog.
-It multiplies the linear factors in plain ints (``linear_product``) and
-turns them into Fractions once, with a single rational scale
-(``int_poly``); no other module touches that integer format.  The
-product of two falling factorials, (x)_m (x)_n, is built the same way
-(``_falling_product``), as one product of m + n linear factors.
+Every product of linear factors, scale * (a + b x)(a + b x - 1)...
+(a + b x - n + 1) with rational a and integer b, comes from one builder,
+``_factorial_poly``: the rising factorial and the shifted, reflected and
+scaled binomials of the identity catalog.  It multiplies the factors in
+plain ints and turns them into Fractions once, with a single rational
+scale.  The plain falling factorial and C(x, n) are not built here:
+``sequences`` reads them off its stored Stirling-1 rows.
 Every integral in t of a shifted polynomial, f(x + t) against a measure
 given by its moments, comes from one kernel, ``_shifted_integral``: the
 shift f(x + a) (a point mass at a), the Bernoulli, Euler and array
@@ -26,18 +24,10 @@ both kernels reduce their integer sums through ``_reduce``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, lcm
 from typing import Callable, Iterable, Sequence, Union
 
-__all__ = [
-    "Polynomial",
-    "binom_int",
-    "binom_poly",
-    "falling_poly",
-    "int_poly",
-    "linear_product",
-    "rising_poly",
-]
+__all__ = ["Polynomial", "binom_int"]
 
 Scalar = Union[Fraction, int]
 
@@ -220,27 +210,6 @@ class Polynomial:
         return cls(Fraction(s) for s in items)
 
 
-def linear_product(factors: Iterable[tuple[int, int]]) -> list[int]:
-    """Integer coefficients, index = power, of the product of (a + b x) over (a, b) in factors.
-
-    The empty product is [1].  Only ints are made; callers apply any
-    rational scale once, through ``int_poly``.
-    """
-    out = [1]
-    for a, b in factors:
-        out = [a * out[0]] + [a * c + b * d for c, d in zip(out[1:], out)] + [b * out[-1]]
-    return out
-
-
-def int_poly(ints: Iterable[int], scale: Scalar = 1) -> Polynomial:
-    """The polynomial with coefficients c * scale for c in ints (index = power)."""
-    if scale == 1:
-        return Polynomial(ints)
-    s = _as_fraction(scale)
-    num, den = s.numerator, s.denominator
-    return Polynomial([Fraction(c * num, den) for c in ints])
-
-
 def _reduce(buckets: dict[int, int]) -> Fraction:
     """The sum of num/den over the items den -> num, reduced once (0 for no items).
 
@@ -299,27 +268,11 @@ def _factorial_poly(n: int, a: Scalar = 0, b: int = 1, scale: Scalar = 1) -> Pol
     if n < 0:
         raise ValueError("n must be >= 0")
     p, q = a.numerator, a.denominator
-    if q != 1:
-        scale = Fraction(scale, q**n)
-    return int_poly(linear_product((p - q * j, q * b) for j in range(n)), scale)
-
-
-def _falling_product(m: int, n: int) -> Polynomial:
-    """(x)_m (x)_n, taken in ints as one product of its m + n linear factors."""
-    return int_poly(linear_product((-j, 1) for k in (m, n) for j in range(k)))
-
-
-def falling_poly(n: int) -> Polynomial:
-    """The degree-n falling factorial x(x-1)...(x-n+1); 1 for n = 0."""
-    return _factorial_poly(n)
-
-
-def rising_poly(n: int) -> Polynomial:
-    """The degree-n rising factorial x(x+1)...(x+n-1); 1 for n = 0."""
-    return _factorial_poly(n, n - 1)
-
-
-def binom_poly(n: int) -> Polynomial:
-    """The polynomial C(x, n) = x(x-1)...(x-n+1)/n!."""
-    # max: a negative n must reach the builder's own check
-    return _factorial_poly(n, scale=Fraction(1, factorial(max(n, 0))))
+    out = [1]
+    for j in range(n):
+        c, d = p - q * j, q * b
+        out = [c * out[0]] + [c * u + d * v for u, v in zip(out[1:], out)] + [d * out[-1]]
+    num, den = scale.numerator, scale.denominator * q**n
+    if num == den:
+        return Polynomial(out)
+    return Polynomial([Fraction(c * num, den) for c in out])

@@ -13,6 +13,12 @@ F_n(x) = sum_k k! S2(n, k) x^k, since c e^t + d = (c + d)(1 - x (e^t - 1))
 with x = -c/(c + d).  The associated and lambda-Stirling numbers, the
 order-k Fubini numbers and the Cauchy numbers are finite sums over the
 Stirling triangles and the falling factorials.
+The falling factorial (x)_n = sum_k S1(n, k) x^k is row n of the stored
+Stirling-1 table read as a polynomial, and C(x, n) is that row over n!.
+The rising factorial (x + n - 1)_n is not read off |S1|: it is built from
+its linear factors by ``polynomials._factorial_poly``, so the catalog's
+rising-factorial records, which compare its integral with the unsigned
+Stirling sums, keep two independent sides.
 Every family polynomial is the integral in t of a shifted polynomial
 f(x + t) against a measure, built by ``polynomials._shifted_integral``
 from the measure's moments: the Bernoulli, Euler and array polynomials
@@ -42,15 +48,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable
 
-from .polynomials import (
-    Polynomial,
-    _as_fraction,
-    _dot,
-    _shifted_integral,
-    binom_int,
-    falling_poly,
-    rising_poly,
-)
+from .polynomials import Polynomial, _as_fraction, _dot, _factorial_poly, _shifted_integral, binom_int
 
 __all__ = [
     "apostol_bernoulli",
@@ -61,6 +59,7 @@ __all__ = [
     "bernoulli",
     "bernoulli_poly",
     "bernoulli_second_poly",
+    "binom_poly",
     "cauchy",
     "changhee",
     "changhee_hat",
@@ -74,6 +73,7 @@ __all__ = [
     "euler_poly",
     "euler_second",
     "eulerian",
+    "falling_poly",
     "frobenius_euler",
     "fubini",
     "fubini_order",
@@ -81,6 +81,7 @@ __all__ = [
     "lah",
     "lah_unsigned",
     "osgood_wu",
+    "rising_poly",
     "stirling1",
     "stirling1_unsigned",
     "stirling2",
@@ -255,6 +256,24 @@ _ASSOC_STIRLING2 = _associated(_STIRLING2)
 _stirling1_row = _STIRLING1.get
 _stirling2_row = _STIRLING2.get
 _eulerian_row = _EULERIAN.get
+
+
+def falling_poly(n: int) -> Polynomial:
+    """The falling factorial x(x-1)...(x-n+1) = sum_k S1(n, k) x^k, read off row n; 1 for n = 0."""
+    return Polynomial(_stirling1_row(n))
+
+
+def binom_poly(n: int) -> Polynomial:
+    """The polynomial C(x, n) = (x)_n / n!: row n of S1 over n!."""
+    row = _stirling1_row(n)
+    den = factorial(n)
+    return Polynomial([Fraction(c, den) for c in row])
+
+
+def rising_poly(n: int) -> Polynomial:
+    """The rising factorial x(x+1)...(x+n-1) = (x + n - 1)_n; 1 for n = 0."""
+    # from its linear factors, not |S1(n, k)|: records I05a and I27b check that expansion
+    return _factorial_poly(n, n - 1)
 
 
 def _entry(rows: _Memo, n: int, k: int) -> Fraction:

@@ -15,7 +15,8 @@ from volkenborn.integrals import (
     power_sum,
     volkenborn_exact,
 )
-from volkenborn.polynomials import Polynomial, binom_poly
+from volkenborn.polynomials import Polynomial
+from volkenborn.sequences import binom_poly
 
 
 def _report(name: str, ok: bool, elapsed: float, detail: str = "") -> None:

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from volkenborn import identities, sequences as seq
 from volkenborn.integrals import fermionic_exact, volkenborn_exact
-from volkenborn.polynomials import Polynomial, _dot, binom_int, falling_poly
+from volkenborn.polynomials import Polynomial, _dot, binom_int
+from volkenborn.sequences import falling_poly
 
 rationals = st.one_of(
     st.integers(min_value=-10**30, max_value=10**30),

@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from volkenborn import sequences as seq
-from volkenborn.polynomials import Polynomial, binom_int, falling_poly
+from volkenborn.polynomials import Polynomial, binom_int
 from volkenborn.series import PowerSeries
 
 EULER_MAX = 150
@@ -299,7 +299,7 @@ def reference_bernoulli_second_poly(n: int) -> Polynomial:
     for k in range(n + 1):
         c = binom_int(n, k) * reference_egf("cauchy", None)[n - k]
         if c:
-            out = out + falling_poly(k) * c
+            out = out + seq.falling_poly(k) * c
     return out
 
 

@@ -7,7 +7,8 @@ import pytest
 from volkenborn import identities, sequences as seq
 from volkenborn.identities import catalog, resolve_ids, verify, verify_all
 from volkenborn.integrals import fermionic_exact, volkenborn_exact
-from volkenborn.polynomials import Polynomial, binom_poly, falling_poly
+from volkenborn.polynomials import Polynomial
+from volkenborn.sequences import binom_poly, falling_poly
 
 
 GROUP_IDS = [f"I{i:02d}" for i in range(1, 36)]

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from volkenborn import sequences as seq
 from volkenborn.integrals import fermionic_exact, volkenborn_exact
-from volkenborn.polynomials import Polynomial, _dot, _falling_product, falling_poly
+from volkenborn.polynomials import Polynomial, _dot
+from volkenborn.sequences import falling_poly
 
 VIEWS = pytest.mark.parametrize(
     "view, table", [(seq._bernoulli_ints, seq.bernoulli), (seq._euler_ints, seq.euler)],
@@ -129,11 +130,21 @@ def test_concurrent_view_growth_is_consistent(view, table):
         sys.setswitchinterval(old)
 
 
+def times_factor(coeffs: list, j: int) -> list:
+    """The coefficients of (x - j) times the polynomial with coefficients ``coeffs``."""
+    return [lo - j * hi for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
+
+
 @pytest.mark.parametrize("m", range(21))
 def test_falling_product_is_the_product_of_the_two_falling_factorials(m):
+    # the reference multiplies out the m + n linear factors one at a time, in
+    # plain lists, sharing no code with the Stirling rows or Polynomial.__mul__
+    want = [1]
+    for j in range(m):
+        want = times_factor(want, j)
     for n in range(21):
-        got = _falling_product(m, n)
-        want = falling_poly(m) * falling_poly(n)
-        assert got == want, (m, n)
-        assert repr(got) == repr(want)
+        got, expected = falling_poly(m) * falling_poly(n), Polynomial(want)
+        assert got == expected, (m, n)
+        assert repr(got) == repr(expected)
         assert all(type(c) is Fraction for c in got.coeffs)
+        want = times_factor(want, n)

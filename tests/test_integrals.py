@@ -17,8 +17,8 @@ from volkenborn.integrals import (
     power_sum,
     volkenborn_exact,
 )
-from volkenborn.polynomials import Polynomial, binom_poly, falling_poly
-from volkenborn.sequences import changhee, daehee
+from volkenborn.polynomials import Polynomial
+from volkenborn.sequences import binom_poly, changhee, daehee, falling_poly
 
 
 def test_volkenborn_exact_examples():

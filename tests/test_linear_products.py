@@ -1,12 +1,15 @@
-"""Integer products of linear factors against the Fraction loops they replaced.
+"""Products of linear factors against the Fraction loops they replaced.
 
-Every falling-factorial-type polynomial is built by one builder,
-``polynomials._factorial_poly``, in ints through ``linear_product`` and
-scaled once; its integrals in t at a shifted argument x + t come from
-``polynomials._shifted_integral``.  The references below are the earlier
-factor-by-factor and t-by-t loops, multiplying by the Fraction
-convolution and integrating row by row, so they share no code with the
-integer path of ``Polynomial.__mul__`` or with the kernel.
+The falling factorial and C(x, n) are read off the stored Stirling-1 rows
+(``sequences.falling_poly``, ``sequences.binom_poly``); every other product
+of linear factors, the rising factorial and the catalog's shifted,
+reflected and scaled binomials, is built in ints and scaled once by
+``polynomials._factorial_poly``.  Their integrals in t at a shifted
+argument x + t come from ``polynomials._shifted_integral``.  The
+references below are the factor-by-factor and t-by-t loops, multiplying
+by the Fraction convolution and integrating row by row, so they share no
+code with the Stirling triangle, the integer path of
+``Polynomial.__mul__`` or the kernel.
 """
 from fractions import Fraction
 from math import factorial
@@ -18,16 +21,8 @@ from hypothesis import strategies as st
 from volkenborn import identities
 from volkenborn import sequences as seq
 from volkenborn.integrals import volkenborn_exact
-from volkenborn.polynomials import (
-    Polynomial,
-    _factorial_poly,
-    _shifted_integral,
-    binom_poly,
-    falling_poly,
-    int_poly,
-    linear_product,
-    rising_poly,
-)
+from volkenborn.polynomials import Polynomial, _factorial_poly, _shifted_integral
+from volkenborn.sequences import binom_poly, falling_poly, rising_poly
 
 small_ints = st.integers(min_value=-30, max_value=30)
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
@@ -76,19 +71,16 @@ def integrate_rows(rows: list[Polynomial], moment) -> Polynomial:
     return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.tuples(small_ints, small_ints), max_size=12), rationals)
-def test_linear_product_matches_factor_by_factor_product(factors, scale):
-    assert int_poly(linear_product(factors), scale) == product(factors, scale)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=30))
-def test_falling_rising_and_binom_match_factor_loops(n):
-    falling = product((-j, 1) for j in range(n))
-    assert falling_poly(n) == falling
-    assert rising_poly(n) == product((j, 1) for j in range(n))
-    assert binom_poly(n) == falling * Fraction(1, factorial(n))
+def test_falling_rising_and_binom_match_factor_loops():
+    # the references grow by one factor per degree: x - n for the falling
+    # factorial, x + n for the rising one
+    falling = rising = Polynomial.one()
+    for n in range(80):
+        assert falling_poly(n) == falling, n
+        assert binom_poly(n) == falling * Fraction(1, factorial(n)), n
+        assert rising_poly(n) == rising, n
+        falling = fraction_mul(falling, Polynomial([-n, 1]))
+        rising = fraction_mul(rising, Polynomial([n, 1]))
 
 
 @pytest.mark.parametrize("build", [falling_poly, rising_poly, binom_poly])
@@ -117,6 +109,11 @@ def test_builders_reject_a_negative_degree(build):
 @example(6, 0, -8, 1)
 @example(15, -1, 1, 1)
 @example(5, Fraction(3, 7), 0, 2)
+# no factors, a rational a with a negative b, a rational or zero scale
+@example(0, Fraction(-5, 6), -3, Fraction(7, 4))
+@example(0, 0, 1, 0)
+@example(9, Fraction(-11, 3), -7, Fraction(-2, 9))
+@example(4, 2, 3, 0)
 def test_factorial_poly_matches_factor_by_factor_product(n, a, b, scale):
     expected = product(((a - j, b) for j in range(n)), scale)
     assert _factorial_poly(n, a, b, scale) == expected

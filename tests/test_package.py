@@ -1,10 +1,14 @@
-"""The package root: what an import loads, and what its public names are."""
+"""The package root: what an import loads, what its public names are, and what it imports."""
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import volkenborn
 
@@ -66,3 +70,33 @@ def test_reading_a_name_writes_nothing_into_the_root():
         getattr(volkenborn, name)
     assert vars(volkenborn) == before
     assert not hasattr(volkenborn, "no_such_name")
+
+
+SOURCES = sorted(Path(volkenborn.__file__).parent.glob("*.py"))
+# the standard library, the package itself and the one runtime dependency
+ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"volkenborn", "click"}
+
+
+def _imported_roots(path: Path) -> set[str]:
+    """The top-level names of every absolute import in a source file, at any depth."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.partition(".")[0])
+    return roots
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_runtime_imports_are_stdlib_or_click(path):
+    # sympy and numpy are installed for the tests, so only this keeps them
+    # out of the library and pyproject's dependencies complete
+    assert _imported_roots(path) - ALLOWED_IMPORTS == set()
+
+
+def test_pyproject_declares_click_as_the_only_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert deps == ["click>=8.0"]

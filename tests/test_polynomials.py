@@ -4,14 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volkenborn.polynomials import (
-    Polynomial,
-    binom_int,
-    binom_poly,
-    falling_poly,
-    rising_poly,
-)
-from volkenborn.sequences import stirling1
+from volkenborn.polynomials import Polynomial, binom_int
+from volkenborn.sequences import binom_poly, falling_poly, rising_poly, stirling1
 
 
 def test_binom_int_small_values():

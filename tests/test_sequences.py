@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volkenborn import sequences as seq
-from volkenborn.polynomials import Polynomial, binom_int, falling_poly, rising_poly
+from volkenborn.polynomials import Polynomial, binom_int
+from volkenborn.sequences import falling_poly, rising_poly
 from volkenborn.series import PowerSeries
 
 
