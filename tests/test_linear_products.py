@@ -71,6 +71,15 @@ def integrate_rows(rows: list[Polynomial], moment) -> Polynomial:
     return out
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=12), small_ints, small_ints, rationals)
+def test_linear_product_matches_factor_by_factor_product(n, a, b, scale):
+    # integer a: the factors (a - j) + b x are multiplied in plain ints and
+    # the product scaled once, with no denominator q^n to divide out
+    expected = product(((a - j, b) for j in range(n)), scale)
+    assert _factorial_poly(n, a, b, scale) == expected
+
+
 def test_falling_rising_and_binom_match_factor_loops():
     # the references grow by one factor per degree: x - n for the falling
     # factorial, x + n for the rising one
