@@ -73,8 +73,8 @@ def test_reading_a_name_writes_nothing_into_the_root():
 
 
 SOURCES = sorted(Path(volkenborn.__file__).parent.glob("*.py"))
-# the standard library, the package itself and the one runtime dependency
-ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"volkenborn", "click"}
+# the standard library and the package itself: there is no runtime dependency
+ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"volkenborn"}
 
 
 def _imported_roots(path: Path) -> set[str]:
@@ -90,13 +90,35 @@ def _imported_roots(path: Path) -> set[str]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_runtime_imports_are_stdlib_or_click(path):
-    # sympy and numpy are installed for the tests, so only this keeps them
-    # out of the library and pyproject's dependencies complete
+    # the name predates the argparse CLI: click is no longer allowed either.
+    # sympy, numpy and click are installed for the tests and the benchmark,
+    # so only this keeps them out of the library and pyproject's (empty)
+    # dependencies complete
     assert _imported_roots(path) - ALLOWED_IMPORTS == set()
 
 
-def test_pyproject_declares_click_as_the_only_dependency():
+def test_pyproject_declares_no_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(SRC).parent / "pyproject.toml"
     deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
-    assert deps == ["click>=8.0"]
+    assert deps == []
+
+
+# modules a CLI process does not load: seq and table-dump, most of what
+# users run, need only sequences, polynomials and fractions
+CLI_UNLOADED = ("click", "json", "csv", "volkenborn.integrals", "volkenborn.identities", "volkenborn.series")
+RUN_SEQ = """
+import contextlib, io
+from volkenborn.cli import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["seq", "bernoulli", "--n", "3"])
+    except SystemExit as done:
+        assert done.code == 0
+"""
+
+
+def test_cli_imports_only_what_a_command_runs():
+    loaded = f"\nimport sys\nprint(*[m for m in {CLI_UNLOADED!r} if m in sys.modules])"
+    assert _printed_by("import volkenborn.cli" + loaded) == "\n"
+    assert _printed_by(RUN_SEQ + loaded) == "\n"
