@@ -74,14 +74,16 @@ class _CommandTable:
     def main(self, args=None, prog_name: Optional[str] = None):
         parser = _Parser(prog=prog_name or self.name, description=self.doc)
         subparsers = parser.add_subparsers(dest="command", metavar="COMMAND", title="commands")
+        args = sys.argv[1:] if args is None else list(args)
         value_options = set()
         for command in self.commands.values():
             sub = subparsers.add_parser(command.name, help=command.help, description=command.help)
             for flags, kwargs in command.specs:
-                sub.add_argument(*flags, **kwargs)
+                if args[:1] == [command.name]:  # only the named command parses its arguments
+                    sub.add_argument(*flags, **kwargs)
                 if flags[0].startswith("-") and kwargs.get("action") != "store_true":
                     value_options.update(flags)
-        argv, words = [], iter(sys.argv[1:] if args is None else args)
+        argv, words = [], iter(args)
         for word in words:
             # an option that takes a value takes the next word, even one like -1/2
             value = next(words, None) if word in value_options else None

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .integrals import _moment_integral
 from .integrals import fermionic_exact as _ferm
 from .integrals import volkenborn_exact as _volk
-from .polynomials import Polynomial, _dot, _factorial_poly, _shifted_integral, binom_int
+from .polynomials import Polynomial, _dot, _factorial_poly, _reduce, _shifted_integral, binom_int
 from . import sequences as seq
 from .sequences import binom_poly, falling_poly, rising_poly
 
@@ -274,11 +274,9 @@ def _falling_pair(m: int, n: int) -> Fraction:
 
 
 def _sum_1f(m: int, n: int) -> Fraction:
-    return _dot(
-        (
-            (-1) ** (m + n - k) * comb(m, k) * comb(n, k) * factorial(k) * factorial(m + n - k),
-            Fraction(1, m + n - k + 1),
-        )
+    return _reduce(
+        ((-1) ** (m + n - k) * comb(m, k) * comb(n, k) * factorial(k) * factorial(m + n - k),
+         m + n - k + 1)
         for k in range(m + 1)
     )
 
@@ -1077,7 +1075,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I32d",
         title="Associated-Stirling expansion under the unit-interval integral",
         grid=_grid((0, 15)),
-        lhs=lambda n: _dot((w, F(1, i + 1)) for i, w in enumerate(_assoc_weights(n))),
+        lhs=lambda n: _reduce((w, i + 1) for i, w in enumerate(_assoc_weights(n))),
         rhs=seq.cauchy,
     ))
 

@@ -3,9 +3,9 @@
 The bosonic integral over the p-adic integers sends x^n to the Bernoulli
 number B_n and the fermionic integral sends x^n to the Euler number E_n;
 both extend to polynomials by linearity, which makes them exactly
-computable.  Both exact integrals are one kernel over the integer view of
-the moment table (numerators over one denominator, see ``sequences``):
-int products, one bucket per coefficient denominator, one reduction.
+computable.  Both exact integrals add int products over the integer view
+of the moment table (numerators over one denominator, see ``sequences``)
+and reduce them once through ``polynomials._reduce``.
 Bosonic and fermionic level-N Riemann sums are evaluated in closed form
 through power sums, Horner's rule in ints over the same views (no p^N
 term loops, and one reduction per sum), so their convergence can be
@@ -73,16 +73,11 @@ class Measure:
 
 
 def _moment_integral(coeffs: Iterable[Scalar], moments: Callable, shift: int = 0) -> Fraction:
-    """sum_i c_i m_(i+shift) for moments(n) = (numerators of m_0..m_n, den): the int
-    products go into one bucket per coefficient denominator, reduced once."""
+    """sum_i c_i m_(i+shift) for moments(n) = (numerators of m_0..m_n, den): one int term
+    per nonzero moment, summed by ``_reduce`` and divided by den."""
     cs = list(coeffs)
     nums, den = moments(len(cs) + shift - 1)
-    buckets: dict[int, int] = {}
-    for c, m in zip(cs, nums[shift:]):
-        if m:
-            d = c.denominator
-            buckets[d] = buckets.get(d, 0) + c.numerator * m
-    return _reduce({d * den: num for d, num in buckets.items()})
+    return _reduce([(c.numerator * m, c.denominator) for c, m in zip(cs, nums[shift:]) if m], den)
 
 
 def volkenborn_exact(f: Polynomial) -> Fraction:
@@ -160,14 +155,9 @@ def level_integral(f: Polynomial, measure: Measure, p: int, N: int) -> Fraction:
     _check_level_args(measure, p, N)
     m = p**N
     if measure.kind != "q":
-        buckets: dict[int, int] = {}
-        for n, c in enumerate(f):
-            if c:
-                num, den = _power_sum(n, m, measure.kind == "fermionic")
-                d = c.denominator * den
-                buckets[d] = buckets.get(d, 0) + c.numerator * num
-        scale = m if measure.kind == "bosonic" else 1
-        return _reduce({d * scale: num for d, num in buckets.items()})
+        terms = ((c.numerator * num, c.denominator * den) for n, c in enumerate(f) if c
+                 for num, den in [_power_sum(n, m, measure.kind == "fermionic")])
+        return _reduce(terms, m if measure.kind == "bosonic" else 1)
     q = measure.q
     if q == 1:
         return level_integral(f, Measure.bosonic(), p, N)

@@ -12,7 +12,7 @@ r t^j / (c e^t + d), are values of the Fubini polynomial
 F_n(x) = sum_k k! S2(n, k) x^k, since c e^t + d = (c + d)(1 - x (e^t - 1))
 with x = -c/(c + d).  The associated and lambda-Stirling numbers, the
 order-k Fubini numbers and the Cauchy numbers are finite sums over the
-Stirling triangles and the falling factorials.
+Stirling triangles.
 The falling factorial (x)_n = sum_k S1(n, k) x^k is row n of the stored
 Stirling-1 table read as a polynomial, and C(x, n) is that row over n!.
 The rising factorial (x + n - 1)_n is not read off |S1|: it is built from
@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable
 
-from .polynomials import Polynomial, _as_fraction, _dot, _factorial_poly, _shifted_integral, binom_int
+from .polynomials import Polynomial, _as_fraction, _factorial_poly, _reduce, _shifted_integral, binom_int
 
 __all__ = [
     "apostol_bernoulli",
@@ -448,20 +448,18 @@ def daehee(n: int) -> Fraction:
     return Fraction((-1) ** n * factorial(n), n + 1)
 
 
-def _second_kind(n: int, weight: Callable[[int], Fraction]) -> Fraction:
-    """n! sum_m (-1)^m C(n-1, n-m) weight(m): the integral of the rising factorial, read
-    off the integrals (-1)^m weight(m) of C(x, m), for weight 1/(m+1) or 1/2^m."""
+def _second_kind(n: int, den: Callable[[int], int]) -> Fraction:
+    """n! sum_m (-1)^m C(n-1, n-m)/den(m): the integral of the rising factorial, read
+    off the integrals (-1)^m/den(m) of C(x, m), for den(m) = m + 1 or 2^m."""
     _check_index(n)
     if n == 0:
         return Fraction(1)
-    return factorial(n) * _dot(
-        ((-1) ** m * comb(n - 1, n - m), weight(m)) for m in range(1, n + 1)
-    )
+    return factorial(n) * _reduce(((-1) ** m * comb(n - 1, n - m), den(m)) for m in range(1, n + 1))
 
 
 def daehee_hat(n: int) -> Fraction:
     """Second-kind Daehee number: the bosonic integral of the rising factorial."""
-    return _second_kind(n, lambda m: Fraction(1, m + 1))
+    return _second_kind(n, lambda m: m + 1)
 
 
 def changhee(n: int) -> Fraction:
@@ -472,7 +470,7 @@ def changhee(n: int) -> Fraction:
 
 def changhee_hat(n: int) -> Fraction:
     """Second-kind Changhee number: the fermionic integral of the rising factorial."""
-    return _second_kind(n, lambda m: Fraction(1, 2**m))
+    return _second_kind(n, lambda m: 2**m)
 
 
 def daehee_poly(n: int) -> Polynomial:
@@ -498,9 +496,9 @@ def changhee_poly(n: int) -> Polynomial:
 
 
 def cauchy(n: int) -> Fraction:
-    """Cauchy number: the Riemann integral of the falling factorial over [0, 1]."""
+    """Cauchy number sum_k S1(n, k)/(k+1): the integral of the falling factorial over [0, 1]."""
     _check_index(n)
-    return _dot((c, Fraction(1, i + 1)) for i, c in enumerate(falling_poly(n)))
+    return _reduce((s, i + 1) for i, s in enumerate(_stirling1_row(n)))
 
 
 def bernoulli_second_poly(n: int) -> Polynomial:
@@ -517,7 +515,7 @@ def bernoulli_second_poly(n: int) -> Polynomial:
 def harmonic(n: int) -> Fraction:
     """Partial sum 1 + 1/2 + ... + 1/(n+1) (shifted by one from the classical H_n)."""
     _check_index(n)
-    return sum((Fraction(1, k + 1) for k in range(n + 1)), Fraction(0))
+    return _reduce((1, k + 1) for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Integer-bucketed exact sums against the Fraction sums they replaced.
 
-``polynomials._dot`` adds numerator products per denominator and reduces
-once; the catalog's hot right-hand sides, the exact integrals and a few
-number families sum through it with integer weights read off whole
-integer triangle rows, or add int products of the Bernoulli and Euler
-numerators over their one denominator.  The references below are the
-earlier forms, one ``Fraction`` product per term over the public
-(per-entry) functions, so they share no code with the integer path.
+``polynomials._reduce`` adds int numerators per denominator and reduces
+once, and ``_dot`` feeds it numerator products; the catalog's hot
+right-hand sides, the exact integrals and a few number families sum
+through it with integer weights read off whole integer triangle rows, or
+add int products of the Bernoulli and Euler numerators over their one
+denominator.  The references below are the earlier forms, one
+``Fraction`` product per term over the public (per-entry) functions, so
+they share no code with the integer path.
 """
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from volkenborn import identities, sequences as seq
 from volkenborn.integrals import fermionic_exact, volkenborn_exact
-from volkenborn.polynomials import Polynomial, _dot, binom_int
+from volkenborn.polynomials import Polynomial, _dot, _reduce, binom_int
 from volkenborn.sequences import falling_poly
 
 rationals = st.one_of(
@@ -56,6 +58,39 @@ def test_dot_matches_fraction_sum(items):
 def test_dot_rejects_floats(pair):
     with pytest.raises(TypeError):
         _dot([(1, 1), pair])
+
+
+numerators = st.integers(min_value=-10**30, max_value=10**30)
+int_terms = st.lists(st.tuples(numerators, st.integers(min_value=1, max_value=10**12)), max_size=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_terms, st.integers(min_value=1, max_value=10**6))
+@example([], 1)
+@example([(3, 7), (-5, 7), (1, 7)], 1)  # one shared denominator
+@example([(0, 3), (0, 5), (2, 5), (0, 1)], 4)  # zero numerators
+# large coprime denominators: two Mersenne primes and 10^9 + 7
+@example([(1, 2**61 - 1), (-1, 2**31 - 1), (-1, 10**9 + 7), (3, 1)], 1)
+def test_reduce_matches_fraction_sum(items, scale):
+    got = _reduce(items, scale)
+    assert type(got) is Fraction
+    assert got == sum((Fraction(n, d) for n, d in items), Fraction(0)) / scale
+    assert _reduce(iter(items)) == _reduce(items, 1) == got * scale
+
+
+def test_cold_catalog_pass_stays_small_in_live_memory():
+    """Per-denominator buckets keep every exact sum's integers small: a cold
+    catalog pass peaked at about 0.1 MiB of traced allocations, and the
+    common-denominator variants at 0.4 MiB."""
+    identities.catalog()
+    seq.clear_caches()
+    tracemalloc.start()
+    try:
+        identities.verify_all()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2 * 2**20, f"{peak / 2**20:.3f} MiB"
 
 
 # ---------------------------------------------------------------------------
