@@ -12,7 +12,8 @@ no operation ever rounds.  The main pieces:
 * :mod:`volkenborn.identities` -- an executable catalog of integral and
   combinatorial identities with a pass/corrected/fail runner.
 * :mod:`volkenborn.series` -- truncated formal power series, kept as an
-  EGF reference for the tests and the benchmark; no family is built on it.
+  EGF reference for the tests and the benchmark; no family is built on it,
+  and none of its names is exported here (import it as a submodule).
 
 ``import volkenborn`` loads no submodule: each name below loads its module
 on first use (PEP 562), so a caller pays only for what it reads.
@@ -25,7 +26,6 @@ __version__ = "0.1.0"
 # each module and the public names it defines; a name equal to its module's is the module itself
 _EXPORTS = {
     "polynomials": ("Polynomial", "binom_int"),
-    "series": ("PowerSeries",),
     "padic": ("padic_distance", "valuation"),
     "integrals": (
         "ConvergenceReport", "Measure", "alternating_power_sum", "check_fermionic_shift",

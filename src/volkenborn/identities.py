@@ -173,15 +173,15 @@ class _Integral:
     (B_n or E_n), ``ints(n)`` the moments 0..n as int numerators over one
     denominator, ``falling(n)`` that of the falling factorial (the Daehee
     or Changhee number), ``hat(n)`` the closed form of that of the rising
-    factorial (the second-kind number), and ``weight(k)`` is |integral of
-    C(x, k)| written in closed form (1/(k + 1) or 1/2^k)."""
+    factorial (the second-kind number), and ``den(k)`` is the int
+    denominator of the integral (-1)^k/den(k) of C(x, k) (k + 1 or 2^k)."""
 
     exact: Evaluator
     moment: Callable[[int], Fraction]
     ints: Callable[[int], tuple[tuple[int, ...], int]]
     falling: Callable[[int], Fraction]
     hat: Callable[[int], Fraction]
-    weight: Callable[[int], Fraction]
+    den: Callable[[int], int]
 
     def dot(self, weights: Iterable[int], shift: int = 0) -> Fraction:
         """sum_k weights[k] m_(k+shift), added in ints over the moments' one denominator."""
@@ -201,9 +201,9 @@ def _integrals() -> tuple[_Integral, _Integral]:
     """The bosonic and the fermionic integral, from the names bound at the call."""
     return (
         _Integral(_volk, seq.bernoulli, seq._bernoulli_ints, seq.daehee, seq.daehee_hat,
-                  lambda k: Fraction(1, k + 1)),
+                  lambda k: k + 1),
         _Integral(_ferm, seq.euler, seq._euler_ints, seq.changhee, seq.changhee_hat,
-                  lambda k: Fraction(1, 2**k)),
+                  lambda k: 2**k),
     )
 
 
@@ -312,10 +312,10 @@ def _gould_square_poly(n: int) -> Polynomial:
 
 def _newton(mu: _Integral, f: Callable[[int], int], top: int) -> Fraction:
     """The integral of f (degree <= top) through its Newton series: the sum over k of
-    the integral of C(x, k), which is (-1)^k weight(k), times the k-th difference of f at 0."""
+    the integral of C(x, k), which is (-1)^k/den(k), times the k-th difference of f at 0."""
     fs = [f(i) for i in range(top + 1)]
-    return _dot(
-        ((-1) ** k * sum((-1) ** j * comb(k, j) * fs[k - j] for j in range(k + 1)), mu.weight(k))
+    return _reduce(
+        ((-1) ** k * sum((-1) ** j * comb(k, j) * fs[k - j] for j in range(k + 1)), mu.den(k))
         for k in range(top + 1)
     )
 
@@ -335,7 +335,7 @@ def _worpitzky_coeff(n: int, j: int) -> Fraction:
     return Fraction(sum((-1) ** (j + k) * comb(n + 1, j - k) * k**n for k in range(j + 1)))
 
 
-def _worpitzky_literal(n: int, denom: Callable[[int], Fraction]) -> Fraction:
+def _worpitzky_literal(n: int, den: Callable[[int], int]) -> Fraction:
     total = Fraction(0)
     for j in range(n + 1):
         for k in range(j + 1):
@@ -346,7 +346,7 @@ def _worpitzky_literal(n: int, denom: Callable[[int], Fraction]) -> Fraction:
                     * binom_int(n + 1, j - k)
                     * Fraction(factorial(j), factorial(n))
                     * k**n
-                    * denom(m)
+                    / den(m)
                 )
     return total
 
@@ -411,9 +411,7 @@ def _rising_lah_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
 
 def _falling_over_x_integral(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
-        return (-1) ** n * sum(
-            perm(n, n - k) * factorial(k) * mu.weight(k) for k in range(n + 1)
-        )
+        return _reduce(((-1) ** n * perm(n, n - k) * factorial(k), mu.den(k)) for k in range(n + 1))
 
     return IdentityRecord(
         rid, title, _grid((0, 15)), lambda n: mu.exact(_factorial_poly(n, -1)), rhs
@@ -448,7 +446,7 @@ def _shifted_binomial_times_x(rid: str, title: str, mu: _Integral) -> IdentityRe
         return mu.exact(Polynomial.x() * _binom(n - 1, -2))
 
     def rhs(n: int) -> Fraction:
-        return (-1) ** n * sum(k * mu.weight(k) for k in range(1, n + 1))
+        return _reduce(((-1) ** n * k, mu.den(k)) for k in range(1, n + 1))
 
     return IdentityRecord(rid, title, _grid((1, 15)), lhs, rhs)
 
@@ -479,7 +477,7 @@ def _gould_square(rid: str, title: str, mu: _Integral, note: str) -> IdentityRec
         title=title,
         grid=_grid((2, 15)),
         lhs=lambda n: mu.exact(_gould_square_poly(n)),
-        rhs=lambda n: (-1) ** n * sum(k * k * mu.weight(k) for k in range(n + 1)),
+        rhs=lambda n: _reduce(((-1) ** n * k * k, mu.den(k)) for k in range(n + 1)),
         note=note,
         literal_lhs=lambda n: mu.exact(
             Polynomial.x() * _binom(n - 1, -2)
@@ -513,14 +511,11 @@ def _half_integer_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecor
         return mu.exact(_binom(n, Fraction(2 * n + 1, 2)))
 
     def rhs(n: int) -> Fraction:
-        return (2 * n + 1) * binom_int(2 * n, n) * sum(
-            (-1) ** k
-            * binom_int(n, k)
-            * Fraction(4**k, 4**n * (2 * k + 1))
-            * mu.weight(k)
-            / binom_int(2 * k, k)
+        c = (2 * n + 1) * comb(2 * n, n)
+        return _reduce((
+            ((-1) ** k * c * comb(n, k) * 4**k, (2 * k + 1) * comb(2 * k, k) * mu.den(k))
             for k in range(n + 1)
-        )
+        ), 4**n)
 
     return IdentityRecord(rid, title, _grid((0, 15)), lhs, rhs)
 
@@ -559,7 +554,7 @@ def _worpitzky(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord
             _worpitzky_coeff(n, j) * mu.exact(_binom(n, j - 1)) for j in range(n + 1)
         ),
         note=note,
-        literal_rhs=lambda n: _worpitzky_literal(n, mu.weight),
+        literal_rhs=lambda n: _worpitzky_literal(n, mu.den),
         counterexample=(2,),
     )
 
@@ -635,13 +630,7 @@ def _build_catalog() -> list[IdentityRecord]:
     add(_rising_unsigned_stirling(
         "I05a", "Rising-factorial integral equals the unsigned-Stirling Bernoulli sum", bos, 0
     ))
-    add(IdentityRecord(
-        id="I05b",
-        title="Rising-factorial integral, alternating binomial form",
-        grid=_grid((1, 15)),
-        lhs=bos.rising,
-        rhs=seq.daehee_hat,
-    ))
+    add(_rising_alternating("I05b", "Rising-factorial integral, alternating binomial form", bos))
     add(_rising_lah("I05c", "Rising-factorial integral, unsigned-Lah form", bos, 0))
     add(_rising_lah_stirling("I05d", "Rising-factorial integral, Lah-Stirling double sum", bos))
 
@@ -937,7 +926,7 @@ def _build_catalog() -> list[IdentityRecord]:
         note="the uncorrected form omits the factorials carried by the two "
         "falling-factorial integrals",
         literal_rhs=lambda k: sum(
-            (-1) ** (l + m) * fer.weight(l + m) * seq.osgood_wu(k, l, m)
+            (-1) ** (l + m) * seq.osgood_wu(k, l, m) / fer.den(l + m)
             for l in range(1, k + 1)
             for m in range(1, k + 1)
         ),
@@ -1131,28 +1120,18 @@ def _build_catalog() -> list[IdentityRecord]:
 
 
 def resolve_ids(ids: Sequence[str]) -> list[IdentityRecord]:
-    """Resolve exact record ids or whole-group prefixes (e.g. 'I26')."""
-    records = catalog()
-    out: list[IdentityRecord] = []
-    seen: set[str] = set()
+    """Resolve exact record ids or whole-group prefixes (e.g. 'I26'), each record once,
+    in the order first requested."""
+    found: dict[str, IdentityRecord] = {}
     for wanted in ids:
         matches = [
-            r
-            for r in records
-            if r.id == wanted
-            or (
-                r.id.startswith(wanted)
-                and len(r.id) == len(wanted) + 1
-                and r.id[-1].isalpha()
-            )
+            r for r in catalog()
+            if r.id == wanted or (r.id[:-1] == wanted and r.id[-1].isalpha())
         ]
         if not matches:
             raise KeyError(f"unknown identity id: {wanted}")
-        for r in matches:
-            if r.id not in seen:
-                seen.add(r.id)
-                out.append(r)
-    return out
+        found.update((r.id, r) for r in matches)
+    return list(found.values())
 
 
 # Largest grid cap `verify` accepts.  The two-index sums grow steeply with it:

@@ -171,7 +171,7 @@ def old_newton(mu, f, top):
     return sum(
         (-1) ** k
         * sum((-1) ** j * binom_int(k, j) * f(k - j) for j in range(k + 1))
-        * mu.weight(k)
+        * Fraction(1, mu.den(k))
         for k in range(top + 1)
     )
 
