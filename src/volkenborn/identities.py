@@ -6,6 +6,9 @@ factorial, C(x, n) and the Stirling-1 sums are all read off the stored
 Stirling-1 rows.  In I08b, I11a, I12b, I14a, I14b, I22, I23b, I26e, I26f
 and I33a both sides read those rows, so there the tests, not the
 catalog, check the rows against the product of their linear factors.
+Every side sums through ``polynomials._reduce`` (int terms over int denominators, or
+a ``_dot`` of weights and checked values) except I33a's right side, which adds
+``Fraction``s: its left side, ``seq.cauchy``, is that very sum through ``_reduce``.
 A record is ``verified`` when the statement checks out in its commonly
 stated form, and ``corrected`` when brute-force expansion pinned down an
 amended statement; a corrected record stores a counterexample and only
@@ -28,7 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .integrals import _moment_integral
 from .integrals import fermionic_exact as _ferm
 from .integrals import volkenborn_exact as _volk
-from .polynomials import Polynomial, _dot, _factorial_poly, _reduce, _shifted_integral, binom_int
+from .polynomials import Polynomial, _dot, _factorial_poly, _reduce, _shifted_integral
 from . import sequences as seq
 from .sequences import binom_poly, falling_poly, rising_poly
 
@@ -268,6 +271,15 @@ def _binom_of_sum(n: int) -> Fraction:
     return _volk(_shifted_integral(binom_poly(n), seq.bernoulli))
 
 
+def _bernoulli_convolution(n: int) -> Fraction:
+    """sum_k S1(n, k) sum_j C(k, j) B_j B_(k-j)/n!, the right side of I12b, in ints."""
+    nums, den = seq._bernoulli_ints(n)
+    return _reduce((
+        (s * comb(k, j) * nums[j] * nums[k - j], 1)
+        for k, s in enumerate(seq._stirling1_row(n)) for j in range(k + 1)
+    ), den * den * factorial(n))
+
+
 def _falling_pair(m: int, n: int) -> Fraction:
     """The bosonic integral of (x)_m (x)_n: the left side of I23a-I23d."""
     return _volk(falling_poly(m) * falling_poly(n))
@@ -330,25 +342,18 @@ def _eulerian_moment(n: int, mu: _Integral, paired: bool = True) -> Fraction:
     return mu.dot(weights) / factorial(n)
 
 
-def _worpitzky_coeff(n: int, j: int) -> Fraction:
+def _worpitzky_coeff(n: int, j: int) -> int:
     """The Eulerian number as the alternating binomial sum sum_k (-1)^(j+k) C(n+1, j-k) k^n."""
-    return Fraction(sum((-1) ** (j + k) * comb(n + 1, j - k) * k**n for k in range(j + 1)))
+    return sum((-1) ** (j + k) * comb(n + 1, j - k) * k**n for k in range(j + 1))
 
 
 def _worpitzky_literal(n: int, den: Callable[[int], int]) -> Fraction:
-    total = Fraction(0)
-    for j in range(n + 1):
-        for k in range(j + 1):
-            for m in range(j + 1):
-                total += (
-                    (-1) ** (j + k + m)
-                    * binom_poly(j - m)(j - 1)
-                    * binom_int(n + 1, j - k)
-                    * Fraction(factorial(j), factorial(n))
-                    * k**n
-                    / den(m)
-                )
-    return total
+    # C(j - 1, j - m) is the polynomial C(x, j - m) at x = j - 1, which is 1 at j = 0
+    return _reduce((
+        ((-1) ** (j + k + m) * (comb(j - 1, j - m) if j else 1) * comb(n + 1, j - k)
+         * factorial(j) * k**n, den(m))
+        for j in range(n + 1) for k in range(j + 1) for m in range(j + 1)
+    ), factorial(n))
 
 
 def _assoc_weights(n: int) -> list[int]:
@@ -392,7 +397,7 @@ def _rising_unsigned_stirling(rid: str, title: str, mu: _Integral, lo: int) -> I
 
 def _rising_lah(rid: str, title: str, mu: _Integral, lo: int) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
-        return sum(seq.lah_unsigned(n, k) * mu.falling(k) for k in range(lo, n + 1))
+        return _dot((seq.lah_unsigned(n, k), mu.falling(k)) for k in range(lo, n + 1))
 
     return IdentityRecord(rid, title, _grid((lo, 15)), mu.rising, rhs)
 
@@ -434,9 +439,9 @@ def _product_falling_stirling(rid: str, title: str, mu: _Integral, note: str) ->
         title=title,
         grid=_grid((1, 8, 8)),
         lhs=mu.falling_of_product,
-        rhs=lambda k: sum(seq.stirling1(k, m) * mu.moment(m) ** 2 for m in range(k + 1)),
+        rhs=lambda k: _dot((seq.stirling1(k, m), mu.moment(m) ** 2) for m in range(k + 1)),
         note=note,
-        literal_rhs=lambda k: sum(seq.stirling1(k, m) * mu.moment(k) ** 2 for m in range(k + 1)),
+        literal_rhs=lambda k: _dot((seq.stirling1(k, m), mu.moment(k) ** 2) for m in range(k + 1)),
         counterexample=(2,),
     )
 
@@ -550,8 +555,8 @@ def _worpitzky(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord
         title=title,
         grid=_grid((1, 15)),
         lhs=mu.moment,
-        rhs=lambda n: sum(
-            _worpitzky_coeff(n, j) * mu.exact(_binom(n, j - 1)) for j in range(n + 1)
+        rhs=lambda n: _dot(
+            (_worpitzky_coeff(n, j), mu.exact(_binom(n, j - 1))) for j in range(n + 1)
         ),
         note=note,
         literal_rhs=lambda n: _worpitzky_literal(n, mu.den),
@@ -612,9 +617,8 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Bosonic integral of the reflected falling factorial, Lah form",
         grid=_grid((1, 15)),
         lhs=_reflected_falling,
-        rhs=lambda n: sum(
-            (-1) ** (k + n) * binom_int(n - 1, k - 1) * F(factorial(n), k + 1)
-            for k in range(1, n + 1)
+        rhs=lambda n: _reduce(
+            ((-1) ** (k + n) * comb(n - 1, k - 1) * factorial(n), k + 1) for k in range(1, n + 1)
         ),
     ))
     add(IdentityRecord(
@@ -641,8 +645,8 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Integral of x times the rising factorial, binomial form",
         grid=_grid((1, 15)),
         lhs=_x_rising,
-        rhs=lambda n: sum(
-            (-1) ** (k + 1) * binom_int(n - 1, k - 1) * F(factorial(n), k * k + 3 * k + 2)
+        rhs=lambda n: _reduce(
+            ((-1) ** (k + 1) * comb(n - 1, k - 1) * factorial(n), k * k + 3 * k + 2)
             for k in range(1, n + 1)
         ),
     ))
@@ -659,8 +663,8 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Recurrence for the rising-factorial integrals with Lah weights",
         grid=_grid((1, 15)),
         lhs=lambda n: _volk(rising_poly(n + 1)) - n * _volk(rising_poly(n)),
-        rhs=lambda n: sum(
-            (-1) ** (k + 1) * seq.lah_unsigned(n, k) * F(factorial(k), k * k + 3 * k + 2)
+        rhs=lambda n: _reduce(
+            ((-1) ** (k + 1) * int(seq.lah_unsigned(n, k)) * factorial(k), k * k + 3 * k + 2)
             for k in range(1, n + 1)
         ),
     ))
@@ -714,28 +718,23 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Double integral of the binomial of a sum (Chu-Vandermonde route)",
         grid=_grid((0, 15)),
         lhs=_binom_of_sum,
-        rhs=lambda n: (-1) ** n
-        * sum(F(1, (k + 1) * (n - k + 1)) for k in range(n + 1)),
+        rhs=lambda n: _reduce(((-1) ** n, (k + 1) * (n - k + 1)) for k in range(n + 1)),
     ))
     add(IdentityRecord(
         id="I12b",
         title="Double integral of the binomial of a sum, Bernoulli-product form",
         grid=_grid((0, 15)),
         lhs=_binom_of_sum,
-        rhs=lambda n: sum(
-            binom_int(k, j) * seq.stirling1(n, k) * seq.bernoulli(j) * seq.bernoulli(k - j)
-            for k in range(n + 1)
-            for j in range(k + 1)
-        )
-        / factorial(n),
+        rhs=_bernoulli_convolution,
     ))
     add(IdentityRecord(
         id="I12c",
         title="Integral of the Daehee polynomial against its argument",
         grid=_grid((0, 15)),
         lhs=lambda n: _volk(seq.daehee_poly(n)),
-        rhs=lambda n: (-1) ** n
-        * sum(F(factorial(n), (k + 1) * (n - k + 1)) for k in range(n + 1)),
+        rhs=lambda n: _reduce(
+            ((-1) ** n * factorial(n), (k + 1) * (n - k + 1)) for k in range(n + 1)
+        ),
     ))
 
     add(IdentityRecord(
@@ -845,8 +844,8 @@ def _build_catalog() -> list[IdentityRecord]:
         ),
         note="the uncorrected form drops the k! connection factor and carries a spurious "
         "alternating sign on the already signed Daehee values",
-        literal_rhs=lambda m, n: sum(
-            (-1) ** (m + n - k) * binom_int(m, k) * binom_int(n, k) * seq.daehee(m + n - k)
+        literal_rhs=lambda m, n: _dot(
+            ((-1) ** (m + n - k) * comb(m, k) * comb(n, k), seq.daehee(m + n - k))
             for k in range(m + 1)
         ),
         counterexample=(1, 1),
@@ -877,9 +876,9 @@ def _build_catalog() -> list[IdentityRecord]:
             "I24c", "Second-kind Daehee numbers from the alternating binomial sum", bos
         ),
         note="the claimed scale factor 1/n! must be n!",
-        literal_rhs=lambda n: sum(
-            F((-1) ** m, m + 1) * binom_int(n - 1, n - m) for m in range(n + 1)
-        ) / factorial(n),
+        literal_rhs=lambda n: _reduce(
+            (((-1) ** m * comb(n - 1, n - m), m + 1) for m in range(n + 1)), factorial(n)
+        ),
         counterexample=(2,),
     ))
 
@@ -889,7 +888,7 @@ def _build_catalog() -> list[IdentityRecord]:
         ),
         note="the uncorrected sum runs over one index and evaluates the Lah factor "
         "at another; both must be the summation index",
-        literal_rhs=lambda n: sum(seq.lah_unsigned(n, n) * seq.daehee(m) for m in range(n + 1)),
+        literal_rhs=lambda n: _dot((seq.lah_unsigned(n, n), seq.daehee(m)) for m in range(n + 1)),
         counterexample=(2,),
     ))
 
@@ -925,8 +924,8 @@ def _build_catalog() -> list[IdentityRecord]:
         ),
         note="the uncorrected form omits the factorials carried by the two "
         "falling-factorial integrals",
-        literal_rhs=lambda k: sum(
-            (-1) ** (l + m) * seq.osgood_wu(k, l, m) / fer.den(l + m)
+        literal_rhs=lambda k: _reduce(
+            ((-1) ** (l + m) * int(seq.osgood_wu(k, l, m)), fer.den(l + m))
             for l in range(1, k + 1)
             for m in range(1, k + 1)
         ),
@@ -956,9 +955,9 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Fermionic integral of the reflected binomial",
         grid=_grid((0, 15)),
         lhs=lambda n: _ferm(_binom(n, n, -1)),
-        rhs=lambda n: sum(F(1, 2**k) for k in range(n + 1)),
+        rhs=lambda n: _reduce((1, 2**k) for k in range(n + 1)),
         note="the sum must start at k = 0 and the alternating prefactor must go",
-        literal_rhs=lambda n: (-1) ** n * sum(F(1, 2**k) for k in range(1, n + 1)),
+        literal_rhs=lambda n: _reduce(((-1) ** n, 2**k) for k in range(1, n + 1)),
         counterexample=(1,),
     ))
     add(_gould_square(
@@ -1029,7 +1028,7 @@ def _build_catalog() -> list[IdentityRecord]:
         rhs=_lah_fubini,
         note="the Lah factor must carry the summation index and the unsigned "
         "family (the substituted series has positive coefficients)",
-        literal_lhs=lambda n, k: seq.lah(n, k) * sum(seq.stirling2(n, m) for m in range(n + 1)),
+        literal_lhs=lambda n, k: _dot((seq.lah(n, k), s) for s in seq._stirling2_row(n)),
         counterexample=(2, 1),
     ))
 
@@ -1037,8 +1036,8 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I31",
         title="Telescoping of integral recurrences for falling factorials",
         grid=_grid((0, 15)),
-        lhs=lambda n: sum(
-            perm(n, n - k) * F(factorial(k), (k + 1) * (k + 2)) for k in range(n + 1)
+        lhs=lambda n: _reduce(
+            (perm(n, n - k) * factorial(k), (k + 1) * (k + 2)) for k in range(n + 1)
         ),
         rhs=lambda n: F(factorial(n + 1), n + 2),
         note="the claimed right side (n-1)!/(n+1) does not match the "
@@ -1073,6 +1072,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Cauchy numbers as reciprocally weighted Stirling sums",
         grid=_grid((0, 20)),
         lhs=seq.cauchy,
+        # seq.cauchy is this very sum through _reduce: only a Fraction sum checks it
         rhs=lambda n: sum(seq.stirling1(n, k) * F(1, k + 1) for k in range(n + 1)),
     ))
     add(_falling_by_stirling("I33b", "Stirling-Bernoulli sum, closed form", bos))
@@ -1083,13 +1083,12 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Bernoulli numbers from factorially weighted second-kind Stirling sums",
         grid=_grid((0, 20)),
         lhs=seq.bernoulli,
-        rhs=lambda n: sum(
-            (-1) ** k * F(factorial(k), k + 1) * seq.stirling2(n, k)
-            for k in range(n + 1)
+        rhs=lambda n: _reduce(
+            ((-1) ** k * factorial(k) * s, k + 1) for k, s in enumerate(seq._stirling2_row(n))
         ),
         note="the truncated upper limit n-1 drops the k = n term",
-        literal_rhs=lambda n: sum(
-            (-1) ** k * F(factorial(k), k + 1) * seq.stirling2(n, k) for k in range(n)
+        literal_rhs=lambda n: _reduce(
+            ((-1) ** k * factorial(k) * s, k + 1) for k, s in enumerate(seq._stirling2_row(n)[:n])
         ),
         counterexample=(1,),
     ))
@@ -1098,9 +1097,9 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Bernoulli numbers from Daehee-weighted second-kind Stirling sums",
         grid=_grid((0, 20)),
         lhs=seq.bernoulli,
-        rhs=lambda n: sum(seq.daehee(k) * seq.stirling2(n, k) for k in range(n + 1)),
+        rhs=lambda n: _dot(zip(seq._stirling2_row(n), map(seq.daehee, range(n + 1)))),
         note="same truncated upper limit as the factorial form",
-        literal_rhs=lambda n: sum(seq.daehee(k) * seq.stirling2(n, k) for k in range(n)),
+        literal_rhs=lambda n: _dot(zip(seq._stirling2_row(n), map(seq.daehee, range(n)))),
         counterexample=(1,),
     ))
 

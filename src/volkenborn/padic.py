@@ -64,11 +64,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-
-
 def _int_valuation(n: int, p: int) -> int:
     # n != 0
     v = 0
@@ -80,7 +75,8 @@ def _int_valuation(n: int, p: int) -> int:
 
 def valuation(x: Rational, p: int) -> int | float:
     """The p-adic valuation v_p(x); math.inf for x = 0."""
-    _check_prime(p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     xf = _as_fraction(x)
     if xf == 0:
         return math.inf
@@ -89,11 +85,5 @@ def valuation(x: Rational, p: int) -> int | float:
 
 def padic_distance(x: Rational, y: Rational, p: int) -> Fraction:
     """The p-adic norm p**(-v_p(x - y)) as an exact rational; 0 when x = y."""
-    _check_prime(p)
-    d = _as_fraction(x) - _as_fraction(y)
-    if d == 0:
-        return Fraction(0)
-    v = valuation(d, p)
-    if v >= 0:
-        return Fraction(1, p**v)
-    return Fraction(p ** (-v))
+    v = valuation(_as_fraction(x) - _as_fraction(y), p)
+    return Fraction(0) if v == math.inf else Fraction(p) ** -v

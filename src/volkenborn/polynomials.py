@@ -17,9 +17,9 @@ given by its moments, comes from one kernel, ``_shifted_integral``: the
 shift f(x + a) (a point mass at a), the Bernoulli, Euler and array
 polynomials (f = x^n) and the Daehee, Changhee and second-kind Bernoulli
 polynomials (f a falling or rising factorial).
-Every exact sum of the integrals, of that kernel and of the catalog's hot
-sides goes through ``_reduce``, which adds int numerators in one bucket per
-denominator and reduces once; ``_dot`` feeds it products of rationals.
+Every exact sum of the integrals, of that kernel and of every catalog side
+(but I33a's check) goes through ``_reduce``, which adds int numerators in one
+bucket per denominator and reduces once; ``_dot`` feeds it products of rationals.
 """
 from __future__ import annotations
 

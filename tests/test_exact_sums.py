@@ -1,8 +1,8 @@
 """Integer-bucketed exact sums against the Fraction sums they replaced.
 
 ``polynomials._reduce`` adds int numerators per denominator and reduces
-once, and ``_dot`` feeds it numerator products; the catalog's hot
-right-hand sides, the exact integrals and a few number families sum
+once, and ``_dot`` feeds it numerator products; every catalog side but
+I33a's right one, the exact integrals and a few number families sum
 through it with integer weights read off whole integer triangle rows, or
 add int products of the Bernoulli and Euler numerators over their one
 denominator.  The references below are the earlier forms, one
@@ -11,7 +11,7 @@ they share no code with the integer path.
 """
 import tracemalloc
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from volkenborn import identities, sequences as seq
 from volkenborn.integrals import fermionic_exact, volkenborn_exact
 from volkenborn.polynomials import Polynomial, _dot, _reduce, binom_int
-from volkenborn.sequences import falling_poly
+from volkenborn.sequences import binom_poly, falling_poly
 
 rationals = st.one_of(
     st.integers(min_value=-10**30, max_value=10**30),
@@ -256,6 +256,56 @@ def old_x_falling_stirling(n):
     return sum(seq.stirling1(n, k - 1) * B(k) for k in range(1, n + 1)) + B(n + 1)
 
 
+def old_rising_lah(mu, lo):
+    return lambda n: sum(seq.lah_unsigned(n, k) * mu.falling(k) for k in range(lo, n + 1))
+
+
+def old_product_falling_stirling(mu, literal=False):
+    return lambda k: sum(
+        seq.stirling1(k, m) * mu.moment(k if literal else m) ** 2 for m in range(k + 1)
+    )
+
+
+def old_worpitzky(mu):
+    return lambda n: sum(
+        sum((-1) ** (j + k) * binom_int(n + 1, j - k) * k**n for k in range(j + 1))
+        * old_exact(identities._binom(n, j - 1), mu.moment)
+        for j in range(n + 1)
+    )
+
+
+def old_worpitzky_literal(mu):
+    def literal(n):
+        total = Fraction(0)
+        for j in range(n + 1):
+            for k in range(j + 1):
+                for m in range(j + 1):
+                    total += (
+                        (-1) ** (j + k + m)
+                        * binom_poly(j - m)(j - 1)
+                        * binom_int(n + 1, j - k)
+                        * Fraction(factorial(j), factorial(n))
+                        * k**n
+                        / mu.den(m)
+                    )
+        return total
+
+    return literal
+
+
+def old_factorial_stirling2(literal=False):
+    return lambda n: sum(
+        (-1) ** k * Fraction(factorial(k), k + 1) * seq.stirling2(n, k)
+        for k in range(n if literal else n + 1)
+    )
+
+
+def old_daehee_stirling2(literal=False):
+    return lambda n: sum(
+        seq.daehee(k) * seq.stirling2(n, k) for k in range(n if literal else n + 1)
+    )
+
+
 # (record, side) -> the Fraction form that side had before it summed in ints
 OLD_SIDES = {
     ("I01", "lhs"): old_falling_by_stirling(BOS),
@@ -283,6 +333,67 @@ OLD_SIDES = {
     ("I32b", "rhs"): lambda n: sum(seq.stirling1(n, l) * B(l) for l in range(n + 1)),
     ("I32c", "lhs"): lambda n: old_assoc(n, E),
     ("I32d", "lhs"): lambda n: old_assoc(n, lambda i: Fraction(1, i + 1)),
+    ("I04a", "rhs"): lambda n: sum(
+        (-1) ** (k + n) * binom_int(n - 1, k - 1) * Fraction(factorial(n), k + 1)
+        for k in range(1, n + 1)
+    ),
+    ("I06a", "rhs"): lambda n: sum(
+        (-1) ** (k + 1) * binom_int(n - 1, k - 1) * Fraction(factorial(n), k * k + 3 * k + 2)
+        for k in range(1, n + 1)
+    ),
+    ("I07", "rhs"): lambda n: sum(
+        (-1) ** (k + 1) * seq.lah_unsigned(n, k) * Fraction(factorial(k), k * k + 3 * k + 2)
+        for k in range(1, n + 1)
+    ),
+    ("I12a", "rhs"): lambda n: (-1) ** n
+    * sum(Fraction(1, (k + 1) * (n - k + 1)) for k in range(n + 1)),
+    ("I12b", "rhs"): lambda n: sum(
+        binom_int(k, j) * seq.stirling1(n, k) * B(j) * B(k - j)
+        for k in range(n + 1)
+        for j in range(k + 1)
+    )
+    / factorial(n),
+    ("I12c", "rhs"): lambda n: (-1) ** n
+    * sum(Fraction(factorial(n), (k + 1) * (n - k + 1)) for k in range(n + 1)),
+    ("I05c", "rhs"): old_rising_lah(BOS, 0),
+    ("I25", "rhs"): old_rising_lah(BOS, 0),
+    ("I27a", "rhs"): old_rising_lah(FER, 1),
+    ("I25", "literal_rhs"): lambda n: sum(
+        seq.lah_unsigned(n, n) * seq.daehee(m) for m in range(n + 1)
+    ),
+    ("I14b", "rhs"): old_product_falling_stirling(BOS),
+    ("I14b", "literal_rhs"): old_product_falling_stirling(BOS, literal=True),
+    ("I26f", "rhs"): old_product_falling_stirling(FER),
+    ("I26f", "literal_rhs"): old_product_falling_stirling(FER, literal=True),
+    ("I23d", "literal_rhs"): lambda m, n: sum(
+        (-1) ** (m + n - k) * binom_int(m, k) * binom_int(n, k) * seq.daehee(m + n - k)
+        for k in range(m + 1)
+    ),
+    ("I24c", "literal_rhs"): lambda n: sum(
+        Fraction((-1) ** m, m + 1) * binom_int(n - 1, n - m) for m in range(n + 1)
+    )
+    / factorial(n),
+    ("I26e", "literal_rhs"): lambda k: sum(
+        (-1) ** (l + m) * old_osgood_wu(k, l, m) / 2 ** (l + m)
+        for l in range(1, k + 1)
+        for m in range(1, k + 1)
+    ),
+    ("I26l", "rhs"): lambda n: sum(Fraction(1, 2**k) for k in range(n + 1)),
+    ("I26l", "literal_rhs"): lambda n: (-1) ** n
+    * sum(Fraction(1, 2**k) for k in range(1, n + 1)),
+    ("I29a", "rhs"): old_worpitzky(BOS),
+    ("I29a", "literal_rhs"): old_worpitzky_literal(BOS),
+    ("I29b", "rhs"): old_worpitzky(FER),
+    ("I29b", "literal_rhs"): old_worpitzky_literal(FER),
+    ("I30", "literal_lhs"): lambda n, k: seq.lah(n, k)
+    * sum(seq.stirling2(n, m) for m in range(n + 1)),
+    ("I31", "lhs"): lambda n: sum(
+        perm(n, n - k) * Fraction(factorial(k), (k + 1) * (k + 2)) for k in range(n + 1)
+    ),
+    ("I34a", "rhs"): old_factorial_stirling2(),
+    ("I34a", "literal_rhs"): old_factorial_stirling2(literal=True),
+    ("I34b", "rhs"): old_daehee_stirling2(),
+    ("I34b", "literal_rhs"): old_daehee_stirling2(literal=True),
     ("I35", "rhs"): lambda n: sum(
         seq.stirling2(n, k) * sum(seq.stirling1(k, j) * B(j) for j in range(k))
         for k in range(n + 1)
