@@ -9,6 +9,8 @@ catalog, check the rows against the product of their linear factors.
 Every side sums through ``polynomials._reduce`` (int terms over int denominators, or
 a ``_dot`` of weights and checked values) except I33a's right side, which adds
 ``Fraction``s: its left side, ``seq.cauchy``, is that very sum through ``_reduce``.
+I23a-I23d read their left side, the bosonic integral of (x)_m (x)_n, off one falling-pair
+table (a ``sequences`` memo table, cleared with the others): one integral per product.
 A record is ``verified`` when the statement checks out in its commonly
 stated form, and ``corrected`` when brute-force expansion pinned down an
 amended statement; a corrected record stores a counterexample and only
@@ -280,9 +282,13 @@ def _bernoulli_convolution(n: int) -> Fraction:
     ), den * den * factorial(n))
 
 
+_FALLING_PAIRS = seq._Memo(lambda rows: [[
+    _volk(falling_poly(len(rows)) * falling_poly(n)) for n in range(len(rows) + 1)]])
+
+
 def _falling_pair(m: int, n: int) -> Fraction:
-    """The bosonic integral of (x)_m (x)_n: the left side of I23a-I23d."""
-    return _volk(falling_poly(m) * falling_poly(n))
+    """The bosonic integral of (x)_m (x)_n (I23a-I23d): row max(m, n), entry min(m, n)."""
+    return _FALLING_PAIRS.get(max(m, n))[min(m, n)]
 
 
 def _sum_1f(m: int, n: int) -> Fraction:
@@ -1134,7 +1140,7 @@ def resolve_ids(ids: Sequence[str]) -> list[IdentityRecord]:
 
 
 # Largest grid cap `verify` accepts.  The two-index sums grow steeply with it:
-# a cold verify_all takes about 0.2, 0.45, 0.75 and 1.4 s at caps 15, 20, 25 and 30
+# a cold verify_all takes about 0.14, 0.3, 0.6 and 1.0 s at caps 15, 20, 25 and 30
 # (CPython 3.11.7 on one core of a 2-vCPU Intel Xeon virtual machine).
 _N_MAX_LIMIT = 30
 

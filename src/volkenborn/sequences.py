@@ -423,19 +423,22 @@ def frobenius_euler(n: int, u: Fraction | int) -> Fraction:
 # Lah numbers
 
 
-def lah(n: int, k: int) -> Fraction:
-    """Signed Lah number (-1)^n (n!/k!) C(n-1, k-1); Kronecker deltas on the axes."""
+def _lah_int(n: int, k: int) -> int:
+    """Unsigned Lah number (n!/k!) C(n-1, k-1) as an int; Kronecker deltas on the axes."""
     _check_index(n)
     _check_index(k, "k")
     if n == 0 or k == 0:
-        return Fraction(1 if n == k else 0)
-    if k > n:
-        return Fraction(0)
-    return Fraction((-1) ** n * factorial(n), factorial(k)) * binom_int(n - 1, k - 1)
+        return int(n == k)
+    return factorial(n) // factorial(k) * comb(n - 1, k - 1)
+
+
+def lah(n: int, k: int) -> Fraction:
+    """Signed Lah number (-1)^n (n!/k!) C(n-1, k-1); Kronecker deltas on the axes."""
+    return Fraction((-1) ** n * _lah_int(n, k))
 
 
 def lah_unsigned(n: int, k: int) -> Fraction:
-    return abs(lah(n, k))
+    return Fraction(_lah_int(n, k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import dataclasses
 import inspect
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb, factorial, perm
 
@@ -302,6 +305,60 @@ def test_verdicts_survive_cache_clearing():
     seq.clear_caches()
     after = [verify(i) for i in ("I05a", "I14b", "I23d", "I34a")]
     assert before == after
+
+
+def falling_pair_integrals(top):
+    """The bosonic integral of (x)_m (x)_n for 0 <= m, n <= top, one product each."""
+    return {
+        (m, n): volkenborn_exact(falling_poly(m) * falling_poly(n))
+        for m in range(top + 1) for n in range(top + 1)
+    }
+
+
+def test_falling_pair_table_matches_the_product_integral_in_both_orders():
+    expected = falling_pair_integrals(30)
+    # the table grown one row at a time, then all at the first read
+    for order in (sorted(expected, key=max), sorted(expected, key=max, reverse=True)):
+        seq.clear_caches()
+        for m, n in order:
+            assert identities._falling_pair(m, n) == expected[m, n], (m, n)
+
+
+def test_concurrent_falling_pair_reads_are_consistent():
+    expected = falling_pair_integrals(20)
+    pairs = list(expected)
+
+    def worker(seed):
+        return {p: identities._falling_pair(*p) for p in random.Random(seed).sample(pairs, len(pairs))}
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        seq.clear_caches()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(worker, seed) for seed in range(16)]
+            assert all(f.result(timeout=60) == expected for f in futures)
+    finally:
+        sys.setswitchinterval(old)
+    # each row was built once: no thread appended a row another had added
+    assert len(identities._FALLING_PAIRS._values) == 21
+
+
+PAIR_IDS = ["I23a", "I23b", "I23c", "I23d", "I23e", "I23f"]
+
+
+@pytest.mark.parametrize("n_max", [5, 30])
+def test_falling_pair_records_do_not_depend_on_table_state_or_order(n_max):
+    seq.clear_caches()
+    in_order = {r.id: r for r in verify_all(n_max=n_max, ids=PAIR_IDS).results}
+    assert list(in_order) == PAIR_IDS and all(r.ok for r in in_order.values())
+    shuffled = random.Random(n_max).sample(PAIR_IDS, len(PAIR_IDS))
+    for rid in shuffled:  # each record from cold tables
+        seq.clear_caches()
+        assert verify(rid, n_max=n_max) == in_order[rid]
+    seq.clear_caches()
+    verify("I23a", n_max=35 - n_max)  # tables grown past the cap, or short of it
+    assert [verify(rid, n_max=n_max) for rid in shuffled] == [in_order[rid] for rid in shuffled]
 
 
 def test_report_serialization_shapes():

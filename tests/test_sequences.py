@@ -634,8 +634,11 @@ def _fill_every_table():
 
 
 def test_clear_caches_empties_every_registered_table():
+    from volkenborn import identities  # registers the catalog's falling-pair table
+
     _fill_every_table()
-    assert len(seq._TABLES) == 7
+    identities.verify("I23a")
+    assert len(seq._TABLES) == 8
     assert all(table._values for table in seq._TABLES)
     seq.clear_caches()
     assert not any(table._values for table in seq._TABLES)

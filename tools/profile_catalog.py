@@ -1,12 +1,12 @@
-"""Print three figures for one cold pass of the identity catalog.
+"""Print four figures for one cold pass of the identity catalog.
 
 The catalog is built once; before each pass the sequence tables are
 cleared, and ``verify_all()`` runs with default caps.  The figures are:
 
 - the number of ``Fraction.__new__`` calls in one pass under ``cProfile``;
 - the ``tracemalloc`` peak of a separate pass, in MiB;
-- the ten slowest records of a third pass, in milliseconds by
-  ``time.perf_counter``, each record verified in catalog order (so a record
+- the total milliseconds of a third pass, by ``time.perf_counter``, and its
+  ten slowest records, each record verified in catalog order (so a record
   that first needs a table row pays for growing it).
 
 Usage::
@@ -59,6 +59,7 @@ def main(argv: list[str]) -> int:
 
     print(f"Fraction.__new__ calls  {news}")
     print(f"tracemalloc peak MiB    {peak / 2**20:.3f}")
+    print(f"cold pass ms            {sum(ms for ms, _ in times):.1f}")
     print("slowest records, cold ms")
     for ms, rid in sorted(times, reverse=True)[:10]:
         print(f"  {rid:<6} {ms:7.2f}")
