@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 # each module and the public names it defines; a name equal to its module's is the module itself
 _EXPORTS = {
-    "polynomials": ("Polynomial", "binom_int"),
+    "polynomials": ("Polynomial",),
     "padic": ("padic_distance", "valuation"),
     "integrals": (
         "ConvergenceReport", "Measure", "alternating_power_sum", "check_fermionic_shift",

@@ -11,6 +11,9 @@ a ``_dot`` of weights and checked values) except I33a's right side, which adds
 ``Fraction``s: its left side, ``seq.cauchy``, is that very sum through ``_reduce``.
 I23a-I23d read their left side, the bosonic integral of (x)_m (x)_n, off one falling-pair
 table (a ``sequences`` memo table, cleared with the others): one integral per product.
+The integrals of x^s C(a + b x, n) (I15-I17, I20, I21, I29 and their fermionic twins)
+weight the moments by the int coefficients of the product of linear factors and divide
+once (``_Integral.binom``); Newton series take their differences from an int table.
 A record is ``verified`` when the statement checks out in its commonly
 stated form, and ``corrected`` when brute-force expansion pinned down an
 amended statement; a corrected record stores a counterexample and only
@@ -33,7 +36,9 @@ from typing import Callable, Iterable, Optional, Sequence
 from .integrals import _moment_integral
 from .integrals import fermionic_exact as _ferm
 from .integrals import volkenborn_exact as _volk
-from .polynomials import Polynomial, _dot, _factorial_poly, _reduce, _shifted_integral
+from .polynomials import (
+    Polynomial, _dot, _factorial_ints, _factorial_poly, _reduce, _shifted_integral
+)
 from . import sequences as seq
 from .sequences import binom_poly, falling_poly, rising_poly
 
@@ -179,7 +184,9 @@ class _Integral:
     denominator, ``falling(n)`` that of the falling factorial (the Daehee
     or Changhee number), ``hat(n)`` the closed form of that of the rising
     factorial (the second-kind number), and ``den(k)`` is the int
-    denominator of the integral (-1)^k/den(k) of C(x, k) (k + 1 or 2^k)."""
+    denominator of the integral (-1)^k/den(k) of C(x, k) (k + 1 or 2^k).
+    ``binom(n, a, b, s)`` integrates x^s C(a + b x, n) as a ``dot`` over the int
+    coefficients of n! q^n C(a + b x, n), a = p/q, divided once by n! q^n."""
 
     exact: Evaluator
     moment: Callable[[int], Fraction]
@@ -192,6 +199,11 @@ class _Integral:
         """sum_k weights[k] m_(k+shift), added in ints over the moments' one denominator."""
         return _moment_integral(weights, self.ints, shift)
 
+    def binom(self, n: int, a: Fraction | int = 0, b: int = 1, s: int = 0) -> Fraction:
+        """Integral of x^s C(a + b x, n), for rational a and integer b."""
+        weights, qn = _factorial_ints(n, a, b)
+        return _moment_integral(weights, self.ints, s, factorial(n) * qn)
+
     def rising(self, n: int) -> Fraction:
         """Integral of the rising factorial: a second-kind Daehee or Changhee number."""
         return self.exact(rising_poly(n))
@@ -199,7 +211,8 @@ class _Integral:
     def falling_of_product(self, k: int) -> Fraction:
         """Double integral in x and y of (xy)_k = sum c_i (xy)^i: the integral in y
         leaves the diagonal sum c_i m_i x^i, which is then integrated in x."""
-        return self.exact(Polynomial([c * self.moment(i) for i, c in enumerate(falling_poly(k))]))
+        row = seq._stirling1_row(k)
+        return self.exact(Polynomial([c * self.moment(i) for i, c in enumerate(row)]))
 
 
 def _integrals() -> tuple[_Integral, _Integral]:
@@ -331,11 +344,11 @@ def _gould_square_poly(n: int) -> Polynomial:
 def _newton(mu: _Integral, f: Callable[[int], int], top: int) -> Fraction:
     """The integral of f (degree <= top) through its Newton series: the sum over k of
     the integral of C(x, k), which is (-1)^k/den(k), times the k-th difference of f at 0."""
-    fs = [f(i) for i in range(top + 1)]
-    return _reduce(
-        ((-1) ** k * sum((-1) ** j * comb(k, j) * fs[k - j] for j in range(k + 1)), mu.den(k))
-        for k in range(top + 1)
-    )
+    fs, terms = [f(i) for i in range(top + 1)], []
+    for k in range(top + 1):  # fs[0] is the k-th difference: a difference table in ints
+        terms.append(((-1) ** k * fs[0], mu.den(k)))
+        fs = [v - u for u, v in zip(fs, fs[1:])]
+    return _reduce(terms)
 
 
 def _eulerian_moment(n: int, mu: _Integral, paired: bool = True) -> Fraction:
@@ -403,7 +416,7 @@ def _rising_unsigned_stirling(rid: str, title: str, mu: _Integral, lo: int) -> I
 
 def _rising_lah(rid: str, title: str, mu: _Integral, lo: int) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
-        return _dot((seq.lah_unsigned(n, k), mu.falling(k)) for k in range(lo, n + 1))
+        return _dot((seq._lah_int(n, k), mu.falling(k)) for k in range(lo, n + 1))
 
     return IdentityRecord(rid, title, _grid((lo, 15)), mu.rising, rhs)
 
@@ -412,7 +425,7 @@ def _rising_lah_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
         weights = [0] * (n + 1)
         for k in range(n + 1):
-            lah = int(seq.lah_unsigned(n, k))
+            lah = seq._lah_int(n, k)
             for j, s in enumerate(seq._stirling1_row(k)):
                 weights[j] += lah * s
         return mu.dot(weights)
@@ -454,7 +467,7 @@ def _product_falling_stirling(rid: str, title: str, mu: _Integral, note: str) ->
 
 def _shifted_binomial_times_x(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def lhs(n: int) -> Fraction:
-        return mu.exact(Polynomial.x() * _binom(n - 1, -2))
+        return mu.binom(n - 1, -2, 1, 1)
 
     def rhs(n: int) -> Fraction:
         return _reduce(((-1) ** n * k, mu.den(k)) for k in range(1, n + 1))
@@ -464,7 +477,7 @@ def _shifted_binomial_times_x(rid: str, title: str, mu: _Integral) -> IdentityRe
 
 def _scaled_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def lhs(m: int, n: int) -> Fraction:
-        return mu.exact(_binom(n, 0, m))
+        return mu.binom(n, 0, m)
 
     def rhs(m: int, n: int) -> Fraction:
         return _newton(mu, lambda i: comb(m * i, n), n)
@@ -502,7 +515,7 @@ def _degree_shifted_newton(rid: str, title: str, mu: _Integral) -> IdentityRecor
     def rhs(n: int) -> Fraction:
         return _newton(mu, lambda i: comb(i + n, n), n)
 
-    return IdentityRecord(rid, title, _grid((0, 15)), lambda n: mu.exact(_binom(n, n)), rhs)
+    return IdentityRecord(rid, title, _grid((0, 15)), lambda n: mu.binom(n, n), rhs)
 
 
 def _degree_shifted_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
@@ -514,12 +527,12 @@ def _degree_shifted_stirling(rid: str, title: str, mu: _Integral) -> IdentityRec
                 weights[k] += comb(n, j) * perm(n, n - j) * s
         return mu.dot(weights) / factorial(n)
 
-    return IdentityRecord(rid, title, _grid((0, 15)), lambda n: mu.exact(_binom(n, n)), rhs)
+    return IdentityRecord(rid, title, _grid((0, 15)), lambda n: mu.binom(n, n), rhs)
 
 
 def _half_integer_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     def lhs(n: int) -> Fraction:
-        return mu.exact(_binom(n, Fraction(2 * n + 1, 2)))
+        return mu.binom(n, Fraction(2 * n + 1, 2))
 
     def rhs(n: int) -> Fraction:
         c = (2 * n + 1) * comb(2 * n, n)
@@ -562,7 +575,7 @@ def _worpitzky(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord
         grid=_grid((1, 15)),
         lhs=mu.moment,
         rhs=lambda n: _dot(
-            (_worpitzky_coeff(n, j), mu.exact(_binom(n, j - 1))) for j in range(n + 1)
+            (_worpitzky_coeff(n, j), mu.binom(n, j - 1)) for j in range(n + 1)
         ),
         note=note,
         literal_rhs=lambda n: _worpitzky_literal(n, mu.den),
@@ -670,7 +683,7 @@ def _build_catalog() -> list[IdentityRecord]:
         grid=_grid((1, 15)),
         lhs=lambda n: _volk(rising_poly(n + 1)) - n * _volk(rising_poly(n)),
         rhs=lambda n: _reduce(
-            ((-1) ** (k + 1) * int(seq.lah_unsigned(n, k)) * factorial(k), k * k + 3 * k + 2)
+            ((-1) ** (k + 1) * seq._lah_int(n, k) * factorial(k), k * k + 3 * k + 2)
             for k in range(1, n + 1)
         ),
     ))
@@ -779,11 +792,11 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I16",
         title="Integral of the reflected binomial gives harmonic partial sums",
         grid=_grid((0, 15)),
-        lhs=lambda n: _volk(_binom(n, n, -1)),
+        lhs=lambda n: bos.binom(n, n, -1),
         rhs=lambda n: seq.harmonic(n),
         note="holds under the bosonic measure and without the alternating sign; "
         "the fermionic statement with (-1)^n fails already at n = 1",
-        literal_lhs=lambda n: _ferm(_binom(n, n, -1)),
+        literal_lhs=lambda n: fer.binom(n, n, -1),
         literal_rhs=lambda n: (-1) ** n * seq.harmonic(n),
         counterexample=(1,),
     ))
@@ -894,7 +907,7 @@ def _build_catalog() -> list[IdentityRecord]:
         ),
         note="the uncorrected sum runs over one index and evaluates the Lah factor "
         "at another; both must be the summation index",
-        literal_rhs=lambda n: _dot((seq.lah_unsigned(n, n), seq.daehee(m)) for m in range(n + 1)),
+        literal_rhs=lambda n: _dot((seq._lah_int(n, n), seq.daehee(m)) for m in range(n + 1)),
         counterexample=(2,),
     ))
 
@@ -960,7 +973,7 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I26l",
         title="Fermionic integral of the reflected binomial",
         grid=_grid((0, 15)),
-        lhs=lambda n: _ferm(_binom(n, n, -1)),
+        lhs=lambda n: fer.binom(n, n, -1),
         rhs=lambda n: _reduce((1, 2**k) for k in range(n + 1)),
         note="the sum must start at k = 0 and the alternating prefactor must go",
         literal_rhs=lambda n: _reduce(((-1) ** n, 2**k) for k in range(1, n + 1)),
@@ -1028,8 +1041,8 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I30",
         title="Composition of the Lah and exponential generating functions",
         grid=_grid((0, 15), range(1, 7)),
-        lhs=lambda n, k: _dot(
-            (s, seq.lah_unsigned(m, k)) for m, s in enumerate(seq._stirling2_row(n))
+        lhs=lambda n, k: _reduce(
+            (s * seq._lah_int(m, k), 1) for m, s in enumerate(seq._stirling2_row(n))
         ),
         rhs=_lah_fubini,
         note="the Lah factor must carry the summation index and the unsigned "

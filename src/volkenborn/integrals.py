@@ -72,22 +72,25 @@ class Measure:
         return cls("q", q)
 
 
-def _moment_integral(coeffs: Iterable[Scalar], moments: Callable, shift: int = 0) -> Fraction:
-    """sum_i c_i m_(i+shift) for moments(n) = (numerators of m_0..m_n, den): one int term
-    per nonzero moment, summed by ``_reduce`` and divided by den."""
+def _moment_integral(
+    coeffs: Iterable[Scalar], moments: Callable, shift: int = 0, scale: int = 1
+) -> Fraction:
+    """sum_i c_i m_(i+shift) / scale for moments(n) = (numerators of m_0..m_n, den): one int
+    term per nonzero moment, summed by ``_reduce`` and divided by den * scale."""
     cs = list(coeffs)
     nums, den = moments(len(cs) + shift - 1)
-    return _reduce([(c.numerator * m, c.denominator) for c, m in zip(cs, nums[shift:]) if m], den)
+    return _reduce([(c.numerator * m, c.denominator) for c, m in zip(cs, nums[shift:]) if m],
+                   den * scale)
 
 
 def volkenborn_exact(f: Polynomial) -> Fraction:
     """Bosonic integral of a polynomial: sum of coefficient i times B_i."""
-    return _moment_integral(f.coeffs, _bernoulli_ints)
+    return _moment_integral(f._coeffs, _bernoulli_ints)
 
 
 def fermionic_exact(f: Polynomial) -> Fraction:
     """Fermionic integral of a polynomial: sum of coefficient i times E_i."""
-    return _moment_integral(f.coeffs, _euler_ints)
+    return _moment_integral(f._coeffs, _euler_ints)
 
 
 def exact_integral(f: Polynomial, measure: Measure) -> Optional[Fraction]:
@@ -155,7 +158,7 @@ def level_integral(f: Polynomial, measure: Measure, p: int, N: int) -> Fraction:
     _check_level_args(measure, p, N)
     m = p**N
     if measure.kind != "q":
-        terms = ((c.numerator * num, c.denominator * den) for n, c in enumerate(f) if c
+        terms = ((c.numerator * num, c.denominator * den) for n, c in enumerate(f._coeffs) if c
                  for num, den in [_power_sum(n, m, measure.kind == "fermionic")])
         return _reduce(terms, m if measure.kind == "bosonic" else 1)
     q = measure.q

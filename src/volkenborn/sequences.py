@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable
 
-from .polynomials import Polynomial, _as_fraction, _factorial_poly, _reduce, _shifted_integral, binom_int
+from .polynomials import Polynomial, _as_fraction, _factorial_poly, _reduce, _shifted_integral
 
 __all__ = [
     "apostol_bernoulli",
@@ -313,7 +313,7 @@ def stirling2_lambda(n: int, k: int, lam: Fraction | int) -> Fraction:
     _check_index(k, "k")
     _check_index(n)
     lam = _as_fraction(lam)
-    s = sum((-1) ** (k - j) * binom_int(k, j) * lam**j * j**n for j in range(k + 1))
+    s = sum((-1) ** (k - j) * comb(k, j) * lam**j * j**n for j in range(k + 1))
     return s / factorial(k)
 
 

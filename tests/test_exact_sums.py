@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from volkenborn import identities, sequences as seq
 from volkenborn.integrals import fermionic_exact, volkenborn_exact
-from volkenborn.polynomials import Polynomial, _dot, _reduce, binom_int
+from volkenborn.polynomials import Polynomial, _dot, _reduce
 from volkenborn.sequences import binom_poly, falling_poly
 
 rationals = st.one_of(
@@ -129,8 +129,8 @@ def test_exact_integrals_return_fractions(exact, f):
 def old_sum_1f(m, n):
     return sum(
         (-1) ** (m + n - k)
-        * binom_int(m, k)
-        * binom_int(n, k)
+        * comb(m, k)
+        * comb(n, k)
         * Fraction(factorial(k) * factorial(m + n - k), m + n - k + 1)
         for k in range(m + 1)
     )
@@ -147,7 +147,7 @@ def old_sum_1h(m, n):
 def old_sum_1i(m, n):
     total = Fraction(0)
     for k in range(m + 1):
-        c = binom_int(m, k) * binom_int(n, k) * factorial(k)
+        c = comb(m, k) * comb(n, k) * factorial(k)
         inner = sum(seq.stirling1(m + n - k, l) * seq.bernoulli(l) for l in range(m + n - k + 1))
         total += c * inner
     return total
@@ -170,7 +170,7 @@ def test_falling_product_sums_match_fraction_forms(new, old):
 def old_newton(mu, f, top):
     return sum(
         (-1) ** k
-        * sum((-1) ** j * binom_int(k, j) * f(k - j) for j in range(k + 1))
+        * sum((-1) ** j * comb(k, j) * f(k - j) for j in range(k + 1))
         * Fraction(1, mu.den(k))
         for k in range(top + 1)
     )
@@ -181,13 +181,41 @@ def test_newton_series_match_fraction_form(mu):
     # the grids and summands of the three Newton-series records (scaled, power, shifted)
     for m, n in identities._grid(range(1, 6), (0, 15))(None):
         new = identities._newton(mu, lambda i: comb(m * i, n), n)
-        assert new == old_newton(mu, lambda i: binom_int(m * i, n), n), (m, n)
+        assert new == old_newton(mu, lambda i: comb(m * i, n), n), (m, n)
     for r, n in identities._grid(range(1, 4), (0, 15))(None):
         new = identities._newton(mu, lambda i: comb(i, n) ** r, n * r)
-        assert new == old_newton(mu, lambda i: binom_int(i, n) ** r, n * r), (r, n)
+        assert new == old_newton(mu, lambda i: comb(i, n) ** r, n * r), (r, n)
     for (n,) in identities._grid((0, 15))(None):
         new = identities._newton(mu, lambda i: comb(i + n, n), n)
-        assert new == old_newton(mu, lambda i: binom_int(i + n, n), n), n
+        assert new == old_newton(mu, lambda i: comb(i + n, n), n), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=-10**12, max_value=10**12), min_size=1, max_size=25))
+@example([1])
+@example([0, 0, 0, 5])
+def test_newton_difference_table_matches_the_binomial_sum(values):
+    # the k-th difference at 0 from a table of subtractions, against sum_j (-1)^j C(k, j) f(k-j)
+    for mu in (BOS, FER):
+        got = identities._newton(mu, values.__getitem__, len(values) - 1)
+        assert type(got) is Fraction
+        assert got == old_newton(mu, values.__getitem__, len(values) - 1), values
+
+
+BINOM_SHIFTS = (0, 1, 2, -3, -7, Fraction(1, 2), Fraction(-5, 2), Fraction(7, 2), Fraction(-2, 3))
+
+
+@MEASURES
+def test_binomial_integral_matches_the_polynomial_integral(mu):
+    # x^s C(a + b x, n) for a integral, half-integral and negative, and one third-integral a
+    for n in range(16):
+        for a in BINOM_SHIFTS:
+            for b in (-1, 1, 2, 5):
+                c = identities._binom(n, a, b)
+                for s in range(3):
+                    got = mu.binom(n, a, b, s)
+                    assert type(got) is Fraction
+                    assert got == mu.exact(Polynomial.monomial(s) * c), (n, a, b, s)
 
 
 def old_eulerian_moment(n, moment, paired):
@@ -196,7 +224,7 @@ def old_eulerian_moment(n, moment, paired):
         inner = Fraction(0)
         for j in range(n + 1):
             inner += seq.stirling1(n, j) * sum(
-                (binom_int(j, l) if paired else 1) * (n - k) ** (j - l) * moment(l)
+                (comb(j, l) if paired else 1) * (n - k) ** (j - l) * moment(l)
                 for l in range(j + 1)
             )
         total += seq.eulerian(n, k) * inner
@@ -216,7 +244,7 @@ B, E = seq.bernoulli, seq.euler
 
 def old_assoc(n, moment):
     return sum(
-        binom_int(n, j) * seq.assoc_stirling1(n - j, k) * moment(k + j)
+        comb(n, j) * seq.assoc_stirling1(n - j, k) * moment(k + j)
         for j in range(n + 1)
         for k in range((n - j) // 2 + 1)
     )
@@ -247,7 +275,7 @@ def old_lah_stirling(mu):
 def old_degree_shifted(mu):
     return lambda n: sum(
         mu.moment(k)
-        * sum(binom_int(n, j) * seq.stirling1(j, k) / factorial(j) for j in range(n + 1))
+        * sum(comb(n, j) * seq.stirling1(j, k) / factorial(j) for j in range(n + 1))
         for k in range(n + 1)
     )
 
@@ -268,7 +296,7 @@ def old_product_falling_stirling(mu, literal=False):
 
 def old_worpitzky(mu):
     return lambda n: sum(
-        sum((-1) ** (j + k) * binom_int(n + 1, j - k) * k**n for k in range(j + 1))
+        sum((-1) ** (j + k) * comb(n + 1, j - k) * k**n for k in range(j + 1))
         * old_exact(identities._binom(n, j - 1), mu.moment)
         for j in range(n + 1)
     )
@@ -283,7 +311,7 @@ def old_worpitzky_literal(mu):
                     total += (
                         (-1) ** (j + k + m)
                         * binom_poly(j - m)(j - 1)
-                        * binom_int(n + 1, j - k)
+                        * comb(n + 1, j - k)
                         * Fraction(factorial(j), factorial(n))
                         * k**n
                         / mu.den(m)
@@ -323,7 +351,7 @@ OLD_SIDES = {
     ("I26h", "rhs"): old_degree_shifted(FER),
     ("I22", "rhs"): lambda m, n: sum(seq.stirling1(n, k) * B(k + m) for k in range(n + 1)),
     ("I23d", "rhs"): lambda m, n: sum(
-        binom_int(m, k) * binom_int(n, k) * factorial(k) * seq.daehee(m + n - k)
+        comb(m, k) * comb(n, k) * factorial(k) * seq.daehee(m + n - k)
         for k in range(m + 1)
     ),
     ("I24a", "rhs"): old_rising_signed(BOS),
@@ -334,11 +362,11 @@ OLD_SIDES = {
     ("I32c", "lhs"): lambda n: old_assoc(n, E),
     ("I32d", "lhs"): lambda n: old_assoc(n, lambda i: Fraction(1, i + 1)),
     ("I04a", "rhs"): lambda n: sum(
-        (-1) ** (k + n) * binom_int(n - 1, k - 1) * Fraction(factorial(n), k + 1)
+        (-1) ** (k + n) * comb(n - 1, k - 1) * Fraction(factorial(n), k + 1)
         for k in range(1, n + 1)
     ),
     ("I06a", "rhs"): lambda n: sum(
-        (-1) ** (k + 1) * binom_int(n - 1, k - 1) * Fraction(factorial(n), k * k + 3 * k + 2)
+        (-1) ** (k + 1) * comb(n - 1, k - 1) * Fraction(factorial(n), k * k + 3 * k + 2)
         for k in range(1, n + 1)
     ),
     ("I07", "rhs"): lambda n: sum(
@@ -348,7 +376,7 @@ OLD_SIDES = {
     ("I12a", "rhs"): lambda n: (-1) ** n
     * sum(Fraction(1, (k + 1) * (n - k + 1)) for k in range(n + 1)),
     ("I12b", "rhs"): lambda n: sum(
-        binom_int(k, j) * seq.stirling1(n, k) * B(j) * B(k - j)
+        comb(k, j) * seq.stirling1(n, k) * B(j) * B(k - j)
         for k in range(n + 1)
         for j in range(k + 1)
     )
@@ -366,11 +394,11 @@ OLD_SIDES = {
     ("I26f", "rhs"): old_product_falling_stirling(FER),
     ("I26f", "literal_rhs"): old_product_falling_stirling(FER, literal=True),
     ("I23d", "literal_rhs"): lambda m, n: sum(
-        (-1) ** (m + n - k) * binom_int(m, k) * binom_int(n, k) * seq.daehee(m + n - k)
+        (-1) ** (m + n - k) * comb(m, k) * comb(n, k) * seq.daehee(m + n - k)
         for k in range(m + 1)
     ),
     ("I24c", "literal_rhs"): lambda n: sum(
-        Fraction((-1) ** m, m + 1) * binom_int(n - 1, n - m) for m in range(n + 1)
+        Fraction((-1) ** m, m + 1) * comb(n - 1, n - m) for m in range(n + 1)
     )
     / factorial(n),
     ("I26e", "literal_rhs"): lambda k: sum(
@@ -436,13 +464,13 @@ def test_lah_fubini_sums_match_fraction_forms():
     for n, k in record.grid(None):
         lhs = sum(seq.stirling2(n, m) * seq.lah_unsigned(m, k) for m in range(n + 1))
         rhs = sum(
-            binom_int(n, m) * seq.stirling2(n - m, k) * seq.fubini_order(m, k)
+            comb(n, m) * seq.stirling2(n - m, k) * seq.fubini_order(m, k)
             for m in range(n + 1)
         )
         assert record.lhs(n, k) == lhs, (n, k)
         assert record.rhs(n, k) == rhs, (n, k)
         order = sum(
-            binom_int(k + j - 1, j) * factorial(j) * seq.stirling2(n, j) for j in range(n + 1)
+            comb(k + j - 1, j) * factorial(j) * seq.stirling2(n, j) for j in range(n + 1)
         )
         assert seq.fubini_order(n, k) == order
 

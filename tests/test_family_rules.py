@@ -14,13 +14,13 @@ rules are checked against code they do not share.
 """
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from volkenborn import sequences as seq
-from volkenborn.polynomials import Polynomial, binom_int
+from volkenborn.polynomials import Polynomial
 from volkenborn.series import PowerSeries
 
 EULER_MAX = 150
@@ -35,7 +35,7 @@ def reference_euler() -> tuple[Fraction, ...]:
     """E_n(0) for n <= EULER_MAX from 2 E_n = -sum_{k<n} C(n, k) E_k."""
     vals = [Fraction(1)]
     for n in range(1, EULER_MAX + 1):
-        s = sum(binom_int(n, k) * vals[k] for k in range(n))
+        s = sum(comb(n, k) * vals[k] for k in range(n))
         vals.append(-s / 2)
     return tuple(vals)
 
@@ -99,14 +99,14 @@ def reference_rows(family: str) -> tuple[tuple[Fraction, ...], ...]:
 def reference_bernoulli_poly(n: int) -> Polynomial:
     out = [Fraction(0)] * (n + 1)
     for k in range(n + 1):
-        out[n - k] = binom_int(n, k) * seq.bernoulli(k)
+        out[n - k] = comb(n, k) * seq.bernoulli(k)
     return Polynomial(out)
 
 
 def reference_euler_poly(n: int) -> Polynomial:
     out = [Fraction(0)] * (n + 1)
     for k in range(n + 1):
-        out[n - k] = binom_int(n, k) * reference_euler()[k]
+        out[n - k] = comb(n, k) * reference_euler()[k]
     return Polynomial(out)
 
 
@@ -181,14 +181,14 @@ def test_appell_polynomials_match_the_old_loops(n, clear):
 def next_apostol_bernoulli(vals, lam):
     m = len(vals)
     rhs = Fraction(1 if m == 1 else 0)
-    s = sum(binom_int(m, k) * vals[k] for k in range(m))
+    s = sum(comb(m, k) * vals[k] for k in range(m))
     return (rhs - lam * s) / (lam - 1)
 
 
 def next_apostol_euler(vals, lam):
     m = len(vals)
     rhs = Fraction(2 if m == 0 else 0)
-    s = sum(binom_int(m, k) * vals[k] for k in range(m))
+    s = sum(comb(m, k) * vals[k] for k in range(m))
     return (rhs - lam * s) / (lam + 1)
 
 
@@ -196,7 +196,7 @@ def next_frobenius_euler(vals, u):
     m = len(vals)
     if m == 0:
         return Fraction(1)
-    s = sum(binom_int(m, k) * vals[k] for k in range(m))
+    s = sum(comb(m, k) * vals[k] for k in range(m))
     return s / (u - 1)
 
 
@@ -204,7 +204,7 @@ def next_fubini(vals, _key):
     n = len(vals)
     if n == 0:
         return Fraction(1)
-    return sum(binom_int(n, j) * vals[n - j] for j in range(1, n + 1))
+    return sum(comb(n, j) * vals[n - j] for j in range(1, n + 1))
 
 
 # name -> (family under test, reference step, excluded parameter)
@@ -297,7 +297,7 @@ def reference_egf(family: str, key, order: int = EGF_MAX + 1) -> tuple[Fraction,
 def reference_bernoulli_second_poly(n: int) -> Polynomial:
     out = Polynomial.zero()
     for k in range(n + 1):
-        c = binom_int(n, k) * reference_egf("cauchy", None)[n - k]
+        c = comb(n, k) * reference_egf("cauchy", None)[n - k]
         if c:
             out = out + seq.falling_poly(k) * c
     return out

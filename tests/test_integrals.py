@@ -45,13 +45,11 @@ def test_shifted_rising_factorial_integrals(n):
     poly = falling_poly(n).shift(n - 1) if n else Polynomial.one()
     bos = volkenborn_exact(poly)
     fer = fermionic_exact(poly)
-    from volkenborn.polynomials import binom_int
-
     expected_b = math.factorial(n) * sum(
-        Fraction((-1) ** m, m + 1) * binom_int(n - 1, n - m) for m in range(n + 1)
+        Fraction((-1) ** m, m + 1) * math.comb(n - 1, n - m) for m in range(n + 1)
     ) if n else Fraction(1)
     expected_f = math.factorial(n) * sum(
-        Fraction((-1) ** m, 2**m) * binom_int(n - 1, n - m) for m in range(n + 1)
+        Fraction((-1) ** m, 2**m) * math.comb(n - 1, n - m) for m in range(n + 1)
     ) if n else Fraction(1)
     assert bos == expected_b
     assert fer == expected_f

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volkenborn import sequences as seq
-from volkenborn.polynomials import Polynomial, _shifted_integral, binom_int
+from volkenborn.polynomials import Polynomial, _shifted_integral
 
 DEGREE_MAX = 12
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
@@ -81,7 +81,7 @@ def old_shift(f: Polynomial, a: Fraction) -> Polynomial:
 def old_array_poly(n: int, v: int, lam: Fraction) -> Polynomial:
     out = Polynomial.zero()
     for j in range(n + 1):
-        c = binom_int(n, j) * seq.stirling2_lambda(j, v, lam)
+        c = comb(n, j) * seq.stirling2_lambda(j, v, lam)
         if c:
             out = out + Polynomial.monomial(n - j, c)
     return out
