@@ -6,14 +6,16 @@ factorial, C(x, n) and the Stirling-1 sums are all read off the stored
 Stirling-1 rows.  In I08b, I11a, I12b, I14a, I14b, I22, I23b, I26e, I26f
 and I33a both sides read those rows, so there the tests, not the
 catalog, check the rows against the product of their linear factors.
-Every side sums through ``polynomials._reduce`` (int terms over int denominators, or
-a ``_dot`` of weights and checked values) except I33a's right side, which adds
-``Fraction``s: its left side, ``seq.cauchy``, is that very sum through ``_reduce``.
-I23a-I23d read their left side, the bosonic integral of (x)_m (x)_n, off one falling-pair
-table (a ``sequences`` memo table, cleared with the others): one integral per product.
-The integrals of x^s C(a + b x, n) (I15-I17, I20, I21, I29 and their fermionic twins)
-weight the moments by the int coefficients of the product of linear factors and divide
-once (``_Integral.binom``); Newton series take their differences from an int table.
+Every side sums in ints (one int sum, int terms over int denominators through
+``polynomials._reduce``, or a ``_dot`` of weights and checked values) except I33a's right
+side, which adds ``Fraction``s: its left side, ``seq.cauchy``, is that very sum via ``_reduce``.
+Sub-sums shared by several records are computed once per pass, in ``sequences`` memo tables
+that ``clear_caches`` drops: the bosonic integral of (x)_m (x)_n (I23a-I23d's left side),
+each I23 sum at each (m, n), and the int moment weights of I28 and of I29 (per n, for both
+measures).  The integrals of x^s C(a + b x, n) (I15-I17, I20, I21 and their fermionic
+twins) weight the moments by the int coefficients of the product of linear factors and
+divide once (``_Integral.binom``; I29 adds these weights up); Newton series take their
+differences from an int table.
 A record is ``verified`` when the statement checks out in its commonly
 stated form, and ``corrected`` when brute-force expansion pinned down an
 amended statement; a corrected record stores a counterexample and only
@@ -195,14 +197,14 @@ class _Integral:
     hat: Callable[[int], Fraction]
     den: Callable[[int], int]
 
-    def dot(self, weights: Iterable[int], shift: int = 0) -> Fraction:
-        """sum_k weights[k] m_(k+shift), added in ints over the moments' one denominator."""
-        return _moment_integral(weights, self.ints, shift)
+    def dot(self, weights: Iterable[int], shift: int = 0, scale: int = 1) -> Fraction:
+        """sum_k weights[k] m_(k+shift) / scale, added in ints over the moments' one denominator."""
+        return _moment_integral(weights, self.ints, shift, scale)
 
     def binom(self, n: int, a: Fraction | int = 0, b: int = 1, s: int = 0) -> Fraction:
         """Integral of x^s C(a + b x, n), for rational a and integer b."""
         weights, qn = _factorial_ints(n, a, b)
-        return _moment_integral(weights, self.ints, s, factorial(n) * qn)
+        return self.dot(weights, s, factorial(n) * qn)
 
     def rising(self, n: int) -> Fraction:
         """Integral of the rising factorial: a second-kind Daehee or Changhee number."""
@@ -295,8 +297,15 @@ def _bernoulli_convolution(n: int) -> Fraction:
     ), den * den * factorial(n))
 
 
-_FALLING_PAIRS = seq._Memo(lambda rows: [[
-    _volk(falling_poly(len(rows)) * falling_poly(n)) for n in range(len(rows) + 1)]])
+def _pairs(f: Callable[[int, int], Fraction]) -> Evaluator:
+    """f(m, n) for m, n >= 0 off a row table: row M holds f(M, n) for n <= M, then f(n, M)
+    for n < M, so each point is evaluated once, as itself (no symmetry is assumed)."""
+    rows = seq._rows(lambda M: [*(f(M, n) for n in range(M + 1)), *(f(n, M) for n in range(M))])
+    return lambda m, n: rows.get(m)[n] if m >= n else rows.get(n)[n + 1 + m]
+
+
+_FALLING_PAIRS = seq._rows(
+    lambda M: [_volk(falling_poly(M) * falling_poly(n)) for n in range(M + 1)])
 
 
 def _falling_pair(m: int, n: int) -> Fraction:
@@ -327,10 +336,9 @@ def _sum_1i(m: int, n: int) -> Fraction:
 
 
 def _lah_fubini(n: int, k: int) -> Fraction:
-    """The Lah numbers composed with e^t - 1, through the order-k Fubini numbers."""
-    return _dot(
-        (comb(n, m) * seq.stirling2(n - m, k), seq.fubini_order(m, k)) for m in range(n + 1)
-    )
+    """The Lah numbers composed with e^t - 1, through the order-k Fubini numbers, in ints."""
+    s2, fubini = seq._stirling2_row, seq._fubini_sum  # S2(n - m, k) = 0 for m > n - k
+    return Fraction(sum(comb(n, m) * s2(n - m)[k] * fubini(m, 1, 1, k) for m in range(n - k + 1)))
 
 
 def _gould_square_poly(n: int) -> Polynomial:
@@ -351,19 +359,37 @@ def _newton(mu: _Integral, f: Callable[[int], int], top: int) -> Fraction:
     return _reduce(terms)
 
 
-def _eulerian_moment(n: int, mu: _Integral, paired: bool = True) -> Fraction:
+def _eulerian_weights(n: int, paired: bool = True) -> list[int]:
     # paired=False is the uncorrected variant: the binomial C(j, l) degenerated to 1
     weights = [0] * (n + 1)
     rows = enumerate(seq._eulerian_row(n)), enumerate(seq._stirling1_row(n))
     for (k, a), (j, s1) in product(*rows):
         for l in range(j + 1):
             weights[l] += a * s1 * (comb(j, l) if paired else 1) * (n - k) ** (j - l)
-    return mu.dot(weights) / factorial(n)
+    return weights
+
+
+def _eulerian_moment(n: int, mu: _Integral, paired: bool = True) -> Fraction:
+    """I28's right side: int weights over n!, the paired ones built once for both measures."""
+    weights = _EULERIAN_WEIGHTS.get(n) if paired else _eulerian_weights(n, paired)
+    return mu.dot(weights, 0, factorial(n))
 
 
 def _worpitzky_coeff(n: int, j: int) -> int:
     """The Eulerian number as the alternating binomial sum sum_k (-1)^(j+k) C(n+1, j-k) k^n."""
     return sum((-1) ** (j + k) * comb(n + 1, j - k) * k**n for k in range(j + 1))
+
+
+def _worpitzky_weights(n: int) -> list[int]:
+    """The moments' int weights in n! times I29's right side, sum_j W(n, j) C(x + j - 1, n)."""
+    ws = [_worpitzky_coeff(n, j) for j in range(n + 1)]
+    rows = (_factorial_ints(n, j - 1)[0] for j in range(n + 1))
+    return [sum(map(mul, ws, column)) for column in zip(*rows)]
+
+
+# the sub-sums that several records share, one table each
+_SUM_1F, _SUM_1H, _SUM_1I = map(_pairs, (_sum_1f, _sum_1h, _sum_1i))
+_EULERIAN_WEIGHTS, _WORPITZKY_WEIGHTS = seq._rows(_eulerian_weights), seq._rows(_worpitzky_weights)
 
 
 def _worpitzky_literal(n: int, den: Callable[[int], int]) -> Fraction:
@@ -574,9 +600,7 @@ def _worpitzky(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord
         title=title,
         grid=_grid((1, 15)),
         lhs=mu.moment,
-        rhs=lambda n: _dot(
-            (_worpitzky_coeff(n, j), mu.binom(n, j - 1)) for j in range(n + 1)
-        ),
+        rhs=lambda n: mu.dot(_WORPITZKY_WEIGHTS.get(n), 0, factorial(n)),
         note=note,
         literal_rhs=lambda n: _worpitzky_literal(n, mu.den),
         counterexample=(2,),
@@ -837,21 +861,21 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Integral of a product of falling factorials, connection form",
         grid=_grid((0, 15), (0, 15)),
         lhs=_falling_pair,
-        rhs=_sum_1f,
+        rhs=_SUM_1F,
     ))
     add(IdentityRecord(
         id="I23b",
         title="Integral of a product of falling factorials, double-Stirling form",
         grid=_grid((0, 15), (0, 15)),
         lhs=_falling_pair,
-        rhs=_sum_1h,
+        rhs=_SUM_1H,
     ))
     add(IdentityRecord(
         id="I23c",
         title="Integral of a product of falling factorials, mixed form",
         grid=_grid((0, 15), (0, 15)),
         lhs=_falling_pair,
-        rhs=_sum_1i,
+        rhs=_SUM_1I,
     ))
     add(IdentityRecord(
         id="I23d",
@@ -873,15 +897,15 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I23e",
         title="Connection form equals double-Stirling form",
         grid=_grid((0, 15), (0, 15)),
-        lhs=_sum_1h,
-        rhs=_sum_1f,
+        lhs=_SUM_1H,
+        rhs=_SUM_1F,
     ))
     add(IdentityRecord(
         id="I23f",
         title="Double-Stirling form equals mixed form",
         grid=_grid((0, 15), (0, 15)),
-        lhs=_sum_1h,
-        rhs=_sum_1i,
+        lhs=_SUM_1H,
+        rhs=_SUM_1I,
     ))
 
     # --- rising factorial as shifted falling factorial ---------------------
@@ -1153,8 +1177,8 @@ def resolve_ids(ids: Sequence[str]) -> list[IdentityRecord]:
 
 
 # Largest grid cap `verify` accepts.  The two-index sums grow steeply with it:
-# a cold verify_all takes about 0.14, 0.3, 0.6 and 1.0 s at caps 15, 20, 25 and 30
-# (CPython 3.11.7 on one core of a 2-vCPU Intel Xeon virtual machine).
+# a cold verify_all takes about 0.07, 0.14, 0.27 and 0.46 s at caps 15, 20, 25 and 30
+# (CPython 3.11.7 on one core of a 2-vCPU Intel Xeon virtual machine, best of 5).
 _N_MAX_LIMIT = 30
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Optional, Union
 
 from . import padic
@@ -76,9 +77,11 @@ def _moment_integral(
     coeffs: Iterable[Scalar], moments: Callable, shift: int = 0, scale: int = 1
 ) -> Fraction:
     """sum_i c_i m_(i+shift) / scale for moments(n) = (numerators of m_0..m_n, den): one int
-    term per nonzero moment, summed by ``_reduce`` and divided by den * scale."""
+    sum for int weights, else ``_reduce`` over int terms; either divided once by den * scale."""
     cs = list(coeffs)
     nums, den = moments(len(cs) + shift - 1)
+    if {*map(type, cs)} <= {int}:
+        return Fraction(sum(map(mul, cs, nums[shift:])), den * scale)
     return _reduce([(c.numerator * m, c.denominator) for c, m in zip(cs, nums[shift:]) if m],
                    den * scale)
 

@@ -148,6 +148,11 @@ class _Memo:
             self._ints = ((), 1)
 
 
+def _rows(row: Callable[[int], list]) -> _Memo:
+    """A memo table whose entry n is row(n)."""
+    return _Memo(lambda values: [row(len(values))])
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli and Euler numbers and polynomials
 
@@ -236,15 +241,10 @@ def _associated(stirling: _Memo) -> _Memo:
     sum_{j=0..k} (-1)^j C(n, j) stirling(n - j, k - j).  The base series
     starts at t^2, so row n holds only k <= n/2; the rest vanish.
     """
-
-    def row(rows: list[list[int]]) -> list[list[int]]:
-        n = len(rows)
-        return [[
-            sum((-1) ** j * comb(n, j) * stirling.get(n - j)[k - j] for j in range(k + 1))
-            for k in range(n // 2 + 1)
-        ]]
-
-    return _Memo(row)
+    return _rows(lambda n: [
+        sum((-1) ** j * comb(n, j) * stirling.get(n - j)[k - j] for j in range(k + 1))
+        for k in range(n // 2 + 1)
+    ])
 
 
 _STIRLING1 = _triangle(lambda n, k: 1, lambda n, k: 1 - n)
@@ -354,15 +354,18 @@ def _fubini_at(n: int, x: Fraction | int, k: int = 1) -> Fraction:
 
     It is coefficient n of 1/(1 - x (e^t - 1))^k: with u = e^t - 1,
     1/(1 - x u)^k = sum_j C(k+j-1, j) x^j u^j, and u^j / j! has
-    coefficients S2(., j).  At x = a/b the sum is taken in ints,
-    sum_j C(k+j-1, j) j! S2(n, j) a^j b^(n-j), and divided by b^n once.
+    coefficients S2(., j).  At x = a/b it is ``_fubini_sum`` over b^n.
     """
-    a, b = x.numerator, x.denominator
+    return Fraction(_fubini_sum(n, x.numerator, x.denominator, k), x.denominator**n)
+
+
+def _fubini_sum(n: int, a: int, b: int, k: int) -> int:
+    """b^n F_n(a/b) of order k in ints: sum_j C(k+j-1, j) j! S2(n, j) a^j b^(n-j)."""
     total, weight = 0, 1  # weight = C(k+j-1, j) j! = k (k+1) ... (k+j-1)
     for j, s in enumerate(_stirling2_row(n)):
         total += weight * s * a**j * b ** (n - j)
         weight *= k + j
-    return Fraction(total, b**n)
+    return total
 
 
 def fubini(n: int) -> Fraction:

@@ -9,8 +9,10 @@ denominator.  The references below are the earlier forms, one
 ``Fraction`` product per term over the public (per-entry) functions, so
 they share no code with the integer path.
 """
+import random
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, perm
 
 import pytest
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volkenborn import identities, sequences as seq
-from volkenborn.integrals import fermionic_exact, volkenborn_exact
+from volkenborn.integrals import _moment_integral, fermionic_exact, volkenborn_exact
 from volkenborn.polynomials import Polynomial, _dot, _reduce
 from volkenborn.sequences import binom_poly, falling_poly
 
@@ -116,6 +118,23 @@ def test_exact_integrals_over_the_falling_product_grid():
         assert fermionic_exact(f) == old_exact(f, seq.euler)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-10**20, 10**20), st.fractions(max_denominator=30)), max_size=25),
+    st.booleans(),
+    st.integers(0, 3),
+    st.integers(1, 60),
+)
+def test_moment_integral_matches_the_fraction_sum(weights, ints_only, shift, scale):
+    """Int weights take the one-int-sum path and mixed ones the ``_reduce`` path."""
+    if ints_only:
+        weights = [int(w) for w in weights]
+    for ints, moment in ((seq._bernoulli_ints, seq.bernoulli), (seq._euler_ints, seq.euler)):
+        got = _moment_integral(weights, ints, shift, scale)
+        expected = fraction_dot((w, moment(i + shift)) for i, w in enumerate(weights)) / scale
+        assert type(got) is Fraction and got == expected
+
+
 @pytest.mark.parametrize("exact", [volkenborn_exact, fermionic_exact])
 @pytest.mark.parametrize("f", [Polynomial(), Polynomial([3, -1, 4])], ids=["zero", "integer"])
 def test_exact_integrals_return_fractions(exact, f):
@@ -165,6 +184,18 @@ def old_sum_1i(m, n):
 def test_falling_product_sums_match_fraction_forms(new, old):
     for m, n in GRID_NM:
         assert new(m, n) == old(m, n), (m, n)
+
+
+def test_tabled_falling_product_sums_match_the_plain_sums():
+    pairs = random.Random(31).sample(list(product(range(31), repeat=2)), 31 * 31)
+    seq.clear_caches()
+    for tabled, plain in (
+        (identities._SUM_1F, identities._sum_1f),
+        (identities._SUM_1H, identities._sum_1h),
+        (identities._SUM_1I, identities._sum_1i),
+    ):
+        for m, n in pairs:
+            assert tabled(m, n) == plain(m, n), (m, n)
 
 
 def old_newton(mu, f, top):
@@ -237,6 +268,34 @@ def test_eulerian_moment_matches_fraction_form(mu, paired):
     for (n,) in identities._grid((1, 15))(None):
         got = identities._eulerian_moment(n, mu, paired)
         assert got == old_eulerian_moment(n, mu.moment, paired), n
+
+
+def per_measure_eulerian(n, mu):
+    """I28's right side the earlier way: the triple loop over each measure's own moments."""
+    return old_eulerian_moment(n, mu.moment, True)
+
+
+def per_shift_worpitzky(n, mu):
+    """I29's right side the earlier way: W(n, j) times each shift's own binomial integral."""
+    return _dot((identities._worpitzky_coeff(n, j), mu.binom(n, j - 1)) for j in range(n + 1))
+
+
+@pytest.mark.parametrize(
+    "rid, mu, reference",
+    [
+        ("I28a", BOS, per_measure_eulerian),
+        ("I28b", FER, per_measure_eulerian),
+        ("I29a", BOS, per_shift_worpitzky),
+        ("I29b", FER, per_shift_worpitzky),
+    ],
+)
+def test_shared_weight_sides_match_the_per_measure_sums(rid, mu, reference):
+    record = next(r for r in identities.catalog() if r.id == rid)
+    seq.clear_caches()
+    for n in range(21):  # past the grid's cap of 15
+        got = record.rhs(n)
+        assert type(got) is Fraction
+        assert got == reference(n, mu), n
 
 
 B, E = seq.bernoulli, seq.euler
@@ -461,14 +520,14 @@ def test_tensor_rhs_matches_fraction_form(rid, mu):
 
 def test_lah_fubini_sums_match_fraction_forms():
     record = next(r for r in identities.catalog() if r.id == "I30")
-    for n, k in record.grid(None):
+    for n, k in product(range(21), range(1, 9)):  # the grid, n past its cap, and k > n
         lhs = sum(seq.stirling2(n, m) * seq.lah_unsigned(m, k) for m in range(n + 1))
         rhs = sum(
             comb(n, m) * seq.stirling2(n - m, k) * seq.fubini_order(m, k)
             for m in range(n + 1)
         )
         assert record.lhs(n, k) == lhs, (n, k)
-        assert record.rhs(n, k) == rhs, (n, k)
+        assert type(record.rhs(n, k)) is Fraction and record.rhs(n, k) == rhs, (n, k)
         order = sum(
             comb(k + j - 1, j) * factorial(j) * seq.stirling2(n, j) for j in range(n + 1)
         )

@@ -2,8 +2,10 @@ import dataclasses
 import inspect
 import random
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, perm
 
 import pytest
@@ -342,6 +344,60 @@ def test_concurrent_falling_pair_reads_are_consistent():
         sys.setswitchinterval(old)
     # each row was built once: no thread appended a row another had added
     assert len(identities._FALLING_PAIRS._values) == 21
+
+
+@pytest.fixture
+def asymmetric_pairs():
+    """A pair table over f(m, n) = m - 2n, which differs from f(n, m) off the diagonal,
+    with a count of f's calls; the table is unregistered afterwards."""
+    calls = Counter()
+
+    def f(m, n):
+        calls[m, n] += 1  # the table calls f under the sequences lock
+        return Fraction(m - 2 * n)
+
+    lookup = identities._pairs(f)
+    table = seq._TABLES[-1]
+    try:
+        yield lookup, table, calls
+    finally:
+        seq._TABLES.remove(table)
+
+
+EVERY_PAIR_ONCE = Counter(product(range(31), repeat=2))
+
+
+def test_pair_table_reads_f_at_m_n_not_at_n_m(asymmetric_pairs):
+    lookup, table, calls = asymmetric_pairs
+    for order in (sorted(EVERY_PAIR_ONCE, key=max), sorted(EVERY_PAIR_ONCE, key=min, reverse=True)):
+        seq.clear_caches()
+        assert not table._values
+        calls.clear()
+        for m, n in order:
+            assert lookup(m, n) == m - 2 * n, (m, n)
+        assert len(table._values) == 31 and calls == EVERY_PAIR_ONCE
+
+
+def test_concurrent_pair_table_reads_build_each_row_once(asymmetric_pairs):
+    lookup, table, calls = asymmetric_pairs
+    pairs = list(EVERY_PAIR_ONCE)
+    expected = {(m, n): m - 2 * n for m, n in pairs}
+
+    def worker(seed):
+        return {p: lookup(*p) for p in random.Random(seed).sample(pairs, len(pairs))}
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        seq.clear_caches()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(worker, seed) for seed in range(16)]
+            assert all(fut.result(timeout=60) == expected for fut in futures)
+    finally:
+        sys.setswitchinterval(old)
+    assert len(table._values) == 31 and calls == EVERY_PAIR_ONCE
+    seq.clear_caches()
+    assert not table._values
 
 
 PAIR_IDS = ["I23a", "I23b", "I23c", "I23d", "I23e", "I23f"]

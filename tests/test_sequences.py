@@ -634,11 +634,12 @@ def _fill_every_table():
 
 
 def test_clear_caches_empties_every_registered_table():
-    from volkenborn import identities  # registers the catalog's falling-pair table
+    from volkenborn import identities  # registers the catalog's six tables
 
     _fill_every_table()
-    identities.verify("I23a")
-    assert len(seq._TABLES) == 8
+    # the falling-pair table, the three I23 sum tables and the I28 and I29 weights
+    identities.verify_all(ids=["I23", "I28a", "I29a"])
+    assert len(seq._TABLES) == 13
     assert all(table._values for table in seq._TABLES)
     seq.clear_caches()
     assert not any(table._values for table in seq._TABLES)

@@ -1,13 +1,17 @@
-"""Print four figures for one cold pass of the identity catalog.
+"""Print five figures for one cold pass of the identity catalog.
 
 The catalog is built once; before each pass the sequence tables are
 cleared, and ``verify_all()`` runs with default caps.  The figures are:
 
 - the number of ``Fraction.__new__`` calls in one pass under ``cProfile``;
-- the ``tracemalloc`` peak of a separate pass, in MiB;
+- the ``tracemalloc`` peak of a separate pass, in MiB, beside the bound a
+  Tier-1 test holds it to;
 - the total milliseconds of a third pass, by ``time.perf_counter``, and its
   ten slowest records, each record verified in catalog order (so a record
-  that first needs a table row pays for growing it).
+  that first needs a table row pays for growing it);
+- for those ten records, the milliseconds spent in their left and in their
+  right side, from a fourth pass with each side timed at every call (the
+  timer calls are left out of the third pass's figures).
 
 Usage::
 
@@ -23,7 +27,23 @@ import pstats
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
+
+TRACEMALLOC_BOUND_MIB = 0.2  # tests/test_exact_sums.py, the cold-pass live-memory test
+
+
+def _timed(side, spent: dict, key: str):
+    """side, adding the seconds of each call to spent[key]."""
+
+    def call(*params):
+        start = time.perf_counter()
+        try:
+            return side(*params)
+        finally:
+            spent[key] += time.perf_counter() - start
+
+    return call
 
 
 def main(argv: list[str]) -> int:
@@ -57,12 +77,21 @@ def main(argv: list[str]) -> int:
         identities.verify(record)
         times.append(((time.perf_counter() - start) * 1e3, record.id))
 
+    # the same pass again, each side of each record timed on its own; a literal
+    # side that a corrected record does not restate is timed as that side
+    sequences.clear_caches()
+    sides = {}
+    for record in records:
+        spent = sides[record.id] = {"lhs": 0.0, "rhs": 0.0}
+        identities.verify(replace(record, **{k: _timed(getattr(record, k), spent, k) for k in spent}))
+
     print(f"Fraction.__new__ calls  {news}")
-    print(f"tracemalloc peak MiB    {peak / 2**20:.3f}")
+    print(f"tracemalloc peak MiB    {peak / 2**20:.3f} (Tier-1 bound {TRACEMALLOC_BOUND_MIB})")
     print(f"cold pass ms            {sum(ms for ms, _ in times):.1f}")
-    print("slowest records, cold ms")
+    print("slowest records, cold ms: total, then left and right side (timed pass)")
     for ms, rid in sorted(times, reverse=True)[:10]:
-        print(f"  {rid:<6} {ms:7.2f}")
+        spent = sides[rid]
+        print(f"  {rid:<6} {ms:7.2f}  lhs {spent['lhs'] * 1e3:7.2f}  rhs {spent['rhs'] * 1e3:7.2f}")
     return 0
 
 
