@@ -28,9 +28,8 @@ _EXPORTS = {
     "polynomials": ("Polynomial",),
     "padic": ("padic_distance", "valuation"),
     "integrals": (
-        "ConvergenceReport", "Measure", "alternating_power_sum", "check_fermionic_shift",
-        "check_shift_equation", "convergence_report", "fermionic_exact", "level_integral",
-        "power_sum", "volkenborn_exact",
+        "ConvergenceReport", "Measure", "alternating_power_sum", "convergence_report",
+        "fermionic_exact", "level_integral", "power_sum", "volkenborn_exact",
     ),
     "identities": ("IdentityRecord", "IdentityReport", "catalog", "verify", "verify_all"),
     "sequences": ("binom_poly", "falling_poly", "rising_poly", "sequences"),

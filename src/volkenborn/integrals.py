@@ -7,31 +7,31 @@ computable.  Both exact integrals add int products over the integer view
 of the moment table (numerators over one denominator, see ``sequences``)
 and reduce them once through ``polynomials._reduce``.
 Bosonic and fermionic level-N Riemann sums are evaluated in closed form
-through power sums, Horner's rule in ints over the same views (no p^N
-term loops, and one reduction per sum), so their convergence can be
-observed p-adically at useful depths.  The q-weighted level sum
-still loops over all p^N terms, so it is refused past
-p^N = ``Q_LEVEL_GUARD``.
+through power sums (no p^N term loop): each is one dot product of the
+powers 1, m, ..., m^k of m = p^N, made once per sum, with a memoized row
+of int coefficients of den B_k(x) or den E_k(x) over the same views.  The
+q-weighted level sum still loops over all p^N terms, so it is refused
+past p^N = ``Q_LEVEL_GUARD``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable, Iterable, Optional, Union
 
 from . import padic
 from .polynomials import Polynomial, Scalar, _as_fraction, _reduce
-from .sequences import _bernoulli_ints, _euler_ints
+from .sequences import _bernoulli_ints, _euler_ints, _rows
 
 __all__ = [
     "ConvergenceReport",
     "ConvergenceRow",
     "Measure",
     "alternating_power_sum",
-    "check_fermionic_shift",
-    "check_shift_equation",
     "convergence_report",
     "exact_integral",
     "fermionic_exact",
@@ -106,34 +106,53 @@ def exact_integral(f: Polynomial, measure: Measure) -> Optional[Fraction]:
     return None
 
 
-def _power_sum(n: int, m: int, alternating: bool) -> tuple[int, int]:
-    """The sum of x^n, or of (-1)^x x^n, for x = 0..m-1 (0^0 = 1), as (num, den):
+def _appell_row(ints: Callable, k: int) -> tuple[tuple[int, ...], int]:
+    """den P_k(x) = sum_d C(k, d) nums[k-d] x^d over a view (nums, den) of the moments of
+    P_k = B_k or E_k: its int coefficients for d = 0..k, and den."""
+    nums, den = ints(k)
+    return tuple(math.comb(k, d) * nums[k - d] for d in range(k + 1)), den
+
+
+_BERNOULLI_ROWS = _rows(partial(_appell_row, _bernoulli_ints))
+_EULER_ROWS = _rows(partial(_appell_row, _euler_ints))
+
+
+def _power_sums(m: int, n_max: int, alternating: bool) -> Callable[[int], int]:
+    """n -> the int sum of x^n, or of (-1)^x x^n, for x = 0..m-1 (0^0 = 1), n <= n_max:
     (B_{n+1}(m) - B_{n+1})/(n+1), or (E_n(0) - (-1)^m E_n(m))/2 by telescoping
-    E_n(x+1) + E_n(x) = 2 x^n, each polynomial evaluated by Horner's rule in ints
-    over its table's view: den B_k(m) = sum_d C(k, d) nums[k-d] m^d."""
+    E_n(x+1) + E_n(x) = 2 x^n; den P_k(m) is one dot product of row k (its d = 0 entry
+    den P_k(0)) with 1, m, ..., m^k, made once, and the division by den is exact."""
+    rows = (_EULER_ROWS if alternating else _BERNOULLI_ROWS).get
+    powers = list(accumulate(repeat(m, n_max + (not alternating)), mul, initial=1))
+    sign = -1 if m % 2 else 1
+
+    def power_sum(n: int) -> int:
+        if alternating:
+            row, den = rows(n)
+            return (row[0] - sign * sum(map(mul, row, powers))) // (2 * den)
+        row, den = rows(n + 1)
+        return (sum(map(mul, row, powers)) - row[0]) // (den * (n + 1))
+
+    return power_sum
+
+
+def _power_sum(n: int, m: int, alternating: bool) -> Fraction:
+    """The sum of x^n, or of (-1)^x x^n, for x = 0..m-1 and m, n >= 0, from ``_power_sums``."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if m < 0:
         raise ValueError("m must be >= 0")
-    k = n if alternating else n + 1
-    nums, den = _euler_ints(k) if alternating else _bernoulli_ints(k)
-    acc, c = 0, 1  # c = C(k, d), from d = k down
-    for d in range(k, -1, -1):
-        acc = acc * m + c * nums[k - d]
-        c = c * d // (k - d + 1)
-    if alternating:
-        return nums[k] - (-1 if m % 2 else 1) * acc, 2 * den
-    return acc - nums[k], den * k
+    return Fraction(_power_sums(m, n, alternating)(n))
 
 
 def power_sum(n: int, m: int) -> Fraction:
-    """Sum of x^n for x = 0..m-1, via Bernoulli polynomials (0^0 = 1), with no loop over m."""
-    return Fraction(*_power_sum(n, m, False))
+    """Sum of x^n for x = 0..m-1 (0^0 = 1), from a cached Bernoulli row, with no loop over m."""
+    return _power_sum(n, m, False)
 
 
 def alternating_power_sum(n: int, m: int) -> Fraction:
-    """Sum of (-1)^x x^n for x = 0..m-1, via Euler polynomials (0^0 = 1), with no loop over m."""
-    return Fraction(*_power_sum(n, m, True))
+    """Sum of (-1)^x x^n for x = 0..m-1 (0^0 = 1), from a cached Euler row, with no loop over m."""
+    return _power_sum(n, m, True)
 
 
 def _check_level_args(measure: Measure, p: int, N: int) -> None:
@@ -156,17 +175,24 @@ def level_integral(f: Polynomial, measure: Measure, p: int, N: int) -> Fraction:
 
     Bosonic: (1/p^N) sum_{x<p^N} f(x).  Fermionic: sum_{x<p^N} (-1)^x f(x).
     q-weighted: (1/[p^N]_q) sum_{x<p^N} f(x) q^x, with [m]_q = (1-q^m)/(1-q);
-    q = 1 delegates to the bosonic sum.
+    q = 1 gives the bosonic sum.
     """
     _check_level_args(measure, p, N)
-    m = p**N
-    if measure.kind != "q":
-        terms = ((c.numerator * num, c.denominator * den) for n, c in enumerate(f._coeffs) if c
-                 for num, den in [_power_sum(n, m, measure.kind == "fermionic")])
-        return _reduce(terms, m if measure.kind == "bosonic" else 1)
+    return _level_sum(f, measure, p**N)
+
+
+def _level_sum(f: Polynomial, measure: Measure, m: int) -> Fraction:
+    """``level_integral`` at m = p^N, its arguments already checked: for the bosonic and
+    fermionic measures, sum_n c_n times the n-th power sum at m (an int), summed as one
+    int for int coefficients and else through ``_reduce``, and divided once by m or 1."""
     q = measure.q
-    if q == 1:
-        return level_integral(f, Measure.bosonic(), p, N)
+    if q is None or q == 1:
+        fermionic, cs = measure.kind == "fermionic", f._coeffs
+        power_sum, scale = _power_sums(m, len(cs) - 1, fermionic), 1 if fermionic else m
+        if {*map(type, cs)} <= {int}:
+            return Fraction(sum(c * power_sum(n) for n, c in enumerate(cs) if c), scale)
+        terms = ((c.numerator * power_sum(n), c.denominator) for n, c in enumerate(cs) if c)
+        return _reduce(terms, scale)
     total = Fraction(0)
     qx = Fraction(1)
     for x in range(m):
@@ -219,41 +245,16 @@ def convergence_report(f: Polynomial, measure: Measure, p: int, N_max: int) -> C
     """
     if N_max < 1:
         raise ValueError("N_max must be >= 1")
-    # the largest level is the strictest, so a bad request fails before any work
+    # the largest level is the strictest, so a bad request fails before any work,
+    # and no level below it is checked again
     _check_level_args(measure, p, N_max)
     reference = exact_integral(f, measure)
     rows = []
     for N in range(1, N_max + 1):
-        value = level_integral(f, measure, p, N)
+        value = _level_sum(f, measure, p**N)
         if reference is None:
             ev: Union[int, float, None] = None
         else:
             ev = padic.valuation(value - reference, p)
         rows.append(ConvergenceRow(N, value, ev))
     return ConvergenceReport(measure, f, p, reference, tuple(rows))
-
-
-def check_shift_equation(f: Polynomial, m: int) -> bool:
-    """Exact check of the bosonic shift law:
-
-    integral of f(x+m) equals integral of f plus sum_{x=0}^{m-1} f'(x).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    lhs = volkenborn_exact(f.shift(m))
-    fprime = f.derivative()
-    rhs = volkenborn_exact(f) + sum((fprime(x) for x in range(m)), Fraction(0))
-    return lhs == rhs
-
-
-def check_fermionic_shift(f: Polynomial, n: int) -> bool:
-    """Exact check of the fermionic shift law:
-
-    integral of f(x+n) plus (-1)^(n+1) integral of f equals
-    2 sum_{j=0}^{n-1} (-1)^(n-1-j) f(j).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lhs = fermionic_exact(f.shift(n)) + (-1) ** (n + 1) * fermionic_exact(f)
-    rhs = 2 * sum(((-1) ** (n - 1 - j) * f(j) for j in range(n)), Fraction(0))
-    return lhs == rhs

@@ -1,15 +1,19 @@
 import math
+import random
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from volkenborn import integrals
+from volkenborn import sequences as seq
 from volkenborn.integrals import (
     Measure,
     alternating_power_sum,
-    check_fermionic_shift,
-    check_shift_equation,
     convergence_report,
     exact_integral,
     fermionic_exact,
@@ -18,7 +22,7 @@ from volkenborn.integrals import (
     volkenborn_exact,
 )
 from volkenborn.polynomials import Polynomial
-from volkenborn.sequences import binom_poly, changhee, daehee, falling_poly
+from volkenborn.sequences import binom_poly, bernoulli_poly, changhee, daehee, euler_poly, falling_poly
 
 
 def test_volkenborn_exact_examples():
@@ -150,6 +154,52 @@ def test_power_sums_match_faulhaber(n, m):
     assert type(got) is Fraction and got == faulhaber_alternating(n, m)
 
 
+# row k of each table: the int coefficients of den B_k(x) or den E_k(x), and den
+ROW_TABLES = {"bosonic": (integrals._BERNOULLI_ROWS, bernoulli_poly),
+              "fermionic": (integrals._EULER_ROWS, euler_poly)}
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_TABLES))
+def test_row_tables_are_den_times_the_shifted_integral_polynomials(kind):
+    table, poly = ROW_TABLES[kind]
+    seq.clear_caches()
+    for k in range(41):
+        row, den = table.get(k)
+        # bernoulli_poly and euler_poly are built by _shifted_integral, not from these rows
+        expected = [den * c for c in poly(k).coeffs]
+        assert len(row) == k + 1 and all(type(c) is int for c in row)
+        assert list(row) == expected, (kind, k)
+
+
+def test_concurrent_power_sums_build_each_row_once(monkeypatch):
+    steps = {kind: Counter() for kind in ROW_TABLES}
+    for kind, (table, _) in ROW_TABLES.items():
+        def counted(values, step=table._step, built=steps[kind]):
+            built[len(values)] += 1  # the table steps under the sequences lock
+            return step(values)
+
+        monkeypatch.setattr(table, "_step", counted)
+    sums = [(n, m) for n in range(41) for m in (0, 1, 2, 7, 3**11, 10**18)]
+    expected = {(n, m): (faulhaber(n, m), faulhaber_alternating(n, m)) for n, m in sums}
+
+    def worker(seed):
+        order = random.Random(seed).sample(sums, len(sums))
+        return {(n, m): (power_sum(n, m), alternating_power_sum(n, m)) for n, m in order}
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        seq.clear_caches()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(worker, seed) for seed in range(16)]
+            assert all(fut.result(timeout=60) == expected for fut in futures)
+    finally:
+        sys.setswitchinterval(old)
+    assert steps["bosonic"] == Counter(range(42)) and steps["fermionic"] == Counter(range(41))
+    seq.clear_caches()
+    assert all(table._values == [] for table, _ in ROW_TABLES.values())
+
+
 def test_power_sum_handles_huge_arguments():
     # closed form, so p^N-sized arguments cost nothing
     value = power_sum(2, 5**12)
@@ -206,6 +256,39 @@ def test_level_integral_of_random_polynomials_matches_the_term_loop(coeffs, leve
         p = 3
     f = Polynomial(coeffs)
     assert level_integral(f, Measure(kind), p, N) == direct_level_sum(f, kind, p**N)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 101, 997)
+
+
+@st.composite
+def deep_levels(draw):
+    """(p, N) with p^N up to 10^18."""
+    p = draw(st.sampled_from(PRIMES))
+    return p, draw(st.integers(1, int(18 / math.log10(p))))
+
+
+int_or_fraction_coeffs = st.one_of(
+    st.lists(st.integers(-10**6, 10**6), max_size=31),
+    st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=30), max_size=31),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(int_or_fraction_coeffs, deep_levels(), st.sampled_from(["bosonic", "fermionic"]))
+@example([1] * 31, (2, 59), "bosonic")
+@example([-1] * 31, (997, 6), "fermionic")
+def test_level_integral_matches_faulhaber_at_deep_levels(coeffs, level, kind):
+    p, N = level
+    if kind == "fermionic" and p == 2:
+        p, N = 3, min(N, 37)
+    m = p**N
+    if kind == "bosonic":
+        expected = sum((Fraction(c) * faulhaber(n, m) for n, c in enumerate(coeffs)), Fraction(0)) / m
+    else:
+        expected = sum((Fraction(c) * faulhaber_alternating(n, m) for n, c in enumerate(coeffs)), Fraction(0))
+    got = level_integral(Polynomial(coeffs), Measure(kind), p, N)
+    assert type(got) is Fraction and got == expected
 
 
 def test_level_integral_preconditions():
@@ -294,6 +377,32 @@ def test_convergence_report_serialization():
 
 # ---------------------------------------------------------------------------
 # shift equations
+
+
+def check_shift_equation(f: Polynomial, m: int) -> bool:
+    """Exact check of the bosonic shift law:
+
+    integral of f(x+m) equals integral of f plus sum_{x=0}^{m-1} f'(x).
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    lhs = volkenborn_exact(f.shift(m))
+    fprime = f.derivative()
+    rhs = volkenborn_exact(f) + sum((fprime(x) for x in range(m)), Fraction(0))
+    return lhs == rhs
+
+
+def check_fermionic_shift(f: Polynomial, n: int) -> bool:
+    """Exact check of the fermionic shift law:
+
+    integral of f(x+n) plus (-1)^(n+1) integral of f equals
+    2 sum_{j=0}^{n-1} (-1)^(n-1-j) f(j).
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    lhs = fermionic_exact(f.shift(n)) + (-1) ** (n + 1) * fermionic_exact(f)
+    rhs = 2 * sum(((-1) ** (n - 1 - j) * f(j) for j in range(n)), Fraction(0))
+    return lhs == rhs
 
 
 def test_shift_equation_simple_cases():

@@ -45,7 +45,7 @@ def test_catalog_set_up_grows_no_table():
 
 
 def test_every_public_name_is_its_module_object():
-    assert len(volkenborn.__all__) == 22 and volkenborn.__all__ == sorted(set(volkenborn.__all__))
+    assert len(volkenborn.__all__) == 20 and volkenborn.__all__ == sorted(set(volkenborn.__all__))
     for name in volkenborn.__all__:
         obj = getattr(volkenborn, name)
         if isinstance(obj, types.ModuleType):

@@ -634,12 +634,15 @@ def _fill_every_table():
 
 
 def test_clear_caches_empties_every_registered_table():
-    from volkenborn import identities  # registers the catalog's six tables
+    from volkenborn import identities, integrals  # the catalog's six tables, and two for level sums
 
     _fill_every_table()
     # the falling-pair table, the three I23 sum tables and the I28 and I29 weights
     identities.verify_all(ids=["I23", "I28a", "I29a"])
-    assert len(seq._TABLES) == 13
+    # the Bernoulli and Euler polynomial rows of the level sums
+    integrals.power_sum(3, 10)
+    integrals.alternating_power_sum(3, 10)
+    assert len(seq._TABLES) == 15
     assert all(table._values for table in seq._TABLES)
     seq.clear_caches()
     assert not any(table._values for table in seq._TABLES)
