@@ -1,21 +1,23 @@
 """Executable catalog of integral and combinatorial identities.
 
 Each record carries two evaluators over a finite parameter grid,
-computed independently except for one shared table: the falling
+computed independently except for shared tables: the falling
 factorial, C(x, n) and the Stirling-1 sums are all read off the stored
-Stirling-1 rows.  In I08b, I11a, I12b, I14a, I14b, I22, I23b, I26e, I26f
-and I33a both sides read those rows, so there the tests, not the
-catalog, check the rows against the product of their linear factors.
+Stirling-1 rows.  In I08b, I11a, I12b, I14a, I14b, I22, I23b, I23c, I23f, I26e,
+I26f, I32b, I32d and I33a both sides read those rows (in I30 the Stirling-2
+rows), so there the tests, not the catalog, check them; they also pin which
+tables both sides of each record read (``tests/test_shared_tables.py``).
 Every side sums in ints (one int sum, int terms over int denominators through
 ``polynomials._reduce``, or a ``_dot`` of weights and checked values) except I33a's right
 side, which adds ``Fraction``s: its left side, ``seq.cauchy``, is that very sum via ``_reduce``.
 Sub-sums shared by several records are computed once per pass, in ``sequences`` memo tables
-that ``clear_caches`` drops: the bosonic integral of (x)_m (x)_n (I23a-I23d's left side),
-each I23 sum at each (m, n), and the int moment weights of I28 and of I29 (per n, for both
-measures).  The integrals of x^s C(a + b x, n) (I15-I17, I20, I21 and their fermionic
-twins) weight the moments by the int coefficients of the product of linear factors and
-divide once (``_Integral.binom``; I29 adds these weights up); Newton series take their
-differences from an int table.
+that ``clear_caches`` drops: per row M, the bosonic integrals of (x)_M (x)_n (I23a-I23d's left
+side) and I23b's v_M[j] = sum_i S1(M, i) B_(i+j); per N, I23c's Stirling-Bernoulli sum and the
+Daehee number I23d reads; the I23a and I23c sums at each (m, n); and the int moment weights of
+I28 and of I29 (per n, for both measures, each built in O(n^2)).  The integrals of x^s
+C(a + b x, n) (I15-I17, I20, I21 and their fermionic twins) weight the moments by the int
+coefficients of the product of linear factors and divide once (``_Integral.binom``); Newton
+series take their differences from an int table.
 A record is ``verified`` when the statement checks out in its commonly
 stated form, and ``corrected`` when brute-force expansion pinned down an
 amended statement; a corrected record stores a counterexample and only
@@ -304,8 +306,28 @@ def _pairs(f: Callable[[int, int], Fraction]) -> Evaluator:
     return lambda m, n: rows.get(m)[n] if m >= n else rows.get(n)[n + 1 + m]
 
 
-_FALLING_PAIRS = seq._rows(
-    lambda M: [_volk(falling_poly(M) * falling_poly(n)) for n in range(M + 1)])
+def _falling_pair_row(M: int) -> list[Fraction]:
+    """The bosonic integrals of (x)_M (x)_n, n <= M: (x)_M times (x - n) one factor at a time."""
+    p, row = seq._stirling1_row(M), []
+    for n in range(M + 1):
+        row.append(_volk(Polynomial(p)))
+        p = [a - n * b for a, b in zip((0, *p), (*p, 0))]
+    return row
+
+
+def _stirling_bernoulli_row(M: int) -> tuple[list[int], int]:
+    """v_M[j] = sum_i S1(M, i) B_(i+j) for j <= M, as int numerators over one den."""
+    (nums, den), s1 = seq._bernoulli_ints(2 * M), seq._stirling1_row(M)
+    return [sum(map(mul, s1, nums[j:j + M + 1])) for j in range(M + 1)], den
+
+
+_FALLING_PAIRS = seq._rows(_falling_pair_row)
+_STIRLING_BERNOULLI_ROWS = seq._rows(_stirling_bernoulli_row)
+# per N, as (numerator, denominator): I23c's Stirling-Bernoulli sum sum_i S1(N, i) B_i, and the
+# Daehee number seq.daehee(N) that I23d reads
+_STIRLING_BERNOULLI_SUMS = seq._rows(
+    lambda N: _moment_integral(seq._stirling1_row(N), seq._bernoulli_ints).as_integer_ratio())
+_DAEHEE_PAIRS = seq._rows(lambda N: seq.daehee(N).as_integer_ratio())
 
 
 def _falling_pair(m: int, n: int) -> Fraction:
@@ -317,22 +339,21 @@ def _sum_1f(m: int, n: int) -> Fraction:
     return _reduce(
         ((-1) ** (m + n - k) * comb(m, k) * comb(n, k) * factorial(k) * factorial(m + n - k),
          m + n - k + 1)
-        for k in range(m + 1)
+        for k in range(min(m, n) + 1)
     )
 
 
 def _sum_1h(m: int, n: int) -> Fraction:
-    nums, den = seq._bernoulli_ints(m + n)
-    sm = seq._stirling1_row(m)
-    return Fraction(
-        sum(sn * sum(map(mul, sm, nums[j:])) for j, sn in enumerate(seq._stirling1_row(n))), den
-    )
+    """sum_j S1(n, j) sum_i S1(m, i) B_(i+j): the shorter Stirling-1 row dotted with the
+    longer one's v (the same double sum, summed in either order)."""
+    v, den = _STIRLING_BERNOULLI_ROWS.get(max(m, n))
+    return Fraction(sum(map(mul, seq._stirling1_row(min(m, n)), v)), den)
 
 
 def _sum_1i(m: int, n: int) -> Fraction:
-    nums, den = seq._bernoulli_ints(m + n)
-    inner = (sum(map(mul, seq._stirling1_row(m + n - k), nums)) for k in range(min(m, n) + 1))
-    return Fraction(sum(comb(m, k) * perm(n, k) * s for k, s in enumerate(inner)), den)
+    """sum_k C(m, k) C(n, k) k! sum_i S1(N, i) B_i, N = m + n - k."""
+    sums = map(_STIRLING_BERNOULLI_SUMS.get, range(m + n, max(m, n) - 1, -1))
+    return _reduce((comb(m, k) * perm(n, k) * s, den) for k, (s, den) in enumerate(sums))
 
 
 def _lah_fubini(n: int, k: int) -> Fraction:
@@ -360,13 +381,15 @@ def _newton(mu: _Integral, f: Callable[[int], int], top: int) -> Fraction:
 
 
 def _eulerian_weights(n: int, paired: bool = True) -> list[int]:
-    # paired=False is the uncorrected variant: the binomial C(j, l) degenerated to 1
-    weights = [0] * (n + 1)
-    rows = enumerate(seq._eulerian_row(n)), enumerate(seq._stirling1_row(n))
-    for (k, a), (j, s1) in product(*rows):
-        for l in range(j + 1):
-            weights[l] += a * s1 * (comb(j, l) if paired else 1) * (n - k) ** (j - l)
-    return weights
+    """n! times I28's moment weights: with P[e] = sum_k A(n, k) (n - k)^e, that of m_l is
+    sum_(j>=l) S1(n, j) C(j, l) P[j - l]; paired=False (uncorrected) takes C(j, l) as 1."""
+    eulerian, bases, powers, P = seq._eulerian_row(n), range(n, -1, -1), [1] * (n + 1), []
+    for _ in range(n + 1):
+        P.append(sum(map(mul, eulerian, powers)))
+        powers = list(map(mul, powers, bases))
+    s1 = seq._stirling1_row(n)
+    return [sum(s1[j] * (comb(j, l) if paired else 1) * P[j - l] for j in range(l, n + 1))
+            for l in range(n + 1)]
 
 
 def _eulerian_moment(n: int, mu: _Integral, paired: bool = True) -> Fraction:
@@ -381,14 +404,19 @@ def _worpitzky_coeff(n: int, j: int) -> int:
 
 
 def _worpitzky_weights(n: int) -> list[int]:
-    """The moments' int weights in n! times I29's right side, sum_j W(n, j) C(x + j - 1, n)."""
-    ws = [_worpitzky_coeff(n, j) for j in range(n + 1)]
-    rows = (_factorial_ints(n, j - 1)[0] for j in range(n + 1))
-    return [sum(map(mul, ws, column)) for column in zip(*rows)]
+    """The moments' int weights in n! times I29's right side, sum_j W(n, j) C(x + j - 1, n).
+    By Vandermonde C(x + j - 1, n) = sum_i C(j, i) C(x - 1, n - i), so with V_i = sum_j W(n, j)
+    C(j, i) it is sum_i V_i C(x - 1, n - i), and n! C(x - 1, n - i) = n!/(n - i)! (x - 1)_(n-i)."""
+    ws, weights, q = [_worpitzky_coeff(n, j) for j in range(n + 1)], [0] * (n + 1), [1]
+    for d in range(n + 1):  # q = (x - 1)...(x - d), the term i = n - d
+        c = perm(n, n - d) * sum(w * comb(j, n - d) for j, w in enumerate(ws))
+        weights[:d + 1] = [w + c * b for w, b in zip(weights, q)]
+        q = [a - (d + 1) * b for a, b in zip((0, *q), (*q, 0))]
+    return weights
 
 
 # the sub-sums that several records share, one table each
-_SUM_1F, _SUM_1H, _SUM_1I = map(_pairs, (_sum_1f, _sum_1h, _sum_1i))
+_SUM_1F, _SUM_1I = map(_pairs, (_sum_1f, _sum_1i))
 _EULERIAN_WEIGHTS, _WORPITZKY_WEIGHTS = seq._rows(_eulerian_weights), seq._rows(_worpitzky_weights)
 
 
@@ -868,7 +896,7 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Integral of a product of falling factorials, double-Stirling form",
         grid=_grid((0, 15), (0, 15)),
         lhs=_falling_pair,
-        rhs=_SUM_1H,
+        rhs=_sum_1h,
     ))
     add(IdentityRecord(
         id="I23c",
@@ -882,8 +910,9 @@ def _build_catalog() -> list[IdentityRecord]:
         title="Integral of a product of falling factorials, Daehee-weighted form",
         grid=_grid((0, 15), (0, 15)),
         lhs=_falling_pair,
-        rhs=lambda m, n: _dot(
-            (comb(m, k) * comb(n, k) * factorial(k), seq.daehee(m + n - k)) for k in range(m + 1)
+        rhs=lambda m, n: _reduce(
+            (comb(m, k) * perm(n, k) * d, e)
+            for k, (d, e) in enumerate(map(_DAEHEE_PAIRS.get, range(m + n, max(m, n) - 1, -1)))
         ),
         note="the uncorrected form drops the k! connection factor and carries a spurious "
         "alternating sign on the already signed Daehee values",
@@ -897,14 +926,14 @@ def _build_catalog() -> list[IdentityRecord]:
         id="I23e",
         title="Connection form equals double-Stirling form",
         grid=_grid((0, 15), (0, 15)),
-        lhs=_SUM_1H,
+        lhs=_sum_1h,
         rhs=_SUM_1F,
     ))
     add(IdentityRecord(
         id="I23f",
         title="Double-Stirling form equals mixed form",
         grid=_grid((0, 15), (0, 15)),
-        lhs=_SUM_1H,
+        lhs=_sum_1h,
         rhs=_SUM_1I,
     ))
 
@@ -1176,10 +1205,10 @@ def resolve_ids(ids: Sequence[str]) -> list[IdentityRecord]:
     return list(found.values())
 
 
-# Largest grid cap `verify` accepts.  The two-index sums grow steeply with it:
-# a cold verify_all takes about 0.07, 0.14, 0.27 and 0.46 s at caps 15, 20, 25 and 30
+# Largest grid cap `verify` accepts.  The two-index records grow about as cap^3:
+# a cold verify_all takes about XX, XX and XX s at caps 15, 30 and 60
 # (CPython 3.11.7 on one core of a 2-vCPU Intel Xeon virtual machine, best of 5).
-_N_MAX_LIMIT = 30
+_N_MAX_LIMIT = 60
 
 
 def verify(record: IdentityRecord | str, n_max: Optional[int] = None) -> RecordResult:

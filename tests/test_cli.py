@@ -362,13 +362,13 @@ def test_verify_negative_n_max_is_usage_error(run):
 
 def test_verify_n_max_above_the_limit_is_usage_error(run):
     t0 = time.perf_counter()
-    result = run(["verify", "--n-max", "31"])
+    result = run(["verify", "--n-max", "61"])
     assert result.exit_code == 2
-    assert "n_max must be >= 0 and <= 30: got 31" in result.output
+    assert "n_max must be >= 0 and <= 60: got 61" in result.output
     assert time.perf_counter() - t0 < 1.0
-    top = run(["verify", "--ids", "I01", "--n-max", "30", "--format", "csv"])
+    top = run(["verify", "--ids", "I01", "--n-max", "60", "--format", "csv"])
     assert top.exit_code == 0
-    assert top.output.splitlines()[1] == "I01,verified,31,0,ok"
+    assert top.output.splitlines()[1] == "I01,verified,61,0,ok"
 
 
 # sha256 of whole `verify` outputs: they pin every record's id, order, status,

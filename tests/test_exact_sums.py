@@ -12,6 +12,7 @@ they share no code with the integer path.
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb, factorial, perm
 
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from volkenborn import identities, sequences as seq
 from volkenborn.integrals import _moment_integral, fermionic_exact, volkenborn_exact
-from volkenborn.polynomials import Polynomial, _dot, _reduce
+from volkenborn.polynomials import Polynomial, _dot, _factorial_ints, _reduce
 from volkenborn.sequences import binom_poly, falling_poly
 
 rationals = st.one_of(
@@ -155,45 +156,53 @@ def old_sum_1f(m, n):
     )
 
 
+@cache
+def fraction_stirling_bernoulli(m, j):
+    """sum_l S1(m, l) B_(l+j) as a Fraction sum over the public per-entry functions."""
+    return sum((seq.stirling1(m, l) * seq.bernoulli(j + l) for l in range(m + 1)), Fraction(0))
+
+
 def old_sum_1h(m, n):
-    return sum(
-        seq.stirling1(n, j) * seq.stirling1(m, l) * seq.bernoulli(j + l)
-        for j in range(n + 1)
-        for l in range(m + 1)
-    )
+    # the double sum sum_j sum_l S1(n, j) S1(m, l) B_(j+l), its inner sum kept per (m, j)
+    return sum(seq.stirling1(n, j) * fraction_stirling_bernoulli(m, j) for j in range(n + 1))
 
 
 def old_sum_1i(m, n):
     total = Fraction(0)
     for k in range(m + 1):
         c = comb(m, k) * comb(n, k) * factorial(k)
-        inner = sum(seq.stirling1(m + n - k, l) * seq.bernoulli(l) for l in range(m + n - k + 1))
-        total += c * inner
+        total += c * fraction_stirling_bernoulli(m + n - k, 0)
     return total
+
+
+GRID_40 = list(product(range(41), repeat=2))
 
 
 @pytest.mark.parametrize(
     "new, old",
     [
-        (identities._sum_1f, old_sum_1f),
+        (identities._SUM_1F, old_sum_1f),
         (identities._sum_1h, old_sum_1h),
-        (identities._sum_1i, old_sum_1i),
+        (identities._SUM_1I, old_sum_1i),
     ],
     ids=["1f", "1h", "1i"],
 )
 def test_falling_product_sums_match_fraction_forms(new, old):
-    for m, n in GRID_NM:
+    seq.clear_caches()
+    for m, n in GRID_40:
         assert new(m, n) == old(m, n), (m, n)
 
 
 def test_tabled_falling_product_sums_match_the_plain_sums():
-    pairs = random.Random(31).sample(list(product(range(31), repeat=2)), 31 * 31)
-    seq.clear_caches()
+    """From cold tables and in random order: the pair tables against the sums they hold,
+    and the row-kernel double-Stirling sum against the integral of the polynomial product."""
+    pairs = random.Random(31).sample(GRID_40, len(GRID_40))
     for tabled, plain in (
         (identities._SUM_1F, identities._sum_1f),
-        (identities._SUM_1H, identities._sum_1h),
         (identities._SUM_1I, identities._sum_1i),
+        (identities._sum_1h, lambda m, n: volkenborn_exact(falling_poly(m) * falling_poly(n))),
     ):
+        seq.clear_caches()
         for m, n in pairs:
             assert tabled(m, n) == plain(m, n), (m, n)
 
@@ -268,6 +277,34 @@ def test_eulerian_moment_matches_fraction_form(mu, paired):
     for (n,) in identities._grid((1, 15))(None):
         got = identities._eulerian_moment(n, mu, paired)
         assert got == old_eulerian_moment(n, mu.moment, paired), n
+
+
+def cubic_eulerian_weights(n, paired):
+    """I28's weights term by term: A(n, k) S1(n, j) C(j, l) (n - k)^(j - l) added into l."""
+    weights = [0] * (n + 1)
+    for (k, a), (j, s1) in product(enumerate(seq._eulerian_row(n)), enumerate(seq._stirling1_row(n))):
+        for l in range(j + 1):
+            weights[l] += a * s1 * (comb(j, l) if paired else 1) * (n - k) ** (j - l)
+    return weights
+
+
+@pytest.mark.parametrize("paired", [True, False])
+def test_eulerian_weights_match_the_cubic_loop(paired):
+    for n in range(41):
+        assert identities._eulerian_weights(n, paired) == cubic_eulerian_weights(n, paired), n
+
+
+def shifted_product_worpitzky_weights(n):
+    """I29's weights as W(n, j) times the int coefficients of each shift's own product
+    (x + j - 1)(x + j - 2)...(x + j - n)."""
+    rows = (_factorial_ints(n, j - 1)[0] for j in range(n + 1))
+    ws = [identities._worpitzky_coeff(n, j) for j in range(n + 1)]
+    return [sum(w * c for w, c in zip(ws, column)) for column in zip(*rows)]
+
+
+def test_worpitzky_weights_match_the_shifted_products():
+    for n in range(41):
+        assert identities._worpitzky_weights(n) == shifted_product_worpitzky_weights(n), n
 
 
 def per_measure_eulerian(n, mu):

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import random
 import sys
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -125,11 +126,11 @@ def test_negative_n_max_is_rejected():
 
 
 def test_n_max_above_the_limit_is_rejected():
-    with pytest.raises(ValueError, match="<= 30: got 31"):
-        verify("I01", n_max=31)
-    with pytest.raises(ValueError, match="<= 30: got 31"):
-        verify_all(n_max=31)
-    assert verify("I01", n_max=30).points == 31
+    with pytest.raises(ValueError, match="<= 60: got 61"):
+        verify("I01", n_max=61)
+    with pytest.raises(ValueError, match="<= 60: got 61"):
+        verify_all(n_max=61)
+    assert verify("I01", n_max=60).points == 61
 
 
 @pytest.mark.parametrize(
@@ -318,7 +319,7 @@ def falling_pair_integrals(top):
 
 
 def test_falling_pair_table_matches_the_product_integral_in_both_orders():
-    expected = falling_pair_integrals(30)
+    expected = falling_pair_integrals(40)
     # the table grown one row at a time, then all at the first read
     for order in (sorted(expected, key=max), sorted(expected, key=max, reverse=True)):
         seq.clear_caches()
@@ -415,6 +416,16 @@ def test_falling_pair_records_do_not_depend_on_table_state_or_order(n_max):
     seq.clear_caches()
     verify("I23a", n_max=35 - n_max)  # tables grown past the cap, or short of it
     assert [verify(rid, n_max=n_max) for rid in shuffled] == [in_order[rid] for rid in shuffled]
+
+
+def test_pair_and_weight_records_pass_at_the_largest_cap():
+    seq.clear_caches()
+    start = time.perf_counter()
+    report = verify_all(n_max=60, ids=["I23", "I28", "I29"])
+    elapsed = time.perf_counter() - start
+    assert [r.id for r in report.results] == [*PAIR_IDS, "I28a", "I28b", "I29a", "I29b"]
+    assert report.ok and [r.points for r in report.results] == [61 * 61] * 6 + [60] * 4
+    assert elapsed < 1.5, f"{elapsed:.2f} s"
 
 
 def test_report_serialization_shapes():

@@ -1,7 +1,9 @@
 """Print five figures for one cold pass of the identity catalog.
 
 The catalog is built once; before each pass the sequence tables are
-cleared, and ``verify_all()`` runs with default caps.  The figures are:
+cleared, and ``verify_all()`` runs with default caps, or with every grid
+capped at N under ``--n-max N`` (as ``volkenborn verify --n-max N``).  The
+figures are:
 
 - the number of ``Fraction.__new__`` calls in one pass under ``cProfile``;
 - the ``tracemalloc`` peak of a separate pass, in MiB, beside the bound a
@@ -15,13 +17,14 @@ cleared, and ``verify_all()`` runs with default caps.  The figures are:
 
 Usage::
 
-    python tools/profile_catalog.py [source-directory]
+    python tools/profile_catalog.py [--n-max N] [source-directory]
 
 The directory holding the ``volkenborn`` package defaults to ``src``
 beside this script's parent.
 """
 from __future__ import annotations
 
+import argparse
 import cProfile
 import pstats
 import sys
@@ -47,15 +50,21 @@ def _timed(side, spent: dict, key: str):
 
 
 def main(argv: list[str]) -> int:
-    source = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src"
-    sys.path.insert(0, str(source.resolve()))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n-max", type=int, default=None, help="grid cap (default: each record's own)")
+    parser.add_argument("source", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.source.resolve()))
     from volkenborn import identities, sequences
+
+    cap = args.n_max
 
     records = identities.catalog()
 
     profiler = cProfile.Profile()
     sequences.clear_caches()
-    profiler.runcall(identities.verify_all)
+    profiler.runcall(identities.verify_all, cap)
     news = sum(
         calls
         for (path, _, name), (_, calls, *_) in pstats.Stats(profiler).stats.items()
@@ -65,7 +74,7 @@ def main(argv: list[str]) -> int:
     sequences.clear_caches()
     tracemalloc.start()
     try:
-        identities.verify_all()
+        identities.verify_all(cap)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -74,7 +83,7 @@ def main(argv: list[str]) -> int:
     times = []
     for record in records:
         start = time.perf_counter()
-        identities.verify(record)
+        identities.verify(record, cap)
         times.append(((time.perf_counter() - start) * 1e3, record.id))
 
     # the same pass again, each side of each record timed on its own; a literal
@@ -83,10 +92,12 @@ def main(argv: list[str]) -> int:
     sides = {}
     for record in records:
         spent = sides[record.id] = {"lhs": 0.0, "rhs": 0.0}
-        identities.verify(replace(record, **{k: _timed(getattr(record, k), spent, k) for k in spent}))
+        timed = replace(record, **{k: _timed(getattr(record, k), spent, k) for k in spent})
+        identities.verify(timed, cap)
 
     print(f"Fraction.__new__ calls  {news}")
-    print(f"tracemalloc peak MiB    {peak / 2**20:.3f} (Tier-1 bound {TRACEMALLOC_BOUND_MIB})")
+    bound = f"Tier-1 bound {TRACEMALLOC_BOUND_MIB}" if cap is None else f"cap {cap}; the bound is for the default caps"
+    print(f"tracemalloc peak MiB    {peak / 2**20:.3f} ({bound})")
     print(f"cold pass ms            {sum(ms for ms, _ in times):.1f}")
     print("slowest records, cold ms: total, then left and right side (timed pass)")
     for ms, rid in sorted(times, reverse=True)[:10]:
