@@ -11,9 +11,9 @@ Every side sums in ints (one int sum, int terms over int denominators through
 ``polynomials._reduce``, or a ``_dot`` of weights and checked values) except I33a's right
 side, which adds ``Fraction``s: its left side, ``seq.cauchy``, is that very sum via ``_reduce``.
 Sub-sums shared by several records are computed once per pass, in ``sequences`` memo tables
-that ``clear_caches`` drops: per row M, the bosonic integrals of (x)_M (x)_n (I23a-I23d's left
-side) and I23b's v_M[j] = sum_i S1(M, i) B_(i+j); per N, I23c's Stirling-Bernoulli sum and the
-Daehee number I23d reads; the I23a and I23c sums at each (m, n); and the int moment weights of
+that ``clear_caches`` drops: per row M, for n <= M, the bosonic integrals of (x)_M (x)_n
+(I23a-I23d's left side) and I23b's double-Stirling sums (dot products with one vector per row);
+per N, I23c's Stirling-Bernoulli sum and the Daehee number I23d reads; the I23a and I23c sums at each (m, n); and the int moment weights of
 I28 and of I29 (per n, for both measures, each built in O(n^2)).  The integrals of x^s
 C(a + b x, n) (I15-I17, I20, I21 and their fermionic twins) weight the moments by the int
 coefficients of the product of linear factors and divide once (``_Integral.binom``); Newton
@@ -315,14 +315,16 @@ def _falling_pair_row(M: int) -> list[Fraction]:
     return row
 
 
-def _stirling_bernoulli_row(M: int) -> tuple[list[int], int]:
-    """v_M[j] = sum_i S1(M, i) B_(i+j) for j <= M, as int numerators over one den."""
+def _double_stirling_row(M: int) -> list[Fraction]:
+    """sum_j S1(n, j) sum_i S1(M, i) B_(i+j) for n <= M: v[j] = sum_i S1(M, i) B_(i+j) in ints
+    over one den, once per row, then one dot product of Stirling-1 row n with v per entry."""
     (nums, den), s1 = seq._bernoulli_ints(2 * M), seq._stirling1_row(M)
-    return [sum(map(mul, s1, nums[j:j + M + 1])) for j in range(M + 1)], den
+    v = [sum(map(mul, s1, nums[j:j + M + 1])) for j in range(M + 1)]
+    return [Fraction(sum(map(mul, seq._stirling1_row(n), v)), den) for n in range(M + 1)]
 
 
 _FALLING_PAIRS = seq._rows(_falling_pair_row)
-_STIRLING_BERNOULLI_ROWS = seq._rows(_stirling_bernoulli_row)
+_DOUBLE_STIRLING = seq._rows(_double_stirling_row)
 # per N, as (numerator, denominator): I23c's Stirling-Bernoulli sum sum_i S1(N, i) B_i, and the
 # Daehee number seq.daehee(N) that I23d reads
 _STIRLING_BERNOULLI_SUMS = seq._rows(
@@ -344,10 +346,9 @@ def _sum_1f(m: int, n: int) -> Fraction:
 
 
 def _sum_1h(m: int, n: int) -> Fraction:
-    """sum_j S1(n, j) sum_i S1(m, i) B_(i+j): the shorter Stirling-1 row dotted with the
-    longer one's v (the same double sum, summed in either order)."""
-    v, den = _STIRLING_BERNOULLI_ROWS.get(max(m, n))
-    return Fraction(sum(map(mul, seq._stirling1_row(min(m, n)), v)), den)
+    """sum_j S1(n, j) sum_i S1(m, i) B_(i+j) (I23b), the same double sum in either order:
+    row max(m, n), entry min(m, n)."""
+    return _DOUBLE_STIRLING.get(max(m, n))[min(m, n)]
 
 
 def _sum_1i(m: int, n: int) -> Fraction:

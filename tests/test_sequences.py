@@ -637,7 +637,7 @@ def test_clear_caches_empties_every_registered_table():
     from volkenborn import identities, integrals  # the catalog's eight tables, and two for level sums
 
     _fill_every_table()
-    # the falling-pair table, the I23 row, Stirling-Bernoulli, Daehee and pair tables,
+    # the falling-pair, double-Stirling, Stirling-Bernoulli, Daehee and I23 pair tables,
     # and the I28 and I29 weights
     identities.verify_all(ids=["I23", "I28a", "I29a"])
     # the Bernoulli and Euler polynomial rows of the level sums
