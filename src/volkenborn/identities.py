@@ -10,13 +10,14 @@ tables both sides of each record read (``tests/test_shared_tables.py``).
 Every side sums in ints (one int sum, int terms over int denominators through
 ``polynomials._reduce``, or a ``_dot`` of weights and checked values) except I33a's right
 side, which adds ``Fraction``s: its left side, ``seq.cauchy``, is that very sum via ``_reduce``.
-Sub-sums shared by several records are computed once per pass, in ``sequences`` memo tables
-that ``clear_caches`` drops: per row M, for n <= M, the bosonic integrals of (x)_M (x)_n
-(I23a-I23d's left side) and I23b's double-Stirling sums (dot products with one vector per row);
-per N, I23c's Stirling-Bernoulli sum and the Daehee number I23d reads; the I23a and I23c sums at each (m, n); and the int moment weights of
-I28 and of I29 (per n, for both measures, each built in O(n^2)).  The integrals of x^s
-C(a + b x, n) (I15-I17, I20, I21 and their fermionic twins) weight the moments by the int
-coefficients of the product of linear factors and divide once (``_Integral.binom``); Newton
+Sub-sums shared by several records are computed once per pass, in ``sequences`` memo
+tables that ``clear_caches`` drops: per row M, for n <= M, the bosonic integrals of
+(x)_M (x)_n (I23a-I23d's left side) and I23b's double-Stirling sums (dot products with
+one vector per row); per N, I23c's Stirling-Bernoulli sum and the Daehee number I23d
+reads; the I23a and I23c sums at each (m, n); and the int moment weights of I28 and of
+I29 (per n, for both measures, each built in O(n^2)).  The integrals of x^s C(a + b x, n)
+(I15-I17, I20, I21 and their fermionic twins) weight the moments by the int coefficients
+of the product of linear factors and divide once (``integrals.Measure.binom``); Newton
 series take their differences from an int table.
 A record is ``verified`` when the statement checks out in its commonly
 stated form, and ``corrected`` when brute-force expansion pinned down an
@@ -25,24 +26,22 @@ the side or sides the commonly stated form writes differently, so the
 original mismatch stays reproducible.  The runner adjudicates nothing on
 its own: it just evaluates both sides exactly on every grid point.  A
 statement that holds for both the bosonic and the fermionic measure is
-written once, from the measure's exact integral, moments and
-falling-factorial integrals.
+written once, over an ``integrals.Measure``, and built once for each.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb, factorial, perm
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .integrals import _moment_integral
+from .integrals import Measure, _moment_integral
 from .integrals import fermionic_exact as _ferm
 from .integrals import volkenborn_exact as _volk
-from .polynomials import (
-    Polynomial, _dot, _factorial_ints, _factorial_poly, _reduce, _shifted_integral
-)
+from .polynomials import Polynomial, _dot, _factorial_poly, _reduce, _shifted_integral
 from . import sequences as seq
 from .sequences import binom_poly, falling_poly, rising_poly
 
@@ -177,56 +176,19 @@ def _binom(n: int, a: Fraction | int = 0, b: int = 1) -> Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# the two measures
+# integrals the twin statements share
 
 
-@dataclass(frozen=True)
-class _Integral:
-    """What the bosonic or the fermionic integral contributes to a statement:
-    ``exact`` integrates a polynomial, ``moment(n)`` is the integral of x^n
-    (B_n or E_n), ``ints(n)`` the moments 0..n as int numerators over one
-    denominator, ``falling(n)`` that of the falling factorial (the Daehee
-    or Changhee number), ``hat(n)`` the closed form of that of the rising
-    factorial (the second-kind number), and ``den(k)`` is the int
-    denominator of the integral (-1)^k/den(k) of C(x, k) (k + 1 or 2^k).
-    ``binom(n, a, b, s)`` integrates x^s C(a + b x, n) as a ``dot`` over the int
-    coefficients of n! q^n C(a + b x, n), a = p/q, divided once by n! q^n."""
-
-    exact: Evaluator
-    moment: Callable[[int], Fraction]
-    ints: Callable[[int], tuple[tuple[int, ...], int]]
-    falling: Callable[[int], Fraction]
-    hat: Callable[[int], Fraction]
-    den: Callable[[int], int]
-
-    def dot(self, weights: Iterable[int], shift: int = 0, scale: int = 1) -> Fraction:
-        """sum_k weights[k] m_(k+shift) / scale, added in ints over the moments' one denominator."""
-        return _moment_integral(weights, self.ints, shift, scale)
-
-    def binom(self, n: int, a: Fraction | int = 0, b: int = 1, s: int = 0) -> Fraction:
-        """Integral of x^s C(a + b x, n), for rational a and integer b."""
-        weights, qn = _factorial_ints(n, a, b)
-        return self.dot(weights, s, factorial(n) * qn)
-
-    def rising(self, n: int) -> Fraction:
-        """Integral of the rising factorial: a second-kind Daehee or Changhee number."""
-        return self.exact(rising_poly(n))
-
-    def falling_of_product(self, k: int) -> Fraction:
-        """Double integral in x and y of (xy)_k = sum c_i (xy)^i: the integral in y
-        leaves the diagonal sum c_i m_i x^i, which is then integrated in x."""
-        row = seq._stirling1_row(k)
-        return self.exact(Polynomial([c * self.moment(i) for i, c in enumerate(row)]))
+def _rising(mu: Measure, n: int) -> Fraction:
+    """Integral of the rising factorial: a second-kind Daehee or Changhee number."""
+    return mu.exact(rising_poly(n))
 
 
-def _integrals() -> tuple[_Integral, _Integral]:
-    """The bosonic and the fermionic integral, from the names bound at the call."""
-    return (
-        _Integral(_volk, seq.bernoulli, seq._bernoulli_ints, seq.daehee, seq.daehee_hat,
-                  lambda k: k + 1),
-        _Integral(_ferm, seq.euler, seq._euler_ints, seq.changhee, seq.changhee_hat,
-                  lambda k: 2**k),
-    )
+def _falling_of_product(mu: Measure, k: int) -> Fraction:
+    """Double integral in x and y of (xy)_k = sum c_i (xy)^i: the integral in y
+    leaves the diagonal sum c_i m_i x^i, which is then integrated in x."""
+    row = seq._stirling1_row(k)
+    return mu.exact(Polynomial([c * mu.moment(i) for i, c in enumerate(row)]))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +242,7 @@ def _x_falling_closed(n: int) -> Fraction:
     return Fraction((-1) ** (n + 1) * factorial(n), n * n + 3 * n + 2)
 
 
-def _x_falling_stirling(bos: _Integral, n: int) -> Fraction:
+def _x_falling_stirling(bos: Measure, n: int) -> Fraction:
     """sum_k S1(n, k-1) B_k + B_(n+1): the right side of I08b and I11a."""
     return bos.dot([*seq._stirling1_row(n)[:n], 1], 1)
 
@@ -371,7 +333,7 @@ def _gould_square_poly(n: int) -> Polynomial:
     return p
 
 
-def _newton(mu: _Integral, f: Callable[[int], int], top: int) -> Fraction:
+def _newton(mu: Measure, f: Callable[[int], int], top: int) -> Fraction:
     """The integral of f (degree <= top) through its Newton series: the sum over k of
     the integral of C(x, k), which is (-1)^k/den(k), times the k-th difference of f at 0."""
     fs, terms = [f(i) for i in range(top + 1)], []
@@ -393,7 +355,7 @@ def _eulerian_weights(n: int, paired: bool = True) -> list[int]:
             for l in range(n + 1)]
 
 
-def _eulerian_moment(n: int, mu: _Integral, paired: bool = True) -> Fraction:
+def _eulerian_moment(n: int, mu: Measure, paired: bool = True) -> Fraction:
     """I28's right side: int weights over n!, the paired ones built once for both measures."""
     weights = _EULERIAN_WEIGHTS.get(n) if paired else _eulerian_weights(n, paired)
     return mu.dot(weights, 0, factorial(n))
@@ -455,28 +417,28 @@ def _stirling_round_trip(n: int) -> list[int]:
 # are passed in order (id, title, grid, lhs, rhs)
 
 
-def _falling_by_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+def _falling_by_stirling(rid: str, title: str, mu: Measure) -> IdentityRecord:
     def lhs(n: int) -> Fraction:
         return mu.dot(seq._stirling1_row(n))
 
     return IdentityRecord(rid, title, _grid((0, 20)), lhs, mu.falling)
 
 
-def _rising_unsigned_stirling(rid: str, title: str, mu: _Integral, lo: int) -> IdentityRecord:
+def _rising_unsigned_stirling(rid: str, title: str, mu: Measure, lo: int) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
         return mu.dot(map(abs, seq._stirling1_row(n)[lo:]), lo)
 
-    return IdentityRecord(rid, title, _grid((lo, 15)), mu.rising, rhs)
+    return IdentityRecord(rid, title, _grid((lo, 15)), partial(_rising, mu), rhs)
 
 
-def _rising_lah(rid: str, title: str, mu: _Integral, lo: int) -> IdentityRecord:
+def _rising_lah(rid: str, title: str, mu: Measure, lo: int) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
         return _dot((seq._lah_int(n, k), mu.falling(k)) for k in range(lo, n + 1))
 
-    return IdentityRecord(rid, title, _grid((lo, 15)), mu.rising, rhs)
+    return IdentityRecord(rid, title, _grid((lo, 15)), partial(_rising, mu), rhs)
 
 
-def _rising_lah_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+def _rising_lah_stirling(rid: str, title: str, mu: Measure) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
         weights = [0] * (n + 1)
         for k in range(n + 1):
@@ -485,10 +447,10 @@ def _rising_lah_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
                 weights[j] += lah * s
         return mu.dot(weights)
 
-    return IdentityRecord(rid, title, _grid((0, 15)), mu.rising, rhs)
+    return IdentityRecord(rid, title, _grid((0, 15)), partial(_rising, mu), rhs)
 
 
-def _falling_over_x_integral(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+def _falling_over_x_integral(rid: str, title: str, mu: Measure) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
         return _reduce(((-1) ** n * perm(n, n - k) * factorial(k), mu.den(k)) for k in range(n + 1))
 
@@ -497,22 +459,22 @@ def _falling_over_x_integral(rid: str, title: str, mu: _Integral) -> IdentityRec
     )
 
 
-def _product_falling_tensor(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+def _product_falling_tensor(rid: str, title: str, mu: Measure) -> IdentityRecord:
     def rhs(k: int) -> Fraction:
         return _dot(
             (mu.falling(l), _dot((seq.osgood_wu(k, l, m), mu.falling(m)) for m in range(1, k + 1)))
             for l in range(1, k + 1)
         )
 
-    return IdentityRecord(rid, title, _grid((1, 8, 8)), mu.falling_of_product, rhs)
+    return IdentityRecord(rid, title, _grid((1, 8, 8)), partial(_falling_of_product, mu), rhs)
 
 
-def _product_falling_stirling(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
+def _product_falling_stirling(rid: str, title: str, mu: Measure, note: str) -> IdentityRecord:
     return IdentityRecord(
         id=rid,
         title=title,
         grid=_grid((1, 8, 8)),
-        lhs=mu.falling_of_product,
+        lhs=partial(_falling_of_product, mu),
         rhs=lambda k: _dot((seq.stirling1(k, m), mu.moment(m) ** 2) for m in range(k + 1)),
         note=note,
         literal_rhs=lambda k: _dot((seq.stirling1(k, m), mu.moment(k) ** 2) for m in range(k + 1)),
@@ -520,7 +482,7 @@ def _product_falling_stirling(rid: str, title: str, mu: _Integral, note: str) ->
     )
 
 
-def _shifted_binomial_times_x(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+def _shifted_binomial_times_x(rid: str, title: str, mu: Measure) -> IdentityRecord:
     def lhs(n: int) -> Fraction:
         return mu.binom(n - 1, -2, 1, 1)
 
@@ -530,7 +492,7 @@ def _shifted_binomial_times_x(rid: str, title: str, mu: _Integral) -> IdentityRe
     return IdentityRecord(rid, title, _grid((1, 15)), lhs, rhs)
 
 
-def _scaled_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+def _scaled_binomial(rid: str, title: str, mu: Measure) -> IdentityRecord:
     def lhs(m: int, n: int) -> Fraction:
         return mu.binom(n, 0, m)
 
@@ -540,7 +502,7 @@ def _scaled_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     return IdentityRecord(rid, title, _grid(range(1, 6), (0, 15)), lhs, rhs)
 
 
-def _binomial_power(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+def _binomial_power(rid: str, title: str, mu: Measure) -> IdentityRecord:
     def lhs(r: int, n: int) -> Fraction:
         return mu.exact(falling_poly(n) ** r) / factorial(n) ** r
 
@@ -550,7 +512,7 @@ def _binomial_power(rid: str, title: str, mu: _Integral) -> IdentityRecord:
     return IdentityRecord(rid, title, _grid(range(1, 4), (0, 15)), lhs, rhs)
 
 
-def _gould_square(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
+def _gould_square(rid: str, title: str, mu: Measure, note: str) -> IdentityRecord:
     return IdentityRecord(
         id=rid,
         title=title,
@@ -566,14 +528,14 @@ def _gould_square(rid: str, title: str, mu: _Integral, note: str) -> IdentityRec
     )
 
 
-def _degree_shifted_newton(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+def _degree_shifted_newton(rid: str, title: str, mu: Measure) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
         return _newton(mu, lambda i: comb(i + n, n), n)
 
     return IdentityRecord(rid, title, _grid((0, 15)), lambda n: mu.binom(n, n), rhs)
 
 
-def _degree_shifted_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+def _degree_shifted_stirling(rid: str, title: str, mu: Measure) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
         # sum_k m_k sum_j C(n, j) S1(j, k)/j!, over n! to keep the weights ints
         weights = [0] * (n + 1)
@@ -585,7 +547,7 @@ def _degree_shifted_stirling(rid: str, title: str, mu: _Integral) -> IdentityRec
     return IdentityRecord(rid, title, _grid((0, 15)), lambda n: mu.binom(n, n), rhs)
 
 
-def _half_integer_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+def _half_integer_binomial(rid: str, title: str, mu: Measure) -> IdentityRecord:
     def lhs(n: int) -> Fraction:
         return mu.binom(n, Fraction(2 * n + 1, 2))
 
@@ -599,18 +561,18 @@ def _half_integer_binomial(rid: str, title: str, mu: _Integral) -> IdentityRecor
     return IdentityRecord(rid, title, _grid((0, 15)), lhs, rhs)
 
 
-def _rising_signed_stirling(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+def _rising_signed_stirling(rid: str, title: str, mu: Measure) -> IdentityRecord:
     def rhs(n: int) -> Fraction:
         return mu.dot((-1) ** (m + n) * s for m, s in enumerate(seq._stirling1_row(n)))
 
-    return IdentityRecord(rid, title, _grid((0, 15)), mu.rising, rhs)
+    return IdentityRecord(rid, title, _grid((0, 15)), partial(_rising, mu), rhs)
 
 
-def _rising_alternating(rid: str, title: str, mu: _Integral) -> IdentityRecord:
-    return IdentityRecord(rid, title, _grid((1, 15)), mu.rising, mu.hat)
+def _rising_alternating(rid: str, title: str, mu: Measure) -> IdentityRecord:
+    return IdentityRecord(rid, title, _grid((1, 15)), partial(_rising, mu), mu.hat)
 
 
-def _eulerian_expansion(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
+def _eulerian_expansion(rid: str, title: str, mu: Measure, note: str) -> IdentityRecord:
     return IdentityRecord(
         id=rid,
         title=title,
@@ -623,7 +585,7 @@ def _eulerian_expansion(rid: str, title: str, mu: _Integral, note: str) -> Ident
     )
 
 
-def _worpitzky(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord:
+def _worpitzky(rid: str, title: str, mu: Measure, note: str) -> IdentityRecord:
     return IdentityRecord(
         id=rid,
         title=title,
@@ -636,7 +598,7 @@ def _worpitzky(rid: str, title: str, mu: _Integral, note: str) -> IdentityRecord
     )
 
 
-def _assoc_closed_form(rid: str, title: str, mu: _Integral) -> IdentityRecord:
+def _assoc_closed_form(rid: str, title: str, mu: Measure) -> IdentityRecord:
     return IdentityRecord(
         rid, title, _grid((0, 15)), lambda n: mu.dot(_assoc_weights(n)), mu.falling
     )
@@ -658,7 +620,7 @@ def catalog() -> tuple[IdentityRecord, ...]:
 
 def _build_catalog() -> list[IdentityRecord]:
     F = Fraction
-    bos, fer = _integrals()
+    bos, fer = Measure.bosonic(), Measure.fermionic()
     records: list[IdentityRecord] = []
     add = records.append
 

@@ -1,11 +1,13 @@
 """Exact p-adic integrals of polynomials and their level-sum approximations.
 
-The bosonic integral over the p-adic integers sends x^n to the Bernoulli
-number B_n and the fermionic integral sends x^n to the Euler number E_n;
-both extend to polynomials by linearity, which makes them exactly
-computable.  Both exact integrals add int products over the integer view
-of the moment table (numerators over one denominator, see ``sequences``)
-and reduce them once through ``polynomials._reduce``.
+``Measure`` is the one measure type: bosonic (Volkenborn), fermionic or
+q-weighted.  The bosonic integral over the p-adic integers sends x^n to the
+Bernoulli number B_n and (x)_n to the Daehee number, the fermionic one x^n
+to the Euler number E_n and (x)_n to the Changhee number; a measure carries
+these facts for the catalog in ``identities`` and the rules of its level sums.
+Both exact integrals add int products over the integer view of the moment
+table (numerators over one denominator, see ``sequences``) and reduce them
+once through ``polynomials._reduce``.
 Bosonic and fermionic level-N Riemann sums are evaluated in closed form
 through power sums (no p^N term loop): each is one dot product of the
 powers 1, m, ..., m^k of m = p^N, made once per sum, with a memoized row
@@ -23,8 +25,8 @@ from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable, Iterable, Optional, Union
 
-from . import padic
-from .polynomials import Polynomial, Scalar, _as_fraction, _reduce
+from . import padic, sequences as seq
+from .polynomials import Polynomial, Scalar, _as_fraction, _factorial_ints, _reduce
 from .sequences import _bernoulli_ints, _euler_ints, _rows
 
 __all__ = [
@@ -45,13 +47,32 @@ Q_LEVEL_GUARD = 10**6  # q-weighted level sums are evaluated term by term
 
 @dataclass(frozen=True)
 class Measure:
-    """One of the three level-sum weightings: bosonic, fermionic, or q-weighted."""
+    """A measure on Z_p: bosonic, fermionic, or q-weighted.
+
+    Equality, hash and repr read ``kind`` and ``q`` only.  The constructor sets
+    the rest from the names bound when the measure is made (so a tracer's
+    rebinding reaches it): ``exact`` integrates a polynomial (None for the q
+    measure, whose value is outside this polynomial calculus), ``moment(n)``
+    is the integral of x^n, ``ints(n)`` the moments 0..n as int numerators
+    over one denominator, ``falling(n)`` the integral of (x)_n, ``hat(n)`` the
+    closed form of that of the rising factorial (the second-kind number), and
+    ``den(k)`` the int denominator of the integral (-1)^k/den(k) of C(x, k)
+    (k + 1 or 2^k).  An ``alternating`` level sum is sum (-1)^x f(x), any
+    other (1/p^N) sum f(x); an ``odd_prime`` one refuses p = 2.
+    """
 
     kind: str  # "bosonic" | "fermionic" | "q"
     q: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("bosonic", "fermionic", "q"):
+        facts = {
+            "bosonic": (volkenborn_exact, seq.bernoulli, _bernoulli_ints, seq.daehee,
+                        seq.daehee_hat, lambda k: k + 1, False, False),
+            "fermionic": (fermionic_exact, seq.euler, _euler_ints, seq.changhee,
+                          seq.changhee_hat, lambda k: 2**k, True, True),
+            "q": (lambda f: None, None, None, None, None, None, False, True),
+        }.get(self.kind)
+        if facts is None:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         if self.kind == "q":
             if self.q is None:
@@ -59,6 +80,11 @@ class Measure:
             object.__setattr__(self, "q", _as_fraction(self.q))
         elif self.q is not None:
             raise ValueError("q parameter only applies to the q-weighted measure")
+        names = ("exact", "moment", "ints", "falling", "hat", "den", "alternating", "odd_prime")
+        vars(self).update(zip(names, facts))
+
+    def __reduce__(self):  # made again from (kind, q): a copy shares the module's tables
+        return type(self), (self.kind, self.q)
 
     @classmethod
     def bosonic(cls) -> "Measure":
@@ -71,6 +97,16 @@ class Measure:
     @classmethod
     def q_weighted(cls, q: Union[Fraction, int]) -> "Measure":
         return cls("q", q)
+
+    def dot(self, weights: Iterable[int], shift: int = 0, scale: int = 1) -> Fraction:
+        """sum_k weights[k] m_(k+shift) / scale, added in ints over the moments' one denominator."""
+        return _moment_integral(weights, self.ints, shift, scale)
+
+    def binom(self, n: int, a: Fraction | int = 0, b: int = 1, s: int = 0) -> Fraction:
+        """Integral of x^s C(a + b x, n), for rational a and integer b: a ``dot`` over the int
+        coefficients of n! v^n C(a + b x, n), a = u/v, divided once by n! v^n."""
+        weights, vn = _factorial_ints(n, a, b)
+        return self.dot(weights, s, math.factorial(n) * vn)
 
 
 def _moment_integral(
@@ -97,13 +133,8 @@ def fermionic_exact(f: Polynomial) -> Fraction:
 
 
 def exact_integral(f: Polynomial, measure: Measure) -> Optional[Fraction]:
-    """Symbolic value of the integral, or None for the q-weighted measure
-    (its symbolic value is outside the polynomial calculus handled here)."""
-    if measure.kind == "bosonic":
-        return volkenborn_exact(f)
-    if measure.kind == "fermionic":
-        return fermionic_exact(f)
-    return None
+    """Symbolic value of the integral, or None for the q-weighted measure."""
+    return measure.exact(f)
 
 
 def _appell_row(ints: Callable, k: int) -> tuple[tuple[int, ...], int]:
@@ -138,6 +169,8 @@ def _power_sums(m: int, n_max: int, alternating: bool) -> Callable[[int], int]:
 
 def _power_sum(n: int, m: int, alternating: bool) -> Fraction:
     """The sum of x^n, or of (-1)^x x^n, for x = 0..m-1 and m, n >= 0, from ``_power_sums``."""
+    if not (isinstance(n, int) and isinstance(m, int)):
+        raise TypeError(f"n and m must be ints, got {type(n).__name__} and {type(m).__name__}")
     if n < 0:
         raise ValueError("n must be >= 0")
     if m < 0:
@@ -160,10 +193,10 @@ def _check_level_args(measure: Measure, p: int, N: int) -> None:
         raise ValueError(f"{p} is not prime")
     if N < 1:
         raise ValueError("N must be >= 1")
-    if measure.kind in ("fermionic", "q") and p == 2:
+    if measure.odd_prime and p == 2:
         raise ValueError(f"{measure.kind} level sums require an odd prime")
-    if measure.kind == "q":
-        q = measure.q
+    q = measure.q
+    if q is not None:
         if q != 1 and padic.valuation(1 - q, p) < 1:
             raise ValueError("q-weighted measure requires v_p(1 - q) >= 1")
         if p**N > Q_LEVEL_GUARD:
@@ -187,8 +220,8 @@ def _level_sum(f: Polynomial, measure: Measure, m: int) -> Fraction:
     int for int coefficients and else through ``_reduce``, and divided once by m or 1."""
     q = measure.q
     if q is None or q == 1:
-        fermionic, cs = measure.kind == "fermionic", f._coeffs
-        power_sum, scale = _power_sums(m, len(cs) - 1, fermionic), 1 if fermionic else m
+        alternating, cs = measure.alternating, f._coeffs
+        power_sum, scale = _power_sums(m, len(cs) - 1, alternating), 1 if alternating else m
         if {*map(type, cs)} <= {int}:
             return Fraction(sum(c * power_sum(n) for n, c in enumerate(cs) if c), scale)
         terms = ((c.numerator * power_sum(n), c.denominator) for n, c in enumerate(cs) if c)

@@ -1,14 +1,17 @@
 """Rational inputs are ints or Fractions: a float is refused, not computed with.
 
 A prime is an int: a float, a ``Fraction`` or a string is refused with
-``ValueError`` before any work.
+``ValueError`` before any work.  So are a power sum's exponent and bound,
+with ``TypeError``: a float bound such as 1e17 has lost digits already.
 """
 from fractions import Fraction
 
 import pytest
 
 from volkenborn import padic, sequences as seq
-from volkenborn.integrals import Measure, convergence_report, level_integral
+from volkenborn.integrals import (
+    Measure, alternating_power_sum, convergence_report, level_integral, power_sum
+)
 from volkenborn.polynomials import Polynomial
 
 
@@ -70,3 +73,15 @@ def test_a_prime_that_is_not_an_int_is_refused(name, prime):
     with pytest.raises(ValueError, match="must be an int"):
         fn(prime)
     assert fn(3) == value
+
+
+@pytest.mark.parametrize("fn, value", [(power_sum, 9), (alternating_power_sum, 7)])
+@pytest.mark.parametrize(
+    "x", [2.5, 1e17, Fraction(7, 2), Fraction(3)], ids=["2.5", "1e17", "Fraction(7, 2)", "Fraction(3)"]
+)
+def test_a_power_sum_argument_that_is_not_an_int_is_refused(fn, value, x):
+    with pytest.raises(TypeError, match="must be ints"):
+        fn(3, x)
+    with pytest.raises(TypeError, match="must be ints"):
+        fn(x, 3)
+    assert fn(3, 3) == value  # 0 + 1 + 8, and 0 - 1 + 8

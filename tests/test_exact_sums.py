@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volkenborn import identities, sequences as seq
-from volkenborn.integrals import _moment_integral, fermionic_exact, volkenborn_exact
+from volkenborn.integrals import Measure, _moment_integral, fermionic_exact, volkenborn_exact
 from volkenborn.polynomials import Polynomial, _dot, _factorial_ints, _reduce
 from volkenborn.sequences import binom_poly, falling_poly
 
@@ -31,7 +31,7 @@ rationals = st.one_of(
 )
 pairs = st.lists(st.tuples(rationals, rationals), max_size=20)
 
-BOS, FER = identities._integrals()
+BOS, FER = Measure.bosonic(), Measure.fermionic()
 MEASURES = pytest.mark.parametrize("mu", [BOS, FER], ids=["bosonic", "fermionic"])
 GRID_NM = identities._grid((0, 15), (0, 15))(None)
 

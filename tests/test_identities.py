@@ -12,7 +12,7 @@ from math import comb, factorial, perm
 import pytest
 from volkenborn import identities, sequences as seq
 from volkenborn.identities import catalog, resolve_ids, verify, verify_all
-from volkenborn.integrals import fermionic_exact, volkenborn_exact
+from volkenborn.integrals import Measure, fermionic_exact, volkenborn_exact
 from volkenborn.polynomials import Polynomial
 from volkenborn.sequences import binom_poly, falling_poly
 
@@ -134,12 +134,13 @@ def test_n_max_above_the_limit_is_rejected():
 
 
 @pytest.mark.parametrize(
-    "index, exact", [(0, volkenborn_exact), (1, fermionic_exact)], ids=["bosonic", "fermionic"]
+    "mu, exact",
+    [(Measure.bosonic(), volkenborn_exact), (Measure.fermionic(), fermionic_exact)],
+    ids=["bosonic", "fermionic"],
 )
-def test_measure_table_behind_the_twin_statements(index, exact):
+def test_measure_table_behind_the_twin_statements(mu, exact):
     # each twin statement is written once over these values: they must be
     # the measure's integrals of x^n, of (x)_n and, up to sign, of C(x, n)
-    mu = identities._integrals()[index]
     for n in range(21):
         assert mu.exact(Polynomial.monomial(n)) == exact(Polynomial.monomial(n)) == mu.moment(n)
         assert mu.exact(falling_poly(n)) == mu.falling(n), n

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 import sys
 from collections import Counter
@@ -331,6 +334,20 @@ def test_measure_validation():
         Measure("q")
     with pytest.raises(ValueError):
         Measure("bosonic", Fraction(2))
+    # the benchmark and the CLI make and read a measure by (kind, q) alone
+    assert Measure("bosonic") == Measure.bosonic() != Measure.fermionic()
+    assert hash(Measure("bosonic")) == hash(Measure.bosonic())
+    assert repr(Measure.q_weighted(4)) == "Measure(kind='q', q=Fraction(4, 1))"
+    measures = (Measure.bosonic(), Measure.fermionic(), Measure.q_weighted(4))
+    assert [(m.kind, m.q) for m in measures] == [("bosonic", None), ("fermionic", None), ("q", 4)]
+    assert type(measures[2].q) is Fraction
+    assert [f.name for f in dataclasses.fields(Measure)] == ["kind", "q"]
+    assert exact_integral(Polynomial.x(), Measure.q_weighted(4)) is None
+    # a copy is made again from (kind, q), with the measure's integrals
+    for m in measures:
+        for twin in (copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin == m and twin.exact(Polynomial.x()) == m.exact(Polynomial.x())
+            assert twin.ints == m.ints  # the same memo table's view, not a copy of it
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from volkenborn import identities
 from volkenborn import sequences as seq
-from volkenborn.integrals import volkenborn_exact
+from volkenborn.integrals import Measure, volkenborn_exact
 from volkenborn.polynomials import Polynomial, _factorial_poly, _shifted_integral
 from volkenborn.sequences import binom_poly, falling_poly, rising_poly
 
@@ -175,8 +175,8 @@ def product_falling_rows(k: int) -> list[Polynomial]:
 def test_product_falling_rows_match_the_multiply_loop(k):
     # the double integral in x and y of (xy)_k: its rows in y, integrated in y, then in x
     rows = product_falling_rows(k)
-    for mu in identities._integrals():
-        assert mu.falling_of_product(k) == mu.exact(integrate_rows(rows, mu.moment))
+    for mu in (Measure.bosonic(), Measure.fermionic()):
+        assert identities._falling_of_product(mu, k) == mu.exact(integrate_rows(rows, mu.moment))
 
 
 @settings(max_examples=60, deadline=None)

@@ -122,3 +122,33 @@ def test_cli_imports_only_what_a_command_runs():
     loaded = f"\nimport sys\nprint(*[m for m in {CLI_UNLOADED!r} if m in sys.modules])"
     assert _printed_by("import volkenborn.cli" + loaded) == "\n"
     assert _printed_by(RUN_SEQ + loaded) == "\n"
+
+
+KIND_STRINGS = {"bosonic", "fermionic", "q"}
+
+
+def _kind_comparisons(path: Path) -> list[str]:
+    """Each comparison with a measure kind's string, outside ``Measure``'s constructor."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    constructor = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "Measure":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__":
+                    constructor.update(map(id, ast.walk(fn)))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and id(node) not in constructor
+        and any(
+            isinstance(leaf, ast.Constant) and leaf.value in KIND_STRINGS
+            for operand in (node.left, *node.comparators) for leaf in ast.walk(operand)
+        )
+    ]
+
+
+def test_only_the_measure_constructor_compares_kind_strings():
+    # a measure carries what its kind means, so the level sums and the catalog read
+    # its attributes; a branch on the kind string would state the facts a second time
+    package = Path(volkenborn.__file__).parent
+    assert [hit for name in ("integrals.py", "identities.py") for hit in _kind_comparisons(package / name)] == []
