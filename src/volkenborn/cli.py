@@ -114,6 +114,8 @@ cli = _CommandTable("volkenborn", "Exact special-number sequences, p-adic integr
 
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
+        if "e" in text.lower():  # Fraction reads 1e1000000 as a million-digit int, slowly
+            raise ValueError
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{what} must be an exact rational like 3, -1/2: got {text!r}") from None

@@ -33,15 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import accumulate, product
 from math import comb, factorial, perm
 from operator import mul
 from typing import Callable, Optional, Sequence
 
-from .integrals import Measure, _moment_integral
+from .integrals import Measure
 from .integrals import fermionic_exact as _ferm
 from .integrals import volkenborn_exact as _volk
 from .polynomials import Polynomial, _dot, _factorial_poly, _reduce, _shifted_integral
+from .polynomials import _times_linear
 from . import sequences as seq
 from .sequences import binom_poly, falling_poly, rising_poly
 
@@ -249,7 +250,7 @@ def _x_falling_stirling(bos: Measure, n: int) -> Fraction:
 
 def _binom_of_sum(n: int) -> Fraction:
     """The bosonic double integral of C(x + y, n): the left side of I12a and I12b."""
-    return _volk(_shifted_integral(binom_poly(n), seq.bernoulli))
+    return _volk(_shifted_integral(binom_poly(n), seq._bernoulli_ints))
 
 
 def _bernoulli_convolution(n: int) -> Fraction:
@@ -270,11 +271,8 @@ def _pairs(f: Callable[[int, int], Fraction]) -> Evaluator:
 
 def _falling_pair_row(M: int) -> list[Fraction]:
     """The bosonic integrals of (x)_M (x)_n, n <= M: (x)_M times (x - n) one factor at a time."""
-    p, row = seq._stirling1_row(M), []
-    for n in range(M + 1):
-        row.append(_volk(Polynomial(p)))
-        p = [a - n * b for a, b in zip((0, *p), (*p, 0))]
-    return row
+    products = accumulate(range(0, -M, -1), _times_linear, initial=seq._stirling1_row(M))
+    return [_volk(Polynomial(p)) for p in products]
 
 
 def _double_stirling_row(M: int) -> list[Fraction]:
@@ -290,7 +288,7 @@ _DOUBLE_STIRLING = seq._rows(_double_stirling_row)
 # per N, as (numerator, denominator): I23c's Stirling-Bernoulli sum sum_i S1(N, i) B_i, and the
 # Daehee number seq.daehee(N) that I23d reads
 _STIRLING_BERNOULLI_SUMS = seq._rows(
-    lambda N: _moment_integral(seq._stirling1_row(N), seq._bernoulli_ints).as_integer_ratio())
+    lambda N, bos=Measure.bosonic(): bos.dot(seq._stirling1_row(N)).as_integer_ratio())
 _DAEHEE_PAIRS = seq._rows(lambda N: seq.daehee(N).as_integer_ratio())
 
 
@@ -370,11 +368,11 @@ def _worpitzky_weights(n: int) -> list[int]:
     """The moments' int weights in n! times I29's right side, sum_j W(n, j) C(x + j - 1, n).
     By Vandermonde C(x + j - 1, n) = sum_i C(j, i) C(x - 1, n - i), so with V_i = sum_j W(n, j)
     C(j, i) it is sum_i V_i C(x - 1, n - i), and n! C(x - 1, n - i) = n!/(n - i)! (x - 1)_(n-i)."""
-    ws, weights, q = [_worpitzky_coeff(n, j) for j in range(n + 1)], [0] * (n + 1), [1]
-    for d in range(n + 1):  # q = (x - 1)...(x - d), the term i = n - d
+    ws, weights = [_worpitzky_coeff(n, j) for j in range(n + 1)], [0] * (n + 1)
+    products = accumulate(range(-1, -n - 1, -1), _times_linear, initial=[1])
+    for d, q in enumerate(products):  # q = (x - 1)...(x - d), the term i = n - d
         c = perm(n, n - d) * sum(w * comb(j, n - d) for j, w in enumerate(ws))
         weights[:d + 1] = [w + c * b for w, b in zip(weights, q)]
-        q = [a - (d + 1) * b for a, b in zip((0, *q), (*q, 0))]
     return weights
 
 

@@ -5,29 +5,24 @@ q-weighted.  The bosonic integral over the p-adic integers sends x^n to the
 Bernoulli number B_n and (x)_n to the Daehee number, the fermionic one x^n
 to the Euler number E_n and (x)_n to the Changhee number; a measure carries
 these facts for the catalog in ``identities`` and the rules of its level sums.
-Both exact integrals add int products over the integer view of the moment
-table (numerators over one denominator, see ``sequences``) and reduce them
-once through ``polynomials._reduce``.
-Bosonic and fermionic level-N Riemann sums are evaluated in closed form
-through power sums (no p^N term loop): each is one dot product of the
-powers 1, m, ..., m^k of m = p^N, made once per sum, with a memoized row
-of int coefficients of den B_k(x) or den E_k(x) over the same views.  The
-q-weighted level sum still loops over all p^N terms, so it is refused
-past p^N = ``Q_LEVEL_GUARD``.
+Each integral is one ``polynomials._moment_integral`` over a moment view: the
+exact ones over the Bernoulli or Euler view, the bosonic and fermionic level-N
+sums over the int power sums at m = p^N over m, or the alternating ones over 1.
+A power sum is one dot product of 1, m, ..., m^k with a memoized int row of
+den B_k(x) or den E_k(x) (``sequences``), with no p^N term loop.  The q level
+sum still loops over all p^N terms, so it is refused past ``Q_LEVEL_GUARD``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate, repeat
 from operator import mul
 from typing import Callable, Iterable, Optional, Union
 
 from . import padic, sequences as seq
-from .polynomials import Polynomial, Scalar, _as_fraction, _factorial_ints, _reduce
-from .sequences import _bernoulli_ints, _euler_ints, _rows
+from .polynomials import Polynomial, _as_fraction, _factorial_ints, _moment_integral
 
 __all__ = [
     "ConvergenceReport",
@@ -66,9 +61,9 @@ class Measure:
 
     def __post_init__(self) -> None:
         facts = {
-            "bosonic": (volkenborn_exact, seq.bernoulli, _bernoulli_ints, seq.daehee,
+            "bosonic": (volkenborn_exact, seq.bernoulli, seq._bernoulli_ints, seq.daehee,
                         seq.daehee_hat, lambda k: k + 1, False, False),
-            "fermionic": (fermionic_exact, seq.euler, _euler_ints, seq.changhee,
+            "fermionic": (fermionic_exact, seq.euler, seq._euler_ints, seq.changhee,
                           seq.changhee_hat, lambda k: 2**k, True, True),
             "q": (lambda f: None, None, None, None, None, None, False, True),
         }.get(self.kind)
@@ -109,27 +104,14 @@ class Measure:
         return self.dot(weights, s, math.factorial(n) * vn)
 
 
-def _moment_integral(
-    coeffs: Iterable[Scalar], moments: Callable, shift: int = 0, scale: int = 1
-) -> Fraction:
-    """sum_i c_i m_(i+shift) / scale for moments(n) = (numerators of m_0..m_n, den): one int
-    sum for int weights, else ``_reduce`` over int terms; either divided once by den * scale."""
-    cs = list(coeffs)
-    nums, den = moments(len(cs) + shift - 1)
-    if {*map(type, cs)} <= {int}:
-        return Fraction(sum(map(mul, cs, nums[shift:])), den * scale)
-    return _reduce([(c.numerator * m, c.denominator) for c, m in zip(cs, nums[shift:]) if m],
-                   den * scale)
-
-
 def volkenborn_exact(f: Polynomial) -> Fraction:
     """Bosonic integral of a polynomial: sum of coefficient i times B_i."""
-    return _moment_integral(f._coeffs, _bernoulli_ints)
+    return _moment_integral(f._coeffs, seq._bernoulli_ints)
 
 
 def fermionic_exact(f: Polynomial) -> Fraction:
     """Fermionic integral of a polynomial: sum of coefficient i times E_i."""
-    return _moment_integral(f._coeffs, _euler_ints)
+    return _moment_integral(f._coeffs, seq._euler_ints)
 
 
 def exact_integral(f: Polynomial, measure: Measure) -> Optional[Fraction]:
@@ -137,23 +119,12 @@ def exact_integral(f: Polynomial, measure: Measure) -> Optional[Fraction]:
     return measure.exact(f)
 
 
-def _appell_row(ints: Callable, k: int) -> tuple[tuple[int, ...], int]:
-    """den P_k(x) = sum_d C(k, d) nums[k-d] x^d over a view (nums, den) of the moments of
-    P_k = B_k or E_k: its int coefficients for d = 0..k, and den."""
-    nums, den = ints(k)
-    return tuple(math.comb(k, d) * nums[k - d] for d in range(k + 1)), den
-
-
-_BERNOULLI_ROWS = _rows(partial(_appell_row, _bernoulli_ints))
-_EULER_ROWS = _rows(partial(_appell_row, _euler_ints))
-
-
 def _power_sums(m: int, n_max: int, alternating: bool) -> Callable[[int], int]:
     """n -> the int sum of x^n, or of (-1)^x x^n, for x = 0..m-1 (0^0 = 1), n <= n_max:
     (B_{n+1}(m) - B_{n+1})/(n+1), or (E_n(0) - (-1)^m E_n(m))/2 by telescoping
     E_n(x+1) + E_n(x) = 2 x^n; den P_k(m) is one dot product of row k (its d = 0 entry
     den P_k(0)) with 1, m, ..., m^k, made once, and the division by den is exact."""
-    rows = (_EULER_ROWS if alternating else _BERNOULLI_ROWS).get
+    rows = (seq._EULER_ROWS if alternating else seq._BERNOULLI_ROWS).get
     powers = list(accumulate(repeat(m, n_max + (not alternating)), mul, initial=1))
     sign = -1 if m % 2 else 1
 
@@ -215,17 +186,13 @@ def level_integral(f: Polynomial, measure: Measure, p: int, N: int) -> Fraction:
 
 
 def _level_sum(f: Polynomial, measure: Measure, m: int) -> Fraction:
-    """``level_integral`` at m = p^N, its arguments already checked: for the bosonic and
-    fermionic measures, sum_n c_n times the n-th power sum at m (an int), summed as one
-    int for int coefficients and else through ``_reduce``, and divided once by m or 1."""
+    """``level_integral`` at m = p^N, its arguments already checked: bosonic or fermionic,
+    one ``_moment_integral`` over the power sums at m over m, or the alternating ones over 1."""
     q = measure.q
     if q is None or q == 1:
-        alternating, cs = measure.alternating, f._coeffs
-        power_sum, scale = _power_sums(m, len(cs) - 1, alternating), 1 if alternating else m
-        if {*map(type, cs)} <= {int}:
-            return Fraction(sum(c * power_sum(n) for n, c in enumerate(cs) if c), scale)
-        terms = ((c.numerator * power_sum(n), c.denominator) for n, c in enumerate(cs) if c)
-        return _reduce(terms, scale)
+        power_sum = _power_sums(m, f.degree, measure.alternating)
+        return _moment_integral(f._coeffs, lambda n: ([*map(power_sum, range(n + 1))],
+                                                      1 if measure.alternating else m))
     total = Fraction(0)
     qx = Fraction(1)
     for x in range(m):

@@ -8,32 +8,31 @@ public views (``coeffs``, ``coeff``, iteration, evaluation) give
 ``Fraction``s, and the package's kernels read the stored tuple.  Every
 operation is exact; nothing here ever touches floating point.
 
-Every product of linear factors, scale * (a + b x)(a + b x - 1)...
-(a + b x - n + 1) with rational a and integer b, comes from one builder,
-``_factorial_poly``: the rising factorial and the shifted, reflected and
-scaled binomials of the identity catalog.  It multiplies the factors in
-plain ints (``_factorial_ints``, which the catalog's binomial integrals
-read directly) and scales them once by a single rational.  The plain
-falling factorial and C(x, n) are not built here: ``sequences`` reads
-them off its stored Stirling-1 rows.
-Every integral in t of a shifted polynomial, f(x + t) against a measure
-given by its moments, comes from one kernel, ``_shifted_integral``: the
-shift f(x + a) (a point mass at a), the Bernoulli, Euler and array
-polynomials (f = x^n) and the Daehee, Changhee and second-kind Bernoulli
-polynomials (f a falling or rising factorial).
-Every exact sum of the integrals, of that kernel and of every catalog side
-(but I33a's check) goes through ``_reduce``, which adds int numerators in one
-bucket per denominator and reduces once; ``_dot`` feeds it products of rationals.
+Every product of linear factors is built by one int step, ``_times_linear``
+(times x + c): the scaled binomials scale * (a + b x)(a + b x - 1)...
+(a + b x - n + 1), rational a and integer b (``_factorial_poly``), and the
+catalog's falling pairs and Worpitzky weights.  The falling factorial and
+C(x, n) are rows of the Stirling-1 table in ``sequences``.
+A measure is one view of its moments, moments(n) = (int numerators of
+m_0..m_n, one int den), weighted by one kernel, ``_moment_integral``: the
+exact integrals, ``Measure.dot`` and ``binom``, the level sums and each
+coefficient of ``_shifted_integral``, the integral in t of f(x + t) (the
+shift; the array, Daehee, Changhee and second-kind Bernoulli polynomials;
+the catalog's C(x + y, n)).  Other exact sums go through ``_reduce``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from itertools import accumulate
+from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Sequence, Union
 
 __all__ = ["Polynomial"]
 
 Scalar = Union[Fraction, int]
+# a view of a measure's moments: n -> (int numerators of m_0..m_n or more, their int den)
+Moments = Callable[[int], tuple[Sequence[int], int]]
 
 
 def _as_fraction(x: Scalar) -> Fraction:
@@ -181,11 +180,7 @@ class Polynomial:
     def shift(self, a: Scalar) -> "Polynomial":
         """Return f(x + a): the integral of f(x + t) against a point mass at a."""
         av = _as_fraction(a)
-        if av == 0 or not self._coeffs:
-            return self
-        if av.denominator == 1:
-            av = av.numerator  # int moments: Fraction powers took 28 % of shift(1) on (x)_12
-        return _shifted_integral(self, lambda i: av**i)
+        return _shifted_integral(self, _point_ints(av)) if av and self._coeffs else self
 
     def derivative(self) -> "Polynomial":
         return Polynomial([i * c for i, c in enumerate(self._coeffs)][1:])
@@ -229,33 +224,52 @@ def _dot(pairs: Iterable[tuple[Scalar, Scalar]]) -> Fraction:
     return _reduce(terms())
 
 
-def _shifted_integral(f: Polynomial, moment: Callable[[int], Scalar]) -> Polynomial:
-    """The integral in t of f(x + t) against the measure whose i-th moment is moment(i).
+def _moment_integral(coeffs: Iterable[Scalar], moments: Moments, shift: int = 0,
+                     scale: int = 1) -> Fraction:
+    """sum_i c_i m_(i+shift) / scale for moments(n) = (numerators of m_0..m_n, den): one int
+    sum for int weights, else ``_reduce`` over int terms; either divided once by den * scale."""
+    cs = list(coeffs)
+    nums, den = moments(len(cs) + shift - 1)
+    if {*map(type, cs)} <= {int}:
+        return Fraction(sum(map(mul, cs, nums[shift:])), den * scale)
+    return _reduce([(c.numerator * m, c.denominator) for c, m in zip(cs, nums[shift:]) if m],
+                   den * scale)
 
-    By the binomial theorem its x^k coefficient is sum_(j>=k) C(j, k) f_j m_(j-k),
-    summed through ``_reduce``."""
-    ms = [(m.numerator, m.denominator) for m in map(moment, range(len(f)))]
-    terms: list[list[tuple[int, int]]] = [[] for _ in ms]
-    for j, c in enumerate(f._coeffs):
-        num, den = c.numerator, c.denominator
-        if num:
-            for k, (m_num, m_den) in enumerate(reversed(ms[: j + 1])):
-                if m_num:
-                    terms[k].append((comb(j, k) * num * m_num, den * m_den))
-    return Polynomial([_reduce(t) for t in terms])
+
+def _point_ints(a: Fraction) -> Moments:
+    """The moments a^i of the point mass at a = u/v as a view: u^i v^(n-i) over v^n."""
+    u, v = a.numerator, a.denominator
+    return lambda n: ([u**i * v ** (n - i) for i in range(n + 1)], v**n)
+
+
+def _shifted_integral(f: Polynomial, moments: Moments) -> Polynomial:
+    """The integral in t of f(x + t) against the measure with the view moments: its x^k
+    coefficient sum_(j>=k) C(j, k) f_j m_(j-k), with C(j, k) = j!/(k! (j-k)!), is one int
+    ``_moment_integral`` of f's tail (over one den) times j! against m_i/i!, over k!."""
+    cs, n = f._coeffs, len(f) - 1
+    (nums, den), common = moments(n), lcm(*[c.denominator for c in cs])
+    facts = list(accumulate(range(1, n + 1), mul, initial=1))
+    ints = [c.numerator * (common // c.denominator) * fact for c, fact in zip(cs, facts)]
+    view = [m * (facts[n] // fact) for m, fact in zip(nums, facts)], den * facts[n] * common
+    return Polynomial([_moment_integral(ints[k:], lambda _: view, 0, fact)
+                       for k, fact in enumerate(facts)])
+
+
+def _times_linear(coeffs: Sequence[int], c: int) -> list[int]:
+    """The int coefficients of (x + c) times those of a polynomial, index = power."""
+    return [c * coeffs[0], *[c * u + v for u, v in zip(coeffs[1:], coeffs)], coeffs[-1]]
 
 
 def _factorial_ints(n: int, a: Scalar = 0, b: int = 1) -> tuple[list[int], int]:
-    """q^n (a + b x)(a + b x - 1)...(a + b x - n + 1) for a = p/q and integer b, as its
-    int coefficients, and q^n: each factor times q is (p - q j) + q b x."""
+    """q^n (a + b x)(a + b x - 1)...(a + b x - n + 1) for a = p/q and integer b, as int
+    coefficients, and q^n: the product of the factors y + p - q j at y = q b x."""
     if n < 0:
         raise ValueError("n must be >= 0")
     p, q = a.numerator, a.denominator
-    out = [1]
-    for j in range(n):
-        c, d = p - q * j, q * b
-        out = [c * out[0]] + [c * u + d * v for u, v in zip(out[1:], out)] + [d * out[-1]]
-    return out, q**n
+    out, d = [1], q * b
+    for c in range(p, p - q * n, -q):
+        out = _times_linear(out, c)
+    return (out if d == 1 else [c * d**i for i, c in enumerate(out)]), q**n
 
 
 def _factorial_poly(n: int, a: Scalar = 0, b: int = 1, scale: Scalar = 1) -> Polynomial:

@@ -19,26 +19,21 @@ The rising factorial (x + n - 1)_n is not read off |S1|: it is built from
 its linear factors by ``polynomials._factorial_poly``, so the catalog's
 rising-factorial records, which compare its integral with the unsigned
 Stirling sums, keep two independent sides.
-Every family polynomial is the integral in t of a shifted polynomial
-f(x + t) against a measure, built by ``polynomials._shifted_integral``
-from the measure's moments: the Bernoulli, Euler and array polynomials
-integrate x^n, the Daehee and Changhee polynomials a falling or rising
-factorial, and the second-kind Bernoulli polynomials the falling
-factorial against dt on [0, 1].
-The Stirling, Eulerian and associated Stirling rows are stored as ints,
-so a sum over a whole row reads it once; the public entry functions
-return ``Fraction``s.  The memoized families keep their values in a
-``_Memo``: one list, grown under the single module lock by one
-``list.extend`` per step (one entry, or a Bernoulli batch).  The list is
-only ever extended (clearing replaces it), so a stored value is read
-without the lock and the library is safe to query from several threads.
-The Bernoulli and Euler tables also give ``ints(n)``: entries 0..n as
-int numerators over the lcm of their denominators (distinct small primes
-for B_n, by von Staudt-Clausen; a power of 2 for E_n), built under the
-lock, grown by doubling within the entries already computed (the old
-numerators are rescaled only when den changes), published as one tuple
-and dropped by ``clear_caches``; the exact integrals, the power sums and
-the identity catalog's moment sums add ints over it and divide once.
+The Stirling, Eulerian and associated Stirling rows are stored as ints;
+the public entry functions return ``Fraction``s.  A memoized family keeps
+its values in a ``_Memo``: one list, grown under the single module lock
+by one ``list.extend`` per step and only ever extended (clearing replaces
+it), so a stored value is read without the lock, from any thread.
+The Bernoulli and Euler tables also give ``ints(n)``, their moment view
+(see ``polynomials``): entries 0..n as int numerators over the lcm of their
+denominators, grown by doubling and published as one tuple.  Row k of
+``_BERNOULLI_ROWS`` (``_EULER_ROWS``) holds the int coefficients of
+den B_k(x) (den E_k(x)) over it, for ``bernoulli_poly``, ``euler_poly``
+and the power sums.  Every other family polynomial integrates f(x + t)
+against a view with ``polynomials._shifted_integral``: x^n against the
+lambda-Stirling view (array), a falling or rising factorial against
+``ints`` (Daehee, Changhee), the falling factorial against dt on [0, 1]
+(second-kind Bernoulli, ``_unit_ints``).
 All returned values are immutable ``Fraction``s or ``Polynomial``s.
 """
 from __future__ import annotations
@@ -48,7 +43,8 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable
 
-from .polynomials import Polynomial, _as_fraction, _factorial_poly, _reduce, _shifted_integral
+from .polynomials import Moments, Polynomial, _as_fraction, _factorial_poly, _reduce
+from .polynomials import _shifted_integral
 
 __all__ = [
     "apostol_bernoulli",
@@ -195,21 +191,32 @@ def euler(n: int) -> Fraction:
     return _EULER.get(n)
 
 
+def _appell_row(ints: Moments, k: int) -> tuple[tuple[int, ...], int]:
+    """den P_k(x) = sum_d C(k, d) nums[k-d] x^d over a view (nums, den) of the moments of
+    P_k = B_k or E_k: its int coefficients for d = 0..k, and den."""
+    nums, den = ints(k)
+    return tuple(comb(k, d) * nums[k - d] for d in range(k + 1)), den
+
+
+# row k: the int coefficients of den B_k(x) or den E_k(x), and den (the level sums' power sums)
+_BERNOULLI_ROWS = _rows(lambda k: _appell_row(_bernoulli_ints, k))
+_EULER_ROWS = _rows(lambda k: _appell_row(_euler_ints, k))
+
+
 def bernoulli_poly(n: int) -> Polynomial:
     """Bernoulli polynomial B_n(x) = sum C(n, k) B_k x^(n-k): the bosonic integral of (x+t)^n."""
-    _check_index(n)
-    return _shifted_integral(Polynomial.monomial(n), bernoulli)
+    row, den = _BERNOULLI_ROWS.get(n)
+    return Polynomial([Fraction(c, den) for c in row])
 
 
 def euler_poly(n: int) -> Polynomial:
     """Euler polynomial E_n(x) = sum C(n, k) E_k x^(n-k): the fermionic integral of (x+t)^n."""
-    _check_index(n)
-    return _shifted_integral(Polynomial.monomial(n), euler)
+    row, den = _EULER_ROWS.get(n)
+    return Polynomial([Fraction(c, den) for c in row])
 
 
 def euler_second(n: int) -> Fraction:
     """Second-kind (integer) Euler number 2^n E_n(1/2)."""
-    _check_index(n)
     return 2**n * euler_poly(n)(Fraction(1, 2))
 
 
@@ -325,7 +332,16 @@ def array_poly(n: int, v: int, lam: Fraction | int) -> Polynomial:
     """
     _check_index(n)
     _check_index(v, "v")
-    return _shifted_integral(Polynomial.monomial(n), lambda i: stirling2_lambda(i, v, lam))
+    return _shifted_integral(Polynomial.monomial(n), _stirling2_lambda_ints(v, lam))
+
+
+def _stirling2_lambda_ints(v: int, lam: Fraction | int) -> Moments:
+    """The moments S2(i, v, lambda) as a view, lambda = a/b: the numerators
+    sum_j (-1)^(v-j) C(v, j) a^j b^(v-j) j^i over b^v v!."""
+    a, b = _as_fraction(lam).as_integer_ratio()
+    ws = [(-1) ** (v - j) * comb(v, j) * a**j * b ** (v - j) for j in range(v + 1)]
+    den = b**v * factorial(v)
+    return lambda n: ([sum(w * j**i for j, w in enumerate(ws)) for i in range(n + 1)], den)
 
 
 def assoc_stirling1(n: int, k: int) -> Fraction:
@@ -481,20 +497,17 @@ def changhee_hat(n: int) -> Fraction:
 
 def daehee_poly(n: int) -> Polynomial:
     """Daehee polynomial: bosonic integral of (x+t)(x+t-1)...(x+t-n+1) in t."""
-    _check_index(n)
-    return _shifted_integral(falling_poly(n), bernoulli)
+    return _shifted_integral(falling_poly(n), _bernoulli_ints)
 
 
 def daehee_hat_poly(n: int) -> Polynomial:
     """Second-kind Daehee polynomial: bosonic integral of the shifted rising factorial."""
-    _check_index(n)
-    return _shifted_integral(rising_poly(n), bernoulli)
+    return _shifted_integral(rising_poly(n), _bernoulli_ints)
 
 
 def changhee_poly(n: int) -> Polynomial:
     """Changhee polynomial: fermionic integral of the shifted falling factorial."""
-    _check_index(n)
-    return _shifted_integral(falling_poly(n), euler)
+    return _shifted_integral(falling_poly(n), _euler_ints)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +527,13 @@ def bernoulli_second_poly(n: int) -> Polynomial:
     times that of the falling factorials, so it equals
     sum C(n, k) cauchy(n - k) (x)_k; the moments of dt on [0, 1] are 1/(i+1).
     """
-    _check_index(n)
-    return _shifted_integral(falling_poly(n), lambda i: Fraction(1, i + 1))
+    return _shifted_integral(falling_poly(n), _unit_ints)
+
+
+def _unit_ints(n: int) -> tuple[list[int], int]:
+    """The moments 1/(i + 1) of dt on [0, 1] as a view: L/(i + 1) over L = lcm(1..n+1)."""
+    den = lcm(*range(1, n + 2))
+    return [den // (i + 1) for i in range(n + 1)], den
 
 
 def harmonic(n: int) -> Fraction:

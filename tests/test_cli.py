@@ -498,6 +498,25 @@ def test_malformed_rational_is_usage_error(run):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["seq", "apostol-bernoulli", "--n", "3", "--param", "1e1000000"],
+        ["seq", "frobenius-euler", "--n", "3", "--param", "1E1000000"],
+        ["integral", "b", "--poly", "1e9999999", "--exact"],
+    ],
+    ids=["apostol-bernoulli-param", "frobenius-euler-param", "integral-poly"],
+)
+def test_exponent_notation_is_usage_error(run, args):
+    # Fraction accepts exponent notation and would build a 10^6- or 10^7-digit int
+    t0 = time.perf_counter()
+    result = run(args)
+    assert time.perf_counter() - t0 < 1.0
+    assert result.exit_code == 2
+    assert result.output.count("Error:") == 1
+    assert "must be an exact rational like 3, -1/2" in result.output
+
+
 def test_verify_exit_code_reflects_failures(run, monkeypatch):
     import dataclasses
 

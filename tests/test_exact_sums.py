@@ -21,8 +21,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volkenborn import identities, sequences as seq
-from volkenborn.integrals import Measure, _moment_integral, fermionic_exact, volkenborn_exact
-from volkenborn.polynomials import Polynomial, _dot, _factorial_ints, _reduce
+from volkenborn.integrals import Measure, fermionic_exact, volkenborn_exact
+from volkenborn.polynomials import Polynomial, _dot, _factorial_ints, _moment_integral, _reduce
 from volkenborn.sequences import binom_poly, falling_poly
 
 rationals = st.one_of(

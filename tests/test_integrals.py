@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from volkenborn import integrals
 from volkenborn import sequences as seq
 from volkenborn.integrals import (
     Measure,
@@ -25,7 +24,7 @@ from volkenborn.integrals import (
     volkenborn_exact,
 )
 from volkenborn.polynomials import Polynomial
-from volkenborn.sequences import binom_poly, bernoulli_poly, changhee, daehee, euler_poly, falling_poly
+from volkenborn.sequences import binom_poly, changhee, daehee, falling_poly
 
 
 def test_volkenborn_exact_examples():
@@ -157,19 +156,20 @@ def test_power_sums_match_faulhaber(n, m):
     assert type(got) is Fraction and got == faulhaber_alternating(n, m)
 
 
-# row k of each table: the int coefficients of den B_k(x) or den E_k(x), and den
-ROW_TABLES = {"bosonic": (integrals._BERNOULLI_ROWS, bernoulli_poly),
-              "fermionic": (integrals._EULER_ROWS, euler_poly)}
+# row k of each table: the int coefficients of den B_k(x) or den E_k(x), and den;
+# bernoulli_poly and euler_poly read these rows
+ROW_TABLES = {"bosonic": (seq._BERNOULLI_ROWS, seq.bernoulli),
+              "fermionic": (seq._EULER_ROWS, seq.euler)}
 
 
 @pytest.mark.parametrize("kind", sorted(ROW_TABLES))
 def test_row_tables_are_den_times_the_shifted_integral_polynomials(kind):
-    table, poly = ROW_TABLES[kind]
+    table, moment = ROW_TABLES[kind]
     seq.clear_caches()
     for k in range(41):
         row, den = table.get(k)
-        # bernoulli_poly and euler_poly are built by _shifted_integral, not from these rows
-        expected = [den * c for c in poly(k).coeffs]
+        # the Fraction Appell sum sum_d C(k, d) P_(k-d) x^d, P_i = B_i or E_i
+        expected = [den * math.comb(k, d) * moment(k - d) for d in range(k + 1)]
         assert len(row) == k + 1 and all(type(c) is int for c in row)
         assert list(row) == expected, (kind, k)
 

@@ -12,7 +12,7 @@ code with the Stirling triangle, the integer path of
 ``Polynomial.__mul__`` or the kernel.
 """
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +27,17 @@ from volkenborn.sequences import binom_poly, falling_poly, rising_poly
 small_ints = st.integers(min_value=-30, max_value=30)
 rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 int_coeffs = st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=10)
+
+
+def as_view(moment):
+    """A Fraction-valued moment function as a view: n -> (numerators over their lcm, lcm)."""
+
+    def view(n):
+        ms = [Fraction(moment(i)) for i in range(n + 1)]
+        den = lcm(*(m.denominator for m in ms))
+        return [m.numerator * (den // m.denominator) for m in ms], den
+
+    return view
 
 
 def fraction_mul(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -134,7 +145,7 @@ def test_shifted_factorial_rows_match_t_by_t_loop(n, rising):
     rows = shifted_rows(n, (lambda j: j) if rising else (lambda j: -j))
     f = rising_poly(n) if rising else falling_poly(n)
     for moment in (seq.bernoulli, seq.euler, lambda i: Fraction(1, i + 1)):
-        assert _shifted_integral(f, moment) == integrate_rows(rows, moment)
+        assert _shifted_integral(f, as_view(moment)) == integrate_rows(rows, moment)
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,7 +160,7 @@ def test_binom_of_sum_rows_match_t_by_t_loop(n):
 @given(st.lists(rationals, max_size=10), rationals, rationals)
 def test_point_mass_integral_is_the_shifted_polynomial(coeffs, x, t):
     f = Polynomial(coeffs)
-    shifted = _shifted_integral(f, lambda i: t**i)
+    shifted = _shifted_integral(f, as_view(lambda i: t**i))
     assert shifted(x) == f(x + t)
     assert shifted == f.shift(t)
     assert len(shifted) <= len(f)

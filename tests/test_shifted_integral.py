@@ -1,24 +1,28 @@
 """The shifted-integral kernel against the loops it replaced.
 
-``polynomials._shifted_integral(f, moment)`` is the integral in t of
-f(x + t) against a measure given by its moments.  It builds the shift, the
-Bernoulli, Euler and array polynomials and the Daehee, Changhee and
-second-kind Bernoulli polynomials.  The references below are the earlier
-forms, kept here: the Taylor rows of f(x + t) integrated row by row with
-one ``Fraction`` product per term, the binomial-theorem loop of
-``Polynomial.shift`` and the accumulation loop of ``array_poly``.  The
-Appell sum and the Cauchy-number loop of ``bernoulli_second_poly`` are
-kept as references in ``tests/test_family_rules.py``, and the t-by-t
-products of linear factors in ``tests/test_linear_products.py``.
+``polynomials._shifted_integral(f, moments)`` is the integral in t of
+f(x + t) against a measure given by a view of its moments,
+moments(n) = (int numerators of m_0..m_n, their int den).  It builds the
+shift, the array polynomials and the Daehee, Changhee and second-kind
+Bernoulli polynomials.  The references below are the earlier forms, kept
+here: the Taylor rows of f(x + t) integrated row by row with one
+``Fraction`` product per term against the ``Fraction`` moments, the
+binomial-theorem loop of ``Polynomial.shift`` and the accumulation loop of
+``array_poly``.  Each view the library passes is checked against the
+``Fraction`` moments it stands for.  The Appell sum and the Cauchy-number
+loop of ``bernoulli_second_poly`` are kept as references in
+``tests/test_family_rules.py``, and the t-by-t products of linear factors
+in ``tests/test_linear_products.py``.
 """
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from volkenborn import sequences as seq
-from volkenborn.polynomials import Polynomial, _shifted_integral
+from volkenborn.polynomials import Polynomial, _point_ints, _shifted_integral
 
 DEGREE_MAX = 12
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
@@ -43,6 +47,17 @@ def moments(draw):
         return f"point {a}", lambda i: a**i
     v, lam = draw(st.integers(0, 4)), draw(lambdas)
     return f"stirling {v} {lam}", lambda i: seq.stirling2_lambda(i, v, lam)
+
+
+def as_view(moment):
+    """A Fraction-valued moment function as a view: n -> (numerators over their lcm, lcm)."""
+
+    def view(n):
+        ms = [Fraction(moment(i)) for i in range(n + 1)]
+        den = lcm(*(m.denominator for m in ms))
+        return [m.numerator * (den // m.denominator) for m in ms], den
+
+    return view
 
 
 def taylor_rows(f: Polynomial) -> list[Polynomial]:
@@ -103,7 +118,35 @@ def assert_same(got: Polynomial, want: Polynomial) -> None:
 def test_kernel_matches_taylor_rows_summed_term_by_term(coeffs, named_moment):
     _, moment = named_moment
     f = Polynomial(coeffs)
-    assert_same(_shifted_integral(f, moment), row_sum(taylor_rows(f), moment))
+    assert_same(_shifted_integral(f, as_view(moment)), row_sum(taylor_rows(f), moment))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, DEGREE_MAX), st.data())
+def test_each_view_is_the_fraction_moments_over_one_den(n, data):
+    kind = data.draw(st.sampled_from(["bernoulli", "euler", "unit", "point", "stirling"]))
+    if kind == "bernoulli":
+        view, moment = seq._bernoulli_ints, seq.bernoulli
+    elif kind == "euler":
+        view, moment = seq._euler_ints, seq.euler
+    elif kind == "unit":
+        view, moment = seq._unit_ints, lambda i: Fraction(1, i + 1)
+    elif kind == "point":
+        a = data.draw(rationals)
+        view, moment = _point_ints(a), lambda i: a**i
+    else:
+        v, lam = data.draw(st.integers(0, 4)), data.draw(lambdas)
+        view, moment = seq._stirling2_lambda_ints(v, lam), lambda i: seq.stirling2_lambda(i, v, lam)
+    nums, den = view(n)
+    assert len(nums) > n and type(den) is int and den > 0
+    assert all(type(c) is int for c in nums)
+    assert [Fraction(c, den) for c in nums[:n + 1]] == [moment(i) for i in range(n + 1)], kind
+
+
+@pytest.mark.parametrize("moment", [seq.bernoulli, seq.euler, lambda i: Fraction(1, i + 1)])
+def test_a_fraction_valued_moment_function_is_refused(moment):
+    with pytest.raises(TypeError):
+        _shifted_integral(Polynomial([1, 2, 3]), moment)
 
 
 @settings(max_examples=150, deadline=None)
