@@ -7,7 +7,7 @@ Stirling-1 rows.  In I08b, I11a, I12b, I14a, I14b, I22, I23b, I23c, I23f, I26e,
 I26f, I32b, I32d and I33a both sides read those rows (in I30 the Stirling-2
 rows), so there the tests, not the catalog, check them; they also pin which
 tables both sides of each record read (``tests/test_shared_tables.py``).
-Every side sums in ints (one int sum, int terms over int denominators through
+Every side sums in ints (one int sum, int terms over the lcm of their denominators in
 ``polynomials._reduce``, or a ``_dot`` of weights and checked values) except I33a's right
 side, which adds ``Fraction``s: its left side, ``seq.cauchy``, is that very sum via ``_reduce``.
 Sub-sums shared by several records are computed once per pass, in ``sequences`` memo
@@ -15,10 +15,11 @@ tables that ``clear_caches`` drops: per row M, for n <= M, the bosonic integrals
 (x)_M (x)_n (I23a-I23d's left side) and I23b's double-Stirling sums (dot products with
 one vector per row); per N, I23c's Stirling-Bernoulli sum and the Daehee number I23d
 reads; the I23a and I23c sums at each (m, n); and the int moment weights of I28 and of
-I29 (per n, for both measures, each built in O(n^2)).  The integrals of x^s C(a + b x, n)
-(I15-I17, I20, I21 and their fermionic twins) weight the moments by the int coefficients
-of the product of linear factors and divide once (``integrals.Measure.binom``); Newton
-series take their differences from an int table.
+I29 (per n, for both measures, each built in O(n^2)).  A product of linear factors is
+never a ``Polynomial`` here: the moments are weighted by the int coefficients of
+``polynomials._factorial_ints`` and divided once, for x^s C(a + b x, n) (I15-I17, I19-I21
+and their fermionic twins, ``integrals.Measure.binom``) and for (-x)_n, x (x + n - 1)_n
+and (x - 1)_n (I04, I06, I09, I26d); Newton series take their differences from an int table.
 A record is ``verified`` when the statement checks out in its commonly
 stated form, and ``corrected`` when brute-force expansion pinned down an
 amended statement; a corrected record stores a counterexample and only
@@ -41,7 +42,7 @@ from typing import Callable, Optional, Sequence
 from .integrals import Measure
 from .integrals import fermionic_exact as _ferm
 from .integrals import volkenborn_exact as _volk
-from .polynomials import Polynomial, _dot, _factorial_poly, _reduce, _shifted_integral
+from .polynomials import Polynomial, _dot, _factorial_ints, _reduce, _shifted_integral
 from .polynomials import _times_linear
 from . import sequences as seq
 from .sequences import binom_poly, falling_poly, rising_poly
@@ -168,15 +169,6 @@ class IdentityReport:
 
 
 # ---------------------------------------------------------------------------
-# polynomial builders and small numeric helpers
-
-
-def _binom(n: int, a: Fraction | int = 0, b: int = 1) -> Polynomial:
-    """C(a + b x, n) as a polynomial in x (a may be any rational, b any integer)."""
-    return _factorial_poly(n, a, b, Fraction(1, factorial(n)))
-
-
-# ---------------------------------------------------------------------------
 # integrals the twin statements share
 
 
@@ -218,14 +210,17 @@ def _grid(*axes: range | tuple[int, ...]) -> Grid:
 # shared sides
 
 
+_BOS = Measure.bosonic()  # the module-level sides' and tables' one bosonic measure
+
+
 def _reflected_falling(n: int) -> Fraction:
-    """The bosonic integral of (-x)_n: the left side of I04a and I04b."""
-    return _volk(_factorial_poly(n, 0, -1))
+    """The bosonic integral of (-x)_n, n! times that of C(-x, n): the left side of I04a and I04b."""
+    return _BOS.dot(_factorial_ints(n, 0, -1)[0])
 
 
 def _x_rising(n: int) -> Fraction:
-    """The bosonic integral of x (x)^(n): the left side of I06a and I06b."""
-    return _volk(Polynomial.x() * rising_poly(n))
+    """The bosonic integral of x (x)^(n), (x)^(n) = (x + n - 1)_n: the left side of I06a and I06b."""
+    return _BOS.dot(_factorial_ints(n, n - 1)[0], 1)
 
 
 def _x_falling(n: int) -> Fraction:
@@ -287,8 +282,7 @@ _FALLING_PAIRS = seq._rows(_falling_pair_row)
 _DOUBLE_STIRLING = seq._rows(_double_stirling_row)
 # per N, as (numerator, denominator): I23c's Stirling-Bernoulli sum sum_i S1(N, i) B_i, and the
 # Daehee number seq.daehee(N) that I23d reads
-_STIRLING_BERNOULLI_SUMS = seq._rows(
-    lambda N, bos=Measure.bosonic(): bos.dot(seq._stirling1_row(N)).as_integer_ratio())
+_STIRLING_BERNOULLI_SUMS = seq._rows(lambda N: _BOS.dot(seq._stirling1_row(N)).as_integer_ratio())
 _DAEHEE_PAIRS = seq._rows(lambda N: seq.daehee(N).as_integer_ratio())
 
 
@@ -321,14 +315,6 @@ def _lah_fubini(n: int, k: int) -> Fraction:
     """The Lah numbers composed with e^t - 1, through the order-k Fubini numbers, in ints."""
     s2, fubini = seq._stirling2_row, seq._fubini_sum  # S2(n - m, k) = 0 for m > n - k
     return Fraction(sum(comb(n, m) * s2(n - m)[k] * fubini(m, 1, 1, k) for m in range(n - k + 1)))
-
-
-def _gould_square_poly(n: int) -> Polynomial:
-    """x C(x-2, n-1) + x(x-1) C(x-3, n-2), the expansion of sum (-1)^k C(x,k) k^2."""
-    p = Polynomial.x() * _binom(n - 1, -2)
-    if n >= 2:
-        p = p + Polynomial.x() * Polynomial([-1, 1]) * _binom(n - 2, -3)
-    return p
 
 
 def _newton(mu: Measure, f: Callable[[int], int], top: int) -> Fraction:
@@ -453,7 +439,7 @@ def _falling_over_x_integral(rid: str, title: str, mu: Measure) -> IdentityRecor
         return _reduce(((-1) ** n * perm(n, n - k) * factorial(k), mu.den(k)) for k in range(n + 1))
 
     return IdentityRecord(
-        rid, title, _grid((0, 15)), lambda n: mu.exact(_factorial_poly(n, -1)), rhs
+        rid, title, _grid((0, 15)), lambda n: mu.dot(_factorial_ints(n, -1)[0]), rhs
     )
 
 
@@ -511,17 +497,18 @@ def _binomial_power(rid: str, title: str, mu: Measure) -> IdentityRecord:
 
 
 def _gould_square(rid: str, title: str, mu: Measure, note: str) -> IdentityRecord:
+    # x C(x-2, n-1) + x(x-1) C(x-3, n-2), the expansion of sum (-1)^k C(x,k) k^2, by linearity;
+    # the literal form puts the constant C(n-3, n-2) in place of C(x-3, n-2)
     return IdentityRecord(
         id=rid,
         title=title,
         grid=_grid((2, 15)),
-        lhs=lambda n: mu.exact(_gould_square_poly(n)),
+        lhs=lambda n: (mu.binom(n - 1, -2, 1, 1) + mu.binom(n - 2, -3, 1, 2)
+                       - mu.binom(n - 2, -3, 1, 1)),
         rhs=lambda n: _reduce(((-1) ** n * k * k, mu.den(k)) for k in range(n + 1)),
         note=note,
-        literal_lhs=lambda n: mu.exact(
-            Polynomial.x() * _binom(n - 1, -2)
-            + Polynomial.x() * Polynomial([-1, 1]) * binom_poly(n - 2)(n - 3)
-        ),
+        literal_lhs=lambda n: (mu.binom(n - 1, -2, 1, 1)
+                               + binom_poly(n - 2)(n - 3) * (mu.moment(2) - mu.moment(1))),
         counterexample=(3,),
     )
 

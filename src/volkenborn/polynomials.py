@@ -9,16 +9,19 @@ public views (``coeffs``, ``coeff``, iteration, evaluation) give
 operation is exact; nothing here ever touches floating point.
 
 Every product of linear factors is built by one int step, ``_times_linear``
-(times x + c): the scaled binomials scale * (a + b x)(a + b x - 1)...
-(a + b x - n + 1), rational a and integer b (``_factorial_poly``), and the
-catalog's falling pairs and Worpitzky weights.  The falling factorial and
-C(x, n) are rows of the Stirling-1 table in ``sequences``.
+(times x + c).  The one builder from (n, a, b) is ``_factorial_ints``: the
+int coefficients of q^n (a + b x)(a + b x - 1)...(a + b x - n + 1) for
+a = p/q and integer b, which the rising factorial, ``Measure.binom`` and
+the catalog's shifted and reflected factorials read; the catalog's falling
+pairs and Worpitzky weights take the step directly.  The falling factorial
+and C(x, n) are rows of the Stirling-1 table in ``sequences``.
 A measure is one view of its moments, moments(n) = (int numerators of
 m_0..m_n, one int den), weighted by one kernel, ``_moment_integral``: the
 exact integrals, ``Measure.dot`` and ``binom``, the level sums and each
 coefficient of ``_shifted_integral``, the integral in t of f(x + t) (the
 shift; the array, Daehee, Changhee and second-kind Bernoulli polynomials;
-the catalog's C(x + y, n)).  Other exact sums go through ``_reduce``.
+the catalog's C(x + y, n)).  Every other exact sum of int terms
+(num, den) is ``_reduce``: one int sum over the lcm of the denominators.
 """
 from __future__ import annotations
 
@@ -200,16 +203,10 @@ class Polynomial:
 
 def _reduce(terms: Iterable[tuple[int, int]], scale: int = 1) -> Fraction:
     """The exact sum of num/den over int terms (num, den), den > 0, divided by scale > 0:
-    numerators added in one bucket per denominator and reduced once (one needs no lcm)."""
-    buckets: dict[int, int] = {}
-    for num, den in terms:
-        buckets[den] = buckets.get(den, 0) + num
-    if len(buckets) > 1:
-        den = lcm(*buckets)
-        return Fraction(sum(num * (den // d) for d, num in buckets.items()), den * scale)
-    for den, num in buckets.items():
-        return Fraction(num, den * scale)
-    return Fraction(0)
+    the numerators over the lcm of the denominators (1 for no terms) in one int sum."""
+    terms = list(terms)
+    den = lcm(*[d for _, d in terms])
+    return Fraction(sum(num * (den // d) for num, d in terms), den * scale)
 
 
 def _dot(pairs: Iterable[tuple[Scalar, Scalar]]) -> Fraction:
@@ -270,13 +267,3 @@ def _factorial_ints(n: int, a: Scalar = 0, b: int = 1) -> tuple[list[int], int]:
     for c in range(p, p - q * n, -q):
         out = _times_linear(out, c)
     return (out if d == 1 else [c * d**i for i, c in enumerate(out)]), q**n
-
-
-def _factorial_poly(n: int, a: Scalar = 0, b: int = 1, scale: Scalar = 1) -> Polynomial:
-    """scale * (a + b x)(a + b x - 1)...(a + b x - n + 1) for rational a and integer b:
-    the int product of ``_factorial_ints`` scaled once by scale/q^n."""
-    out, qn = _factorial_ints(n, a, b)
-    num, den = scale.numerator, scale.denominator * qn
-    if num == den:
-        return Polynomial(out)
-    return Polynomial([Fraction(c * num, den) for c in out])

@@ -16,7 +16,7 @@ Stirling triangles.
 The falling factorial (x)_n = sum_k S1(n, k) x^k is row n of the stored
 Stirling-1 table read as a polynomial, and C(x, n) is that row over n!.
 The rising factorial (x + n - 1)_n is not read off |S1|: it is built from
-its linear factors by ``polynomials._factorial_poly``, so the catalog's
+its linear factors by ``polynomials._factorial_ints``, so the catalog's
 rising-factorial records, which compare its integral with the unsigned
 Stirling sums, keep two independent sides.
 The Stirling, Eulerian and associated Stirling rows are stored as ints;
@@ -26,14 +26,15 @@ by one ``list.extend`` per step and only ever extended (clearing replaces
 it), so a stored value is read without the lock, from any thread.
 The Bernoulli and Euler tables also give ``ints(n)``, their moment view
 (see ``polynomials``): entries 0..n as int numerators over the lcm of their
-denominators, grown by doubling and published as one tuple.  Row k of
-``_BERNOULLI_ROWS`` (``_EULER_ROWS``) holds the int coefficients of
-den B_k(x) (den E_k(x)) over it, for ``bernoulli_poly``, ``euler_poly``
-and the power sums.  Every other family polynomial integrates f(x + t)
-against a view with ``polynomials._shifted_integral``: x^n against the
-lambda-Stirling view (array), a falling or rising factorial against
-``ints`` (Daehee, Changhee), the falling factorial against dt on [0, 1]
-(second-kind Bernoulli, ``_unit_ints``).
+denominators, grown by doubling and published as one tuple.  The Appell
+row k over it, the int coefficients of den B_k(x) (den E_k(x)), gives
+``bernoulli_poly`` (``euler_poly``), built for that k alone; the power sums
+keep these rows in ``_BERNOULLI_ROWS`` and ``_EULER_ROWS``.  Every other
+family polynomial integrates f(x + t) against a view with
+``polynomials._shifted_integral``: x^n against the lambda-Stirling view
+(array), a falling or rising factorial against ``ints`` (Daehee,
+Changhee), the falling factorial against dt on [0, 1] (second-kind
+Bernoulli, ``_unit_ints``).
 All returned values are immutable ``Fraction``s or ``Polynomial``s.
 """
 from __future__ import annotations
@@ -43,7 +44,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm
 from typing import Callable
 
-from .polynomials import Moments, Polynomial, _as_fraction, _factorial_poly, _reduce
+from .polynomials import Moments, Polynomial, _as_fraction, _factorial_ints, _reduce
 from .polynomials import _shifted_integral
 
 __all__ = [
@@ -194,6 +195,7 @@ def euler(n: int) -> Fraction:
 def _appell_row(ints: Moments, k: int) -> tuple[tuple[int, ...], int]:
     """den P_k(x) = sum_d C(k, d) nums[k-d] x^d over a view (nums, den) of the moments of
     P_k = B_k or E_k: its int coefficients for d = 0..k, and den."""
+    _check_index(k)
     nums, den = ints(k)
     return tuple(comb(k, d) * nums[k - d] for d in range(k + 1)), den
 
@@ -205,13 +207,13 @@ _EULER_ROWS = _rows(lambda k: _appell_row(_euler_ints, k))
 
 def bernoulli_poly(n: int) -> Polynomial:
     """Bernoulli polynomial B_n(x) = sum C(n, k) B_k x^(n-k): the bosonic integral of (x+t)^n."""
-    row, den = _BERNOULLI_ROWS.get(n)
+    row, den = _appell_row(_bernoulli_ints, n)
     return Polynomial([Fraction(c, den) for c in row])
 
 
 def euler_poly(n: int) -> Polynomial:
     """Euler polynomial E_n(x) = sum C(n, k) E_k x^(n-k): the fermionic integral of (x+t)^n."""
-    row, den = _EULER_ROWS.get(n)
+    row, den = _appell_row(_euler_ints, n)
     return Polynomial([Fraction(c, den) for c in row])
 
 
@@ -280,7 +282,7 @@ def binom_poly(n: int) -> Polynomial:
 def rising_poly(n: int) -> Polynomial:
     """The rising factorial x(x+1)...(x+n-1) = (x + n - 1)_n; 1 for n = 0."""
     # from its linear factors, not |S1(n, k)|: records I05a and I27b check that expansion
-    return _factorial_poly(n, n - 1)
+    return Polynomial(_factorial_ints(n, n - 1)[0])
 
 
 def _entry(rows: _Memo, n: int, k: int) -> Fraction:

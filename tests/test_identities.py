@@ -450,12 +450,23 @@ def test_adjudication_square_weighted_binomial_expansion():
         alternating = Polynomial.zero()
         for k in range(n + 1):
             alternating = alternating + binom_poly(k) * ((-1) ** k * k * k)
-        amended = identities._gould_square_poly(n) * (-1) ** n
+        x, x_x1 = Polynomial.x(), Polynomial([0, -1, 1])
+        head = x * binom_poly(n - 1).shift(-2)
+        amended = (head + x_x1 * binom_poly(n - 2).shift(-3)) * (-1) ** n
         assert alternating == amended, n
         # with a constant in place of that binomial the polynomials differ from n = 3 on
         if n >= 3:
-            literal = Polynomial.x() * identities._binom(n - 1, -2) * (-1) ** n
+            literal = head * (-1) ** n
             assert alternating != literal, n
+            assert alternating != (head + x_x1 * binom_poly(n - 2)(n - 3)) * (-1) ** n, n
+
+
+def reflected_binomial(n: int) -> Polynomial:
+    """C(n - x, n) as the product of its linear factors (n - j - x)/(j + 1), one at a time."""
+    out = Polynomial.one()
+    for j in range(n):
+        out = out * Polynomial([Fraction(n - j, j + 1), Fraction(-1, j + 1)])
+    return out
 
 
 def test_adjudication_reflected_binomial_is_plain_alternating_sum():
@@ -464,7 +475,7 @@ def test_adjudication_reflected_binomial_is_plain_alternating_sum():
         total = Polynomial.zero()
         for k in range(n + 1):
             total = total + binom_poly(k) * (-1) ** k
-        assert total == identities._binom(n, n, -1), n
+        assert total == reflected_binomial(n), n
 
 
 def test_adjudication_falling_factorial_split():
@@ -488,7 +499,7 @@ def test_adjudication_worpitzky_basis_expansion():
             c = identities._worpitzky_coeff(n, j)
             assert c == seq.eulerian(n, j)
             if c:
-                total = total + identities._binom(n, j - 1) * c
+                total = total + binom_poly(n).shift(j - 1) * c
         assert total == Polynomial.monomial(n), n
 
 
@@ -515,6 +526,6 @@ def test_adjudication_harmonic_measure():
     from volkenborn.integrals import fermionic_exact, volkenborn_exact
 
     for n in range(11):
-        poly = identities._binom(n, n, -1)
+        poly = reflected_binomial(n)
         assert volkenborn_exact(poly) == seq.harmonic(n)
         assert fermionic_exact(poly) == sum(Fraction(1, 2**k) for k in range(n + 1))

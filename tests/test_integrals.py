@@ -157,7 +157,7 @@ def test_power_sums_match_faulhaber(n, m):
 
 
 # row k of each table: the int coefficients of den B_k(x) or den E_k(x), and den;
-# bernoulli_poly and euler_poly read these rows
+# the power sums read these rows
 ROW_TABLES = {"bosonic": (seq._BERNOULLI_ROWS, seq.bernoulli),
               "fermionic": (seq._EULER_ROWS, seq.euler)}
 
@@ -172,6 +172,19 @@ def test_row_tables_are_den_times_the_shifted_integral_polynomials(kind):
         expected = [den * math.comb(k, d) * moment(k - d) for d in range(k + 1)]
         assert len(row) == k + 1 and all(type(c) is int for c in row)
         assert list(row) == expected, (kind, k)
+
+
+@pytest.mark.parametrize("kind", sorted(ROW_TABLES))
+def test_appell_polynomials_leave_the_row_tables_empty(kind):
+    # bernoulli_poly(n) and euler_poly(n) build row n alone, not every row up to n
+    build = {"bosonic": seq.bernoulli_poly, "fermionic": seq.euler_poly}[kind]
+    _, moment = ROW_TABLES[kind]
+    seq.clear_caches()
+    for n in range(41):
+        # the Fraction Appell sum sum_d C(n, d) P_(n-d) x^d, P_i = B_i or E_i
+        expected = Polynomial([math.comb(n, d) * moment(n - d) for d in range(n + 1)])
+        assert build(n) == expected, (kind, n)
+    assert all(table._values == [] for table, _ in ROW_TABLES.values())
 
 
 def test_concurrent_power_sums_build_each_row_once(monkeypatch):

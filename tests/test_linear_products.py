@@ -2,9 +2,10 @@
 
 The falling factorial and C(x, n) are read off the stored Stirling-1 rows
 (``sequences.falling_poly``, ``sequences.binom_poly``); every other product
-of linear factors, the rising factorial and the catalog's shifted,
-reflected and scaled binomials, is built in ints and scaled once by
-``polynomials._factorial_poly``.  Their integrals in t at a shifted
+of linear factors from (n, a, b), the rising factorial and the catalog's
+shifted, reflected and scaled binomials, is built as int coefficients over
+q^n by ``polynomials._factorial_ints`` (the tests scale it on their side).
+Their integrals in t at a shifted
 argument x + t come from ``polynomials._shifted_integral``.  The
 references below are the factor-by-factor and t-by-t loops, multiplying
 by the Fraction convolution and integrating row by row, so they share no
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from volkenborn import identities
 from volkenborn import sequences as seq
 from volkenborn.integrals import Measure, volkenborn_exact
-from volkenborn.polynomials import Polynomial, _factorial_poly, _shifted_integral
+from volkenborn.polynomials import Polynomial, _factorial_ints, _shifted_integral
 from volkenborn.sequences import binom_poly, falling_poly, rising_poly
 
 small_ints = st.integers(min_value=-30, max_value=30)
@@ -59,6 +60,13 @@ def product(factors, scale=1) -> Polynomial:
     return out * Fraction(scale)
 
 
+def scaled_factorial_ints(n, a, b, scale) -> Polynomial:
+    """scale times ``_factorial_ints``' int coefficients over its q^n, term by term."""
+    out, qn = _factorial_ints(n, a, b)
+    assert all(type(c) is int for c in out) and qn == Fraction(a).denominator ** n
+    return Polynomial([Fraction(scale) * c / qn for c in out])
+
+
 def shifted_rows(n: int, const) -> list[Polynomial]:
     """Rows in t of (t + x + const(0))...(t + x + const(n-1)), grown one factor at a time."""
     rows = [Polynomial.one()]
@@ -88,7 +96,8 @@ def test_linear_product_matches_factor_by_factor_product(n, a, b, scale):
     # integer a: the factors (a - j) + b x are multiplied in plain ints and
     # the product scaled once, with no denominator q^n to divide out
     expected = product(((a - j, b) for j in range(n)), scale)
-    assert _factorial_poly(n, a, b, scale) == expected
+    assert _factorial_ints(n, a, b)[1] == 1
+    assert scaled_factorial_ints(n, a, b, scale) == expected
 
 
 def test_falling_rising_and_binom_match_factor_loops():
@@ -136,7 +145,7 @@ def test_builders_reject_a_negative_degree(build):
 @example(4, 2, 3, 0)
 def test_factorial_poly_matches_factor_by_factor_product(n, a, b, scale):
     expected = product(((a - j, b) for j in range(n)), scale)
-    assert _factorial_poly(n, a, b, scale) == expected
+    assert scaled_factorial_ints(n, a, b, scale) == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,9 +1,11 @@
-"""The measuring scripts in ``tools/`` run on this checkout and print their headers.
+"""The measuring scripts in ``tools/`` run on this checkout, print their headers and
+end quietly when their stdout is closed.
 
 ``profile_level.py`` builds its ops through ``bench/workloads.py``, which
 makes its measures with ``Measure("bosonic")`` and ``Measure("fermionic")``,
 so this also checks the benchmark's use of the measure constructor.
 """
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,17 @@ def test_tool_runs_and_prints_its_header(command):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0].startswith(TOOLS[command])
+
+
+@pytest.mark.parametrize("command", sorted(TOOLS))
+def test_tool_ends_quietly_on_a_closed_stdout(command):
+    # the pipe's read end is closed before the tool starts, so its buffered output,
+    # flushed at exit at the latest, always meets a closed pipe
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, *command.split()], cwd=ROOT, stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr, done.stderr

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ast
 import io
+import signal
 import sys
 import tokenize
 from pathlib import Path
@@ -60,4 +61,5 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a closed stdout ends the tool quietly
     sys.exit(main(sys.argv[1:]))

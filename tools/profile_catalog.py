@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import pstats
+import signal
 import sys
 import time
 import tracemalloc
@@ -107,4 +108,5 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a closed stdout ends the tool quietly
     sys.exit(main(sys.argv[1:]))

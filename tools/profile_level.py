@@ -26,6 +26,7 @@ import argparse
 import os
 import random
 import statistics
+import signal
 import sys
 import time
 from pathlib import Path
@@ -76,4 +77,5 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)  # a closed stdout ends the tool quietly
     sys.exit(main(sys.argv[1:]))
