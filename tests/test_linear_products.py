@@ -5,12 +5,11 @@ The falling factorial and C(x, n) are read off the stored Stirling-1 rows
 of linear factors from (n, a, b), the rising factorial and the catalog's
 shifted, reflected and scaled binomials, is built as int coefficients over
 q^n by ``polynomials._factorial_ints`` (the tests scale it on their side).
-Their integrals in t at a shifted
-argument x + t come from ``polynomials._shifted_integral``.  The
-references below are the factor-by-factor and t-by-t loops, multiplying
-by the Fraction convolution and integrating row by row, so they share no
-code with the Stirling triangle, the integer path of
-``Polynomial.__mul__`` or the kernel.
+Their integrals in t at a shifted argument x + t come from
+``polynomials._shifted_integral``.  The references below are the
+factor-by-factor and t-by-t loops, multiplying by the Fraction convolution
+and integrating row by row, so they share no code with the Stirling
+triangle, the integer path of ``Polynomial.__mul__`` or the kernel.
 """
 from fractions import Fraction
 from math import factorial, lcm
