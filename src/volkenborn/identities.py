@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence
 from .integrals import Measure
 from .integrals import fermionic_exact as _ferm
 from .integrals import volkenborn_exact as _volk
-from .polynomials import Polynomial, _dot, _factorial_ints, _reduce, _shifted_integral
+from .polynomials import Polynomial, _dot, _factorial_ints, _reduce, _shifted_ints
 from .polynomials import _times_linear
 from . import sequences as seq
 from .sequences import binom_poly, falling_poly, rising_poly
@@ -244,8 +244,10 @@ def _x_falling_stirling(bos: Measure, n: int) -> Fraction:
 
 
 def _binom_of_sum(n: int) -> Fraction:
-    """The bosonic double integral of C(x + y, n): the left side of I12a and I12b."""
-    return _volk(_shifted_integral(binom_poly(n), seq._bernoulli_ints))
+    """The bosonic double integral of C(x + y, n) (I12a and I12b's left side): the int kernel
+    in y over Stirling-1 row n, n! C(x, n), then one ``dot`` in x divided by den n!."""
+    ints, den = _shifted_ints(seq._stirling1_row(n), seq._bernoulli_ints)
+    return _BOS.dot(ints, 0, den * factorial(n))
 
 
 def _bernoulli_convolution(n: int) -> Fraction:
@@ -265,9 +267,10 @@ def _pairs(f: Callable[[int, int], Fraction]) -> Evaluator:
 
 
 def _falling_pair_row(M: int) -> list[Fraction]:
-    """The bosonic integrals of (x)_M (x)_n, n <= M: (x)_M times (x - n) one factor at a time."""
+    """The bosonic integrals of (x)_M (x)_n, n <= M: (x)_M times (x - n) one factor at a time,
+    each product's int coefficients one ``dot``."""
     products = accumulate(range(0, -M, -1), _times_linear, initial=seq._stirling1_row(M))
-    return [_volk(Polynomial(p)) for p in products]
+    return [_BOS.dot(p) for p in products]
 
 
 def _double_stirling_row(M: int) -> list[Fraction]:

@@ -17,18 +17,18 @@ pairs and Worpitzky weights take the step directly.  The falling factorial
 and C(x, n) are rows of the Stirling-1 table in ``sequences``.
 A measure is one view of its moments, moments(n) = (int numerators of
 m_0..m_n, one int den), weighted by one kernel, ``_moment_integral``: the
-exact integrals, ``Measure.dot`` and ``binom``, the level sums and each
-coefficient of ``_shifted_integral``, the integral in t of f(x + t) (the
-shift; the array, Daehee, Changhee and second-kind Bernoulli polynomials;
-the catalog's C(x + y, n)).  Every other exact sum of int terms
-(num, den) is ``_reduce``: one int sum over the lcm of the denominators.
+exact integrals, ``Measure.dot`` and ``binom`` and the level sums.  The
+integral in t of f(x + t) is one int kernel over a view, ``_shifted_ints``
+(``_shifted_integral`` for a ``Polynomial``): the shift, the Appell rows of
+B_k(x) and E_k(x) (its monomial case), the array, Daehee, Changhee and
+second-kind Bernoulli polynomials and the catalog's C(x + y, n).  Every other
+exact sum of int terms (num, den) is ``_reduce``: one int sum over their lcm.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from math import lcm
-from operator import mul
+from math import comb, lcm
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Sequence, Union
 
 __all__ = ["Polynomial"]
@@ -239,17 +239,22 @@ def _point_ints(a: Fraction) -> Moments:
     return lambda n: ([u**i * v ** (n - i) for i in range(n + 1)], v**n)
 
 
+def _shifted_ints(coeffs: Sequence[int], moments: Moments) -> tuple[list[int], int]:
+    """The integral in t of f(x + t), f with int coefficients F, against the view moments:
+    its x^k coefficients sum_(j>=k) C(j, k) F_j m_(j-k) as ints over the view's den, and den."""
+    nums, den = moments(len(coeffs) - 1)
+    out = [0] * len(coeffs)
+    for j, c in filter(itemgetter(1), enumerate(coeffs)):  # the nonzero F_j
+        for k in range(j + 1):
+            out[k] += comb(j, k) * c * nums[j - k]
+    return out, den
+
+
 def _shifted_integral(f: Polynomial, moments: Moments) -> Polynomial:
-    """The integral in t of f(x + t) against the measure with the view moments: its x^k
-    coefficient sum_(j>=k) C(j, k) f_j m_(j-k), with C(j, k) = j!/(k! (j-k)!), is one int
-    ``_moment_integral`` of f's tail (over one den) times j! against m_i/i!, over k!."""
-    cs, n = f._coeffs, len(f) - 1
-    (nums, den), common = moments(n), lcm(*[c.denominator for c in cs])
-    facts = list(accumulate(range(1, n + 1), mul, initial=1))
-    ints = [c.numerator * (common // c.denominator) * fact for c, fact in zip(cs, facts)]
-    view = [m * (facts[n] // fact) for m, fact in zip(nums, facts)], den * facts[n] * common
-    return Polynomial([_moment_integral(ints[k:], lambda _: view, 0, fact)
-                       for k, fact in enumerate(facts)])
+    """``_shifted_ints`` of f's coefficients as int numerators over the lcm of their denominators."""
+    common = lcm(*[c.denominator for c in f._coeffs])
+    ints, den = _shifted_ints([c.numerator * (common // c.denominator) for c in f._coeffs], moments)
+    return Polynomial([Fraction(c, den * common) for c in ints])
 
 
 def _times_linear(coeffs: Sequence[int], c: int) -> list[int]:

@@ -26,15 +26,13 @@ by one ``list.extend`` per step and only ever extended (clearing replaces
 it), so a stored value is read without the lock, from any thread.
 The Bernoulli and Euler tables also give ``ints(n)``, their moment view
 (see ``polynomials``): entries 0..n as int numerators over the lcm of their
-denominators, grown by doubling and published as one tuple.  The Appell
-row k over it, the int coefficients of den B_k(x) (den E_k(x)), gives
-``bernoulli_poly`` (``euler_poly``), built for that k alone; the power sums
-keep these rows in ``_BERNOULLI_ROWS`` and ``_EULER_ROWS``.  Every other
-family polynomial integrates f(x + t) against a view with
-``polynomials._shifted_integral``: x^n against the lambda-Stirling view
-(array), a falling or rising factorial against ``ints`` (Daehee,
-Changhee), the falling factorial against dt on [0, 1] (second-kind
-Bernoulli, ``_unit_ints``).
+denominators, grown by doubling and published as one tuple.  Each family
+polynomial is the integral in t of f(x + t) against a view, by the one int
+kernel ``polynomials._shifted_ints``: x^n against ``ints`` (``bernoulli_poly``,
+``euler_poly``, and the Appell rows ``_BERNOULLI_ROWS``, ``_EULER_ROWS`` that
+the power sums keep), x^n against the lambda-Stirling view (array), (x)_n or
+the rising factorial against ``ints`` (Daehee, Changhee) and (x)_n against dt
+on [0, 1] (second-kind Bernoulli, ``_unit_ints``).
 All returned values are immutable ``Fraction``s or ``Polynomial``s.
 """
 from __future__ import annotations
@@ -45,7 +43,7 @@ from math import comb, factorial, lcm
 from typing import Callable
 
 from .polynomials import Moments, Polynomial, _as_fraction, _factorial_ints, _reduce
-from .polynomials import _shifted_integral
+from .polynomials import _shifted_integral, _shifted_ints
 
 __all__ = [
     "apostol_bernoulli",
@@ -192,29 +190,22 @@ def euler(n: int) -> Fraction:
     return _EULER.get(n)
 
 
-def _appell_row(ints: Moments, k: int) -> tuple[tuple[int, ...], int]:
-    """den P_k(x) = sum_d C(k, d) nums[k-d] x^d over a view (nums, den) of the moments of
-    P_k = B_k or E_k: its int coefficients for d = 0..k, and den."""
-    _check_index(k)
-    nums, den = ints(k)
-    return tuple(comb(k, d) * nums[k - d] for d in range(k + 1)), den
-
-
-# row k: the int coefficients of den B_k(x) or den E_k(x), and den (the level sums' power sums)
-_BERNOULLI_ROWS = _rows(lambda k: _appell_row(_bernoulli_ints, k))
-_EULER_ROWS = _rows(lambda k: _appell_row(_euler_ints, k))
+# row k: the int coefficients of den B_k(x) or den E_k(x), and den (the level sums' power sums):
+# the kernel over the Bernoulli or Euler view at f = x^k
+_BERNOULLI_ROWS = _rows(lambda k: _shifted_ints([0] * k + [1], _bernoulli_ints))
+_EULER_ROWS = _rows(lambda k: _shifted_ints([0] * k + [1], _euler_ints))
 
 
 def bernoulli_poly(n: int) -> Polynomial:
     """Bernoulli polynomial B_n(x) = sum C(n, k) B_k x^(n-k): the bosonic integral of (x+t)^n."""
-    row, den = _appell_row(_bernoulli_ints, n)
-    return Polynomial([Fraction(c, den) for c in row])
+    _check_index(n)
+    return _shifted_integral(Polynomial.monomial(n), _bernoulli_ints)
 
 
 def euler_poly(n: int) -> Polynomial:
     """Euler polynomial E_n(x) = sum C(n, k) E_k x^(n-k): the fermionic integral of (x+t)^n."""
-    row, den = _appell_row(_euler_ints, n)
-    return Polynomial([Fraction(c, den) for c in row])
+    _check_index(n)
+    return _shifted_integral(Polynomial.monomial(n), _euler_ints)
 
 
 def euler_second(n: int) -> Fraction:

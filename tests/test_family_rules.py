@@ -3,7 +3,7 @@
 Euler numbers are read off Bernoulli numbers by
 E_n(0) = -2 (2^(n+1) - 1) B_(n+1) / (n + 1); the Stirling (both kinds) and
 Eulerian triangles share one two-term row rule; Bernoulli and Euler
-polynomials share one Appell constructor; the Apostol, Frobenius and
+polynomials are one kernel's monomial case; the Apostol, Frobenius and
 Fubini numbers share one recurrence for the coefficients of
 r t^j / (c e^t + d); the associated and lambda-Stirling numbers, the
 order-k Fubini numbers and the Cauchy numbers behind the second-kind

@@ -111,7 +111,11 @@ def test_falling_rising_and_binom_match_factor_loops():
         rising = fraction_mul(rising, Polynomial([n, 1]))
 
 
-@pytest.mark.parametrize("build", [falling_poly, rising_poly, binom_poly])
+@pytest.mark.parametrize("build", [
+    falling_poly, rising_poly, binom_poly, seq.bernoulli_poly, seq.euler_poly, seq.daehee_poly,
+    seq.daehee_hat_poly, seq.changhee_poly, seq.bernoulli_second_poly, seq.euler_second,
+    pytest.param(lambda n: seq.array_poly(n, 2, 3), id="array_poly"),
+])
 def test_builders_reject_a_negative_degree(build):
     with pytest.raises(ValueError, match="n must be >= 0"):
         build(-1)

@@ -1,18 +1,23 @@
 """The shifted-integral kernel against the loops it replaced.
 
-``polynomials._shifted_integral(f, moments)`` is the integral in t of
-f(x + t) against a measure given by a view of its moments,
-moments(n) = (int numerators of m_0..m_n, their int den).  It builds the
-shift, the array polynomials and the Daehee, Changhee and second-kind
-Bernoulli polynomials.  The references below are the earlier forms, kept
-here: the Taylor rows of f(x + t) integrated row by row with one
-``Fraction`` product per term against the ``Fraction`` moments, the
-binomial-theorem loop of ``Polynomial.shift`` and the accumulation loop of
-``array_poly``.  Each view the library passes is checked against the
-``Fraction`` moments it stands for.  The Appell sum and the Cauchy-number
-loop of ``bernoulli_second_poly`` are kept as references in
-``tests/test_family_rules.py``, and the t-by-t products of linear factors
-in ``tests/test_linear_products.py``.
+``polynomials._shifted_ints(coeffs, moments)`` is the integral in t of
+f(x + t), f given by int coefficients, against a measure given by a view
+of its moments, moments(n) = (int numerators of m_0..m_n, their int den),
+as int coefficients over that den; ``_shifted_integral(f, moments)``
+passes a ``Polynomial`` through it.  It builds the shift, the Bernoulli
+and Euler polynomials and the Appell rows the power sums read (its
+monomial case), the array polynomials, the Daehee, Changhee and
+second-kind Bernoulli polynomials and the catalog's C(x + y, n).  The
+references below are the earlier forms, kept here: the Taylor rows of
+f(x + t) integrated row by row with one ``Fraction`` product per term
+against the ``Fraction`` moments, the binomial-theorem loop of
+``Polynomial.shift`` and the accumulation loop of ``array_poly``.  Each
+view the library passes is checked against the ``Fraction`` moments it
+stands for.  The ``Fraction`` Appell sums that check the monomial case
+are in ``tests/test_integrals.py`` (the row tables, ``bernoulli_poly`` and
+``euler_poly``) and ``tests/test_family_rules.py``, the Cauchy-number loop
+of ``bernoulli_second_poly`` in ``tests/test_family_rules.py``, and the
+t-by-t products of linear factors in ``tests/test_linear_products.py``.
 """
 from fractions import Fraction
 from math import comb, lcm

@@ -8,10 +8,12 @@ spans.  Usage::
 
     python tools/count_lines.py [package-directory]
 
-The directory defaults to ``src/volkenborn`` beside this script's parent.
+The directory defaults to ``src/volkenborn`` beside this script's parent;
+one that holds no ``*.py`` file is a usage error (exit 2).
 """
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import signal
@@ -51,8 +53,14 @@ def count(path: Path) -> tuple[int, int]:
 
 
 def main(argv: list[str]) -> int:
-    package = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "volkenborn"
-    rows = [(path.stem, *count(path)) for path in sorted(package.glob("*.py"))]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("package", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parent.parent / "src" / "volkenborn")
+    args = parser.parse_args(argv)
+    paths = sorted(args.package.glob("*.py"))
+    if not paths:
+        parser.error(f"no *.py file in {args.package}")
+    rows = [(path.stem, *count(path)) for path in paths]
     print(f"{'module':<12} {'lines':>6} {'code':>6}")
     for name, lines, code in sorted(rows, key=lambda row: -row[1]):
         print(f"{name:<12} {lines:>6} {code:>6}")

@@ -20,7 +20,8 @@ Usage::
     python tools/profile_catalog.py [--n-max N] [source-directory]
 
 The directory holding the ``volkenborn`` package defaults to ``src``
-beside this script's parent.
+beside this script's parent.  A cap that ``verify`` refuses is a usage
+error (exit 2), with ``verify``'s message.
 """
 from __future__ import annotations
 
@@ -62,6 +63,10 @@ def main(argv: list[str]) -> int:
     cap = args.n_max
 
     records = identities.catalog()
+    try:
+        identities.verify(records[0], cap)  # verify refuses a bad cap before any work
+    except ValueError as err:
+        parser.error(str(err))
 
     profiler = cProfile.Profile()
     sequences.clear_caches()

@@ -18,7 +18,9 @@ Usage::
 
 The directory holding the ``volkenborn`` package defaults to ``src``
 beside this script's parent, so the same script times another checkout's
-source.  ``--cpu`` pins this process to one CPU (default: not pinned).
+source.  ``--cpu`` pins this process to one CPU (default: not pinned);
+a CPU this process may not run on, or ``--repeat`` below 1, is a usage
+error (exit 2).
 """
 from __future__ import annotations
 
@@ -50,7 +52,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--repeat", type=int, default=5)
     parser.add_argument("--cpu", type=int)
     args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error(f"--repeat must be >= 1: got {args.repeat}")
     if args.cpu is not None:
+        allowed = os.sched_getaffinity(0)
+        if args.cpu not in allowed:
+            parser.error(f"--cpu must be one of {sorted(allowed)}: got {args.cpu}")
         os.sched_setaffinity(0, {args.cpu})
     sys.path[:0] = [str(Path(args.source).resolve()), str(ROOT / "bench")]
     import workloads
